@@ -11,7 +11,7 @@
 // BENCH_reads.json, uploaded as CI artifacts).
 //
 // Absolute numbers depend on the host; the shapes (who wins, scaling
-// factors, crossovers) are the reproduction target — see EXPERIMENTS.md.
+// factors, crossovers) are the reproduction target.
 package main
 
 import (

@@ -114,7 +114,7 @@ func main() {
 	if err := st.RecoverReplica(newPart, 2); err != nil {
 		panic(err)
 	}
-	fmt.Printf("replica (%d,2) recovering: schema-derived ring membership, runtime resubscribe, replay\n", newPart)
+	fmt.Printf("replica (%d,2) recovering: schema-derived ring membership, rejoin, replay\n", newPart)
 
 	// Fresh traffic on the ring carries the recovered replica's gap
 	// detection past the crash point (a deployment with rate leveling gets

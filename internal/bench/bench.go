@@ -16,8 +16,7 @@
 //
 // Absolute numbers differ from the paper (the substrate is a simulator on
 // one host, not a 32-core cluster), but the shapes — who wins, by what
-// factor, where the crossovers are — are the reproduction target; see
-// EXPERIMENTS.md.
+// factor, where the crossovers are — are the reproduction target.
 package bench
 
 import (

@@ -229,8 +229,7 @@ func fig3Run(opts Options, mode storage.Mode, size, batchBytes int, transportBat
 		CoordProxyMBps: float64(coordBytes) / 1e6 / elapsed,
 		LatencyCDF:     hist.CDF(),
 		// Unscaled threshold: the host's ~2 ms timer floor dominates scaled
-		// sync writes, so run Figure 3 at -scale 1 for latency fidelity
-		// (see EXPERIMENTS.md).
+		// sync writes, so run Figure 3 at -scale 1 for latency fidelity.
 		FracUnder10ms: hist.FractionBelow(10 * time.Millisecond),
 	}
 }

@@ -37,7 +37,7 @@ type Fig8Result struct {
 // fraction of peak load is split live early in the run; a replica of the
 // new partition is terminated, the survivors keep checkpointing (allowing
 // acceptor log trimming), and the replica later recovers by fetching a
-// remote checkpoint — or replaying its runtime-subscribed ring from the
+// remote checkpoint — or replaying the split's ring from the
 // partition's birth state — and replaying the suffix from the acceptors.
 // The paper's 300 s timeline is compressed by opts.Scale.
 func Fig8(opts Options) Fig8Result {

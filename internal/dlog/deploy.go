@@ -6,10 +6,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mrp/internal/cluster"
 	"mrp/internal/msg"
-	"mrp/internal/multiring"
 	"mrp/internal/netsim"
-	"mrp/internal/recovery"
 	"mrp/internal/ringpaxos"
 	"mrp/internal/smr"
 	"mrp/internal/storage"
@@ -55,23 +54,21 @@ type DeployConfig struct {
 	CacheBytes int
 }
 
-// ServerHandle bundles one dLog server.
+// ServerHandle bundles one dLog server: its cluster member (node, learner,
+// SMR replica, checkpoint store) and its per-log disks.
 type ServerHandle struct {
-	Index   int
-	Node    *multiring.Node
-	Learner *multiring.Learner
-	Replica *smr.Replica
-	SM      *SM
-	Disks   map[LogID]*storage.Disk
+	*cluster.Member
+	Index int
+	SM    *SM
+	Disks map[LogID]*storage.Disk
 
-	ckpt    *storage.CheckpointStore
-	logs    map[msg.RingID]*storage.Log
-	stopped bool
+	logs map[msg.RingID]*storage.Log
 }
 
 // Deployment is a running dLog cluster.
 type Deployment struct {
 	cfg       DeployConfig
+	cl        cluster.Config
 	Servers   []*ServerHandle
 	ringPeers [][]ringpaxos.Peer
 	nextID    atomic.Uint64
@@ -91,158 +88,122 @@ func Deploy(cfg DeployConfig) (*Deployment, error) {
 	if cfg.Servers <= 0 {
 		cfg.Servers = 3
 	}
-	if cfg.DiskScale <= 0 {
-		cfg.DiskScale = 1
-	}
-	if cfg.RetryTimeout <= 0 {
-		cfg.RetryTimeout = 100 * time.Millisecond
-	}
-	if cfg.BatchDelay <= 0 {
-		cfg.BatchDelay = time.Millisecond
-	}
-	if cfg.MergeM <= 0 {
-		cfg.MergeM = 1
-	}
-	if cfg.EndpointFor == nil && cfg.Net != nil {
-		cfg.EndpointFor = func(a transport.Addr) (transport.Endpoint, error) {
-			return cfg.Net.Endpoint(a), nil
-		}
-	}
 	if cfg.AddrFor == nil {
 		cfg.AddrFor = func(s int) transport.Addr {
 			return transport.Addr(fmt.Sprintf("dlog-s%d", s))
 		}
 	}
-	d := &Deployment{cfg: cfg}
+	d := &Deployment{cfg: cfg, cl: cluster.Config{
+		Net:           cfg.Net,
+		EndpointFor:   cfg.EndpointFor,
+		DiskScale:     cfg.DiskScale,
+		BatchMaxBytes: cfg.BatchMaxBytes,
+		BatchDelay:    cfg.BatchDelay,
+		SkipInterval:  cfg.SkipInterval,
+		SkipRate:      cfg.SkipRate,
+		RetryTimeout:  cfg.RetryTimeout,
+		MergeM:        cfg.MergeM,
+	}.WithDefaults()}
 
-	addrFor := cfg.AddrFor
 	// All servers are members of every ring (logs + common).
 	nRings := cfg.Logs + 1
-	peers := make([][]ringpaxos.Peer, nRings)
-	for ri := 0; ri < nRings; ri++ {
+	d.ringPeers = make([][]ringpaxos.Peer, nRings)
+	for ri := range d.ringPeers {
 		for s := 0; s < cfg.Servers; s++ {
-			peers[ri] = append(peers[ri], ringpaxos.Peer{
+			d.ringPeers[ri] = append(d.ringPeers[ri], ringpaxos.Peer{
 				ID:    msg.NodeID(s + 1),
-				Addr:  addrFor(s),
+				Addr:  cfg.AddrFor(s),
 				Roles: ringpaxos.RoleProposer | ringpaxos.RoleAcceptor | ringpaxos.RoleLearner,
 			})
 		}
 	}
-
-	d.ringPeers = peers
-	for s := 0; s < cfg.Servers; s++ {
-		h, err := d.buildServer(s, nil, nil)
-		if err != nil {
-			d.Stop()
-			return nil, err
-		}
-		d.Servers = append(d.Servers, h)
-	}
-	return d, nil
-}
-
-// buildServer constructs (or rebuilds, after a crash) one dLog server.
-func (d *Deployment) buildServer(s int, starts map[msg.RingID]msg.Instance, install *storage.Checkpoint) (*ServerHandle, error) {
-	cfg := d.cfg
-	nRings := cfg.Logs + 1
-	ep, err := cfg.EndpointFor(cfg.AddrFor(s))
+	hs, err := d.startServers(0, cfg.Servers, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	node := multiring.NewNode(msg.NodeID(s+1), ep)
-	disks := make(map[LogID]*storage.Disk)
-	ckpt := storage.NewCheckpointStore(storage.NewDisk(storage.NullDisk))
-	var oldLogs map[msg.RingID]*storage.Log
-	if s < len(d.Servers) && d.Servers[s] != nil {
-		// Stable storage survives a crash-recover cycle.
-		disks = d.Servers[s].Disks
-		ckpt = d.Servers[s].ckpt
-		oldLogs = d.Servers[s].logs
+	d.Servers = hs
+	return d, nil
+}
+
+// startServers starts servers first..first+n-1 through the shared cluster
+// path, which binds every server's endpoint before any of them starts.
+// starts and install are the recovered ring frontier and checkpoint of a
+// server rebuilt after a crash.
+func (d *Deployment) startServers(first, n int, starts map[msg.RingID]msg.Instance, install *storage.Checkpoint) ([]*ServerHandle, error) {
+	addrs := make([]transport.Addr, n)
+	for i := range addrs {
+		addrs[i] = d.cfg.AddrFor(first + i)
 	}
-	logs := make(map[msg.RingID]*storage.Log, nRings)
-	var procs []multiring.DecisionSource
-	for ri := 0; ri < nRings; ri++ {
-		ring := msg.RingID(ri + 1)
-		// Each log ring gets its own disk per server; the common ring
-		// (multi-appends) shares the first log's disk.
-		var disk *storage.Disk
-		if existing, ok := disks[LogID(ri)]; ok && ri < cfg.Logs {
-			disk = existing
-		} else if ri < cfg.Logs {
-			disk = storage.NewDisk(cfg.DiskModel.Scale(cfg.DiskScale))
-			disks[LogID(ri)] = disk
-		} else {
-			disk = disks[0]
-		}
-		var log *storage.Log
-		if oldLogs != nil {
-			log = oldLogs[ring]
-		}
-		if log == nil {
-			log = storage.NewLogOnDisk(cfg.StorageMode, disk)
-		}
-		logs[ring] = log
-		rcfg := ringpaxos.Config{
-			Ring:          ring,
-			Peers:         d.ringPeers[ri],
-			Coordinator:   d.ringPeers[ri][0].ID,
-			Log:           log,
-			BatchMaxBytes: cfg.BatchMaxBytes,
-			BatchDelay:    cfg.BatchDelay,
-			SkipInterval:  cfg.SkipInterval,
-			SkipRate:      cfg.SkipRate,
-			RetryTimeout:  cfg.RetryTimeout,
-		}
-		if starts != nil {
-			rcfg.StartInstance = starts[ring]
-		}
-		proc, err := node.Join(rcfg)
-		if err != nil {
-			return nil, err
-		}
-		procs = append(procs, proc)
-	}
-	learner := multiring.NewLearner(cfg.MergeM, procs...)
-	sm := NewSM(SMConfig{Disks: disks, SyncWrites: cfg.SyncWrites, CacheBytes: cfg.CacheBytes})
-	rep := smr.NewReplica(smr.ReplicaConfig{
-		Node:    node,
-		Learner: learner,
-		SM:      sm,
-		Ckpt:    ckpt,
+	hs := make([]*ServerHandle, n)
+	ms, err := d.cl.StartAll(addrs, func(i int, _ transport.Endpoint) cluster.Spec {
+		var spec cluster.Spec
+		hs[i], spec = d.serverSpec(first + i)
+		spec.Starts, spec.Install = starts, install
+		return spec
 	})
-	if install != nil {
-		rep.InstallCheckpoint(*install)
+	if err != nil {
+		return nil, err
 	}
-	node.Service(rep.HandleService)
-	node.Start()
-	learner.Start()
-	rep.Start()
-	return &ServerHandle{
-		Index: s, Node: node, Learner: learner, Replica: rep, SM: sm,
-		Disks: disks, ckpt: ckpt, logs: logs,
-	}, nil
+	for i, m := range ms {
+		hs[i].Member = m
+	}
+	return hs, nil
+}
+
+// serverSpec prepares server s's disks, acceptor logs and state machine.
+// Stable storage survives a crash-recover cycle: a rebuilt server reuses
+// its predecessor's.
+func (d *Deployment) serverSpec(s int) (*ServerHandle, cluster.Spec) {
+	cfg := d.cfg
+	h := &ServerHandle{Index: s, Disks: make(map[LogID]*storage.Disk), logs: make(map[msg.RingID]*storage.Log)}
+	ckpt := storage.NewCheckpointStore(storage.NewDisk(storage.NullDisk))
+	if old := d.server(s); old != nil {
+		h.Disks, h.logs, ckpt = old.Disks, old.logs, old.Ckpt
+	}
+	rings := make([]cluster.Ring, len(d.ringPeers))
+	for ri, peers := range d.ringPeers {
+		ring := msg.RingID(ri + 1)
+		log, ok := h.logs[ring]
+		if !ok {
+			// Each log ring gets its own disk per server; the common ring
+			// (multi-appends) shares the first log's disk.
+			disk := h.Disks[0]
+			if ri < cfg.Logs {
+				disk = storage.NewDisk(cfg.DiskModel.Scale(d.cl.DiskScale))
+				h.Disks[LogID(ri)] = disk
+			}
+			log = storage.NewLogOnDisk(cfg.StorageMode, disk)
+			h.logs[ring] = log
+		}
+		rings[ri] = cluster.Ring{ID: ring, Peers: peers, Log: log}
+	}
+	h.SM = NewSM(SMConfig{Disks: h.Disks, SyncWrites: cfg.SyncWrites, CacheBytes: cfg.CacheBytes})
+	return h, cluster.Spec{ID: msg.NodeID(s + 1), Rings: rings, SM: h.SM, Ckpt: ckpt}
+}
+
+// server returns server s's handle (nil when out of range).
+func (d *Deployment) server(s int) *ServerHandle {
+	if s >= 0 && s < len(d.Servers) {
+		return d.Servers[s]
+	}
+	return nil
+}
+
+// members lists every server's cluster member.
+func (d *Deployment) members() []*cluster.Member {
+	ms := make([]*cluster.Member, 0, len(d.Servers))
+	for _, h := range d.Servers {
+		if h != nil {
+			ms = append(ms, h.Member)
+		}
+	}
+	return ms
 }
 
 // CrashServer stops a server and heals the rings around it.
 func (d *Deployment) CrashServer(s int) {
-	h := d.Servers[s]
-	if h == nil || h.stopped {
-		return
-	}
-	h.stopped = true
-	h.Replica.Stop()
-	h.Learner.Stop()
-	h.Node.Stop()
-	dead := msg.NodeID(s + 1)
-	for _, other := range d.Servers {
-		if other == nil || other.stopped {
-			continue
-		}
-		for _, ring := range other.Node.Rings() {
-			if proc, ok := other.Node.Process(ring); ok {
-				proc.SetPeerDown(dead, true)
-			}
-		}
+	if h := d.server(s); h != nil && h.Stop() {
+		cluster.Heal(d.members(), msg.NodeID(s+1), true)
 	}
 }
 
@@ -250,60 +211,33 @@ func (d *Deployment) CrashServer(s int) {
 // checkpoint discovery from a quorum of peers, state transfer, and replay
 // of the per-ring suffix from the acceptors.
 func (d *Deployment) RecoverServer(s int) error {
-	recEp, err := d.cfg.EndpointFor(d.cfg.AddrFor(s) + "-recovery")
-	if err != nil {
-		return err
+	old := d.server(s)
+	if old == nil {
+		return fmt.Errorf("dlog: no server %d to recover", s)
 	}
 	var peers []transport.Addr
 	for i, h := range d.Servers {
-		if i != s && h != nil && !h.stopped {
+		if i != s && h != nil && !h.Stopped() {
 			peers = append(peers, d.cfg.AddrFor(i))
 		}
 	}
-	res, err := recovery.Recover(recovery.RecoverConfig{
-		Endpoint: recEp,
-		Peers:    peers,
-		Local:    d.Servers[s].ckpt,
-		Timeout:  10 * time.Second,
-	})
+	starts, install, err := d.cl.Recover(d.cfg.AddrFor(s), peers, old.Ckpt)
 	if err != nil {
 		return err
 	}
-	_ = recEp.Close()
-	starts := recovery.StartInstances(res.Checkpoint.Tuple)
-	var install *storage.Checkpoint
-	if res.Found {
-		install = &res.Checkpoint
-	}
-	h, err := d.buildServer(s, starts, install)
+	hs, err := d.startServers(s, 1, starts, install)
 	if err != nil {
 		return err
 	}
-	d.Servers[s] = h
-	recovered := msg.NodeID(s + 1)
-	for i, other := range d.Servers {
-		if i == s || other == nil || other.stopped {
-			continue
-		}
-		for _, ring := range other.Node.Rings() {
-			if proc, ok := other.Node.Process(ring); ok {
-				proc.SetPeerDown(recovered, false)
-			}
-		}
-	}
+	d.Servers[s] = hs[0]
+	cluster.Heal(d.members(), msg.NodeID(s+1), false)
 	return nil
 }
 
 // Stop shuts the deployment down.
 func (d *Deployment) Stop() {
-	for _, h := range d.Servers {
-		if h == nil || h.stopped {
-			continue
-		}
-		h.stopped = true
-		h.Replica.Stop()
-		h.Learner.Stop()
-		h.Node.Stop()
+	for _, m := range d.members() {
+		m.Stop()
 	}
 	d.Servers = nil
 }
@@ -311,7 +245,7 @@ func (d *Deployment) Stop() {
 // NewClient creates a dLog client with a fresh endpoint.
 func (d *Deployment) NewClient() *Client {
 	id := 2_000_000 + d.nextID.Add(1)
-	ep, err := d.cfg.EndpointFor(transport.Addr(fmt.Sprintf("dlog-client-%d", id)))
+	ep, err := d.cl.EndpointFor(transport.Addr(fmt.Sprintf("dlog-client-%d", id)))
 	if err != nil {
 		panic(fmt.Sprintf("dlog: client endpoint: %v", err))
 	}
@@ -335,18 +269,23 @@ func (d *Deployment) NewClientAt(ep transport.Endpoint, id uint64) *Client {
 			Proposers: proposers,
 			Timeout:   20 * time.Second,
 		}),
-		d: d,
+		ep: ep,
+		d:  d,
 	}
 }
 
 // Client accesses a dLog deployment through the Table 2 operations.
 type Client struct {
 	smr *smr.Client
+	ep  transport.Endpoint
 	d   *Deployment
 }
 
-// Close releases the client.
-func (c *Client) Close() { c.smr.Close() }
+// Close releases the client and closes its endpoint.
+func (c *Client) Close() {
+	c.smr.Close()
+	_ = c.ep.Close()
+}
 
 func (c *Client) call(ring msg.RingID, o op) (result, error) {
 	raw, err := c.smr.Execute(ring, o.encode())

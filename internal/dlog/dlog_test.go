@@ -3,11 +3,14 @@ package dlog
 import (
 	"bytes"
 	"fmt"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"mrp/internal/netsim"
 	"mrp/internal/storage"
+	"mrp/internal/transport"
 )
 
 // --- codec ---
@@ -434,5 +437,49 @@ func TestDLogCrashAndRecoverServer(t *testing.T) {
 	// The recovered server serves reads with correct positions.
 	if tail := d.Servers[2].SM.Tail(0); tail != d.Servers[0].SM.Tail(0) {
 		t.Fatalf("tails diverged: %d vs %d", tail, d.Servers[0].SM.Tail(0))
+	}
+}
+
+// closeCounter counts the Close calls on an endpoint.
+type closeCounter struct {
+	transport.Endpoint
+	closed *atomic.Int32
+}
+
+func (e *closeCounter) Close() error {
+	e.closed.Add(1)
+	return e.Endpoint.Close()
+}
+
+// TestClientCloseClosesEndpoint: closing a client closes the endpoint it
+// was created on, so repeated client churn does not leak endpoints.
+func TestClientCloseClosesEndpoint(t *testing.T) {
+	net := netsim.New(netsim.WithUniformLatency(20 * time.Microsecond))
+	var closed atomic.Int32
+	d, err := Deploy(DeployConfig{
+		EndpointFor: func(a transport.Addr) (transport.Endpoint, error) {
+			ep := net.Endpoint(a)
+			if strings.HasPrefix(string(a), "dlog-client-") {
+				return &closeCounter{Endpoint: ep, closed: &closed}, nil
+			}
+			return ep, nil
+		},
+		Logs:        1,
+		StorageMode: storage.InMemory,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		d.Stop()
+		net.Close()
+	})
+	cl := d.NewClient()
+	if _, err := cl.Append(0, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	cl.Close()
+	if got := closed.Load(); got != 1 {
+		t.Fatalf("client endpoint closed %d times, want 1", got)
 	}
 }

@@ -349,7 +349,8 @@ func moduleName(root string) (string, error) {
 }
 
 // packageDirs walks the module tree for directories containing Go files,
-// skipping testdata, hidden, and underscore-prefixed directories.
+// skipping testdata, hidden, and underscore-prefixed directories and, as
+// the go tool does, nested modules (directories with their own go.mod).
 func packageDirs(root string) ([]string, error) {
 	var dirs []string
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
@@ -359,6 +360,9 @@ func packageDirs(root string) ([]string, error) {
 		if d.IsDir() {
 			name := d.Name()
 			if path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); path != root && err == nil {
 				return filepath.SkipDir
 			}
 			has, err := hasGoFiles(path)

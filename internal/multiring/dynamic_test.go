@@ -284,7 +284,7 @@ func TestNodeSubscribeUnsubscribeRuntime(t *testing.T) {
 
 	// Runtime subscription to a fresh ring on every node.
 	for i, node := range nodes {
-		p2, err := node.Subscribe(ringCfg(2))
+		p2, err := node.Join(ringCfg(2))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -59,11 +59,13 @@ func (n *Node) Addr() transport.Addr { return n.ep.Addr() }
 // Endpoint returns the node's transport endpoint.
 func (n *Node) Endpoint() transport.Endpoint { return n.ep }
 
-// Join makes the node a member of a ring with the given configuration.
-// cfg.Self is forced to the node's ID. Joining after Start is allowed (a
-// recovering replica first contacts its partition peers for a checkpoint,
-// then joins its rings with the recovered StartInstance); in that case the
-// ring process is started immediately.
+// Join makes the node a member of a ring with the given configuration —
+// the paper's inverted group addressing (Section 3: processes subscribe to
+// any groups they are interested in). cfg.Self is forced to the node's ID.
+// Joining after Start is allowed: the ring process then starts at once and
+// the router begins feeding it ring-scoped traffic right away. Wire the
+// returned process into the node's Learner (Learner.Subscribe) to splice a
+// ring joined at runtime into the deterministic merge.
 func (n *Node) Join(cfg ringpaxos.Config) (*ringpaxos.Process, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -89,17 +91,6 @@ func (n *Node) Join(cfg ringpaxos.Config) (*ringpaxos.Process, error) {
 		proc.Start()
 	}
 	return proc, nil
-}
-
-// Subscribe joins a ring at runtime — the paper's inverted group
-// addressing (Section 3: processes subscribe to any groups they are
-// interested in). It is Join with dynamic-membership intent spelled out:
-// the ring process starts immediately when the node is already running,
-// and the router begins feeding it ring-scoped traffic right away. Wire
-// the returned process into the node's Learner (Learner.Subscribe) to
-// splice the ring into the deterministic merge.
-func (n *Node) Subscribe(cfg ringpaxos.Config) (*ringpaxos.Process, error) {
-	return n.Join(cfg)
 }
 
 // Unsubscribe leaves a ring at runtime: the ring process is stopped and

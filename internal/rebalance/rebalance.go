@@ -10,8 +10,8 @@
 // Every topology change is one Plan executed in ordered phases:
 //
 //  1. Provision — (splits) build the destination partition's replicas on a
-//     ring from the allocator (recycling retired ring IDs) via the runtime
-//     subscription path (multiring.Node.Subscribe, Learner.Subscribe).
+//     ring from the allocator (recycling retired ring IDs); each joins the
+//     new ring before it starts, like every replica (internal/cluster).
 //     Their state machines start "warming": they reject every client
 //     command. Merges skip this phase — their destination already serves.
 //  2. Prepare — ordered opPrepareReconfig commands freeze the donor side
@@ -37,9 +37,7 @@
 //     mapping — the donor's partition index falls out of the assignment
 //     without renumbering anyone — and starts serving the donor's range.
 //  7. Teardown — (merges) the drained donor ring is retired cluster-wide:
-//     every donor replica splices the ring out of its deterministic merge
-//     (Learner.Unsubscribe), unsubscribes it at the node
-//     (Node.Unsubscribe), and stops; the ring ID returns to the allocator
+//     every donor replica stops, and the ring ID returns to the allocator
 //     for the next split to recycle (store.Deployment.RetirePartition).
 //
 // Between Prepare and Commit, commands on the frozen range are redirected

@@ -78,44 +78,50 @@ func (s *registrySource) currentView() (routeView, error) {
 	if err != nil {
 		return routeView{}, err
 	}
+	return schemaView(sc, part, func(p int, _ []transport.Addr) transport.Addr {
+		data, _, _ := s.reg.Get(LeaseHolderPath(p))
+		return transport.Addr(data)
+	}), nil
+}
+
+// schemaView builds the routing view of a schema: per partition its ring,
+// its global-ring subscription, its proposers and the lease holder that
+// holder(p, addrs) advertises ("" for none); the global ring's proposers
+// are the first replica of every subscribed partition. Retired indexes
+// keep the arrays aligned but get no route (no key maps to them).
+func schemaView(sc Schema, part Partitioner, holder func(p int, addrs []transport.Addr) transport.Addr) routeView {
 	v := routeView{
-		epoch:       sc.Epoch,
-		partitioner: part,
-		proposers:   make(map[msg.RingID][]transport.Addr),
+		epoch:        sc.Epoch,
+		partitioner:  part,
+		proposers:    make(map[msg.RingID][]transport.Addr),
+		leaseHolders: make([]transport.Addr, sc.Partitions),
 	}
 	if sc.GlobalRing {
-		v.global = msg.RingID(sc.GlobalRingID)
-		if v.global == 0 {
-			v.global = msg.RingID(sc.Partitions + 1) // legacy schema
-		}
+		v.global = sc.globalRingID()
 	}
 	var globalAddrs []transport.Addr
-	v.leaseHolders = make([]transport.Addr, sc.Partitions)
 	for p := 0; p < sc.Partitions; p++ {
 		if schemaRetired(sc, p) {
-			// Merged-away index: keep array alignment, install no route.
 			v.rings = append(v.rings, 0)
 			v.onGlobal = append(v.onGlobal, false)
 			continue
 		}
-		if data, _, ok := s.reg.Get(LeaseHolderPath(p)); ok {
-			v.leaseHolders[p] = transport.Addr(data)
-		}
-		ring := sc.RingOf(p)
+		ring, on := sc.RingOf(p), schemaOnGlobal(sc, p)
 		v.rings = append(v.rings, ring)
-		on := p >= len(sc.OnGlobal) || sc.OnGlobal[p] // legacy: all on global
 		v.onGlobal = append(v.onGlobal, on)
 		if p < len(sc.Replicas) {
-			v.proposers[ring] = append([]transport.Addr(nil), sc.Replicas[p]...)
-			if on && len(sc.Replicas[p]) > 0 {
-				globalAddrs = append(globalAddrs, sc.Replicas[p][0])
+			addrs := sc.Replicas[p]
+			v.proposers[ring] = append([]transport.Addr(nil), addrs...)
+			if on && len(addrs) > 0 {
+				globalAddrs = append(globalAddrs, addrs[0])
 			}
+			v.leaseHolders[p] = holder(p, addrs)
 		}
 	}
 	if v.global != 0 {
 		v.proposers[v.global] = globalAddrs
 	}
-	return v, nil
+	return v
 }
 
 // epochRetryDelay paces retries of commands frozen by an in-flight
@@ -150,6 +156,7 @@ var execTimeout = 5 * time.Second
 // one client per worker thread.
 type Client struct {
 	smr     *smr.Client
+	ep      transport.Endpoint
 	src     viewSource
 	timeout time.Duration
 
@@ -185,6 +192,7 @@ func newClient(ep transport.Endpoint, id uint64, src viewSource, batch smr.Batch
 			Timeout:  execTimeout,
 			Batch:    batch,
 		}),
+		ep:      ep,
 		src:     src,
 		timeout: 20 * time.Second,
 	}
@@ -210,13 +218,14 @@ func (c *Client) watchSchema(reg *registry.Registry) {
 	}()
 }
 
-// Close releases the client.
+// Close releases the client and closes its endpoint.
 func (c *Client) Close() {
 	if c.watchStop != nil {
 		close(c.watchStop)
 		<-c.watchDone
 	}
 	c.smr.Close()
+	_ = c.ep.Close()
 }
 
 // currentView returns the cached routing view.
@@ -239,6 +248,18 @@ func (c *Client) viewFor() routeView {
 		v = c.currentView()
 	}
 	return v
+}
+
+// routedView returns the view to route one attempt by, refreshing first
+// when the client has no view yet.
+func (c *Client) routedView() (routeView, error) {
+	if v := c.viewFor(); v.partitioner != nil {
+		return v, nil
+	}
+	if err := c.refresh(); err != nil {
+		return routeView{}, err
+	}
+	return c.currentView(), nil
 }
 
 // Epoch returns the schema epoch the client currently routes under.
@@ -363,12 +384,9 @@ func (c *Client) leaseScan(from, to string, limit int) ([]Entry, bool) {
 func (c *Client) callKey(o op) (result, error) {
 	deadline := time.Now().Add(c.timeout)
 	for {
-		v := c.viewFor()
-		if v.partitioner == nil {
-			if err := c.refresh(); err != nil {
-				return result{}, err
-			}
-			continue
+		v, err := c.routedView()
+		if err != nil {
+			return result{}, err
 		}
 		o.epoch = v.epoch
 		p := v.partitioner.PartitionOf(o.key)
@@ -391,13 +409,7 @@ func (c *Client) callKey(o op) (result, error) {
 		if time.Now().After(deadline) {
 			return res, &WrongEpochError{ClientEpoch: o.epoch, ServerEpoch: res.epoch}
 		}
-		// Redirected: refresh and re-route. If the schema has not been
-		// republished yet (migration freeze window), pace the retries.
-		before := v.epoch
-		_ = c.refresh()
-		if c.currentView().epoch == before {
-			time.Sleep(epochRetryDelay)
-		}
+		c.repace(v.epoch)
 	}
 }
 
@@ -475,12 +487,9 @@ func (c *Client) Scan(from, to string, limit int) ([]Entry, error) {
 	}
 	deadline := time.Now().Add(c.timeout)
 	for {
-		v := c.viewFor()
-		if v.partitioner == nil {
-			if err := c.refresh(); err != nil {
-				return nil, err
-			}
-			continue
+		v, err := c.routedView()
+		if err != nil {
+			return nil, err
 		}
 		entries, redirected, err := c.scanOnce(v, from, to, limit)
 		if err != nil {
@@ -495,11 +504,7 @@ func (c *Client) Scan(from, to string, limit int) ([]Entry, error) {
 		if time.Now().After(deadline) {
 			return nil, &WrongEpochError{ClientEpoch: v.epoch}
 		}
-		before := v.epoch
-		_ = c.refresh()
-		if c.currentView().epoch == before {
-			time.Sleep(epochRetryDelay)
-		}
+		c.repace(v.epoch)
 	}
 }
 
@@ -589,12 +594,9 @@ func (c *Client) WriteBatch(entries []Entry) (int, error) {
 	remaining := entries
 	total := 0
 	for len(remaining) > 0 {
-		v := c.viewFor()
-		if v.partitioner == nil {
-			if err := c.refresh(); err != nil {
-				return total, err
-			}
-			continue
+		v, err := c.routedView()
+		if err != nil {
+			return total, err
 		}
 		byPart := make(map[int][]op)
 		for _, e := range remaining {
@@ -637,11 +639,7 @@ func (c *Client) WriteBatch(entries []Entry) (int, error) {
 		if time.Now().After(deadline) {
 			return total, &WrongEpochError{ClientEpoch: v.epoch}
 		}
-		before := v.epoch
-		_ = c.refresh()
-		if c.currentView().epoch == before {
-			time.Sleep(epochRetryDelay)
-		}
+		c.repace(v.epoch)
 	}
 	return total, nil
 }

@@ -6,12 +6,11 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mrp/internal/cluster"
 	"mrp/internal/msg"
-	"mrp/internal/multiring"
 	"mrp/internal/netsim"
 	"mrp/internal/recovery"
 	"mrp/internal/registry"
-	"mrp/internal/ringpaxos"
 	"mrp/internal/smr"
 	"mrp/internal/storage"
 	"mrp/internal/transport"
@@ -81,30 +80,21 @@ type DeployConfig struct {
 	Lease LeasePolicy
 }
 
-// ReplicaHandle bundles everything one replica node runs.
+// ReplicaHandle bundles everything one replica node runs: the cluster
+// member (node, learner, SMR replica, checkpoint store) and the store's own
+// parts.
 type ReplicaHandle struct {
+	*cluster.Member
 	Partition int
 	Index     int
-	Node      *multiring.Node
-	Learner   *multiring.Learner
-	Replica   *smr.Replica
 	SM        *SM
-	Ckpt      *storage.CheckpointStore
 	Logs      map[msg.RingID]*storage.Log
 	Disk      *storage.Disk
-	Aux       map[msg.RingID]*transport.HandlerMux
 	// Ex exchanges cross-partition transaction votes with the replicas of
 	// other participant partitions (internal/txn). Closed before the
 	// replica stops so an in-flight exchange cannot deadlock teardown.
 	Ex *txn.Exchanger
-
-	stopped atomic.Bool
 }
-
-// Stopped reports whether the handle's replica has been stopped (crash
-// injection or teardown). Lease managers poll it from their own goroutine,
-// which is why the flag is atomic.
-func (h *ReplicaHandle) Stopped() bool { return h.stopped.Load() }
 
 // partMeta is one partition's live topology entry: the ring ordering its
 // commands, its replica addresses, and whether its replicas subscribe to
@@ -140,6 +130,7 @@ type splitBirth struct {
 // epoch once the moved range has been migrated.
 type Deployment struct {
 	cfg      DeployConfig
+	cl       cluster.Config
 	Replicas [][]*ReplicaHandle // [partition][replica]
 	trims    []*recovery.TrimCoordinator
 	nextID   atomic.Uint64
@@ -180,17 +171,14 @@ func (d *Deployment) PartitionRing(p int) msg.RingID {
 	return 0
 }
 
-// globalRing returns the global ring's ID without locking (it is fixed at
-// deploy time).
-func (d *Deployment) globalRing() msg.RingID {
+// GlobalRingID returns the global ring's ID (0 when disabled). It is fixed
+// at deploy time, so reading it takes no lock.
+func (d *Deployment) GlobalRingID() msg.RingID {
 	if !d.cfg.GlobalRing {
 		return 0
 	}
 	return msg.RingID(d.cfg.Partitions + 1)
 }
-
-// GlobalRingID returns the global ring's ID (0 when disabled).
-func (d *Deployment) GlobalRingID() msg.RingID { return d.globalRing() }
 
 // Partitioner returns the deployment's committed partitioning scheme.
 func (d *Deployment) Partitioner() Partitioner {
@@ -232,43 +220,39 @@ func (c *DeployConfig) withDefaults() {
 	if c.Partitioner == nil {
 		c.Partitioner = NewHashPartitioner(c.Partitions)
 	}
-	if c.DiskScale <= 0 {
-		c.DiskScale = 1
-	}
 	if c.AddrFor == nil {
 		c.AddrFor = func(p, r int) transport.Addr {
 			return transport.Addr(fmt.Sprintf("store-p%d-r%d", p, r))
 		}
 	}
-	if c.EndpointFor == nil && c.Net != nil {
-		c.EndpointFor = func(a transport.Addr) (transport.Endpoint, error) {
-			return c.Net.Endpoint(a), nil
-		}
-	}
-	if c.RetryTimeout <= 0 {
-		c.RetryTimeout = 100 * time.Millisecond
-	}
-	if c.BatchDelay <= 0 {
-		c.BatchDelay = time.Millisecond
-	}
-	if c.MergeM <= 0 {
-		c.MergeM = 1
-	}
 	c.Lease = c.Lease.withDefaults()
+}
+
+// clusterConfig is the part of the configuration every replica shares,
+// with the shared defaults applied.
+func (c *DeployConfig) clusterConfig() cluster.Config {
+	return cluster.Config{
+		Net:             c.Net,
+		EndpointFor:     c.EndpointFor,
+		DiskScale:       c.DiskScale,
+		BatchMaxBytes:   c.BatchMaxBytes,
+		BatchDelay:      c.BatchDelay,
+		SkipInterval:    c.SkipInterval,
+		SkipRate:        c.SkipRate,
+		RetryTimeout:    c.RetryTimeout,
+		MergeM:          c.MergeM,
+		CheckpointEvery: c.CheckpointEvery,
+		Pipeline:        c.Pipeline,
+	}.WithDefaults()
 }
 
 // nodeIDFor gives every replica a stable, unique node ID.
 func nodeIDFor(p, r int) msg.NodeID { return msg.NodeID(p*100 + r + 1) }
 
-// recoverTimeout bounds the checkpoint-exchange conversation of
-// RecoverReplica (a variable so tests can exercise recovery failures
-// without waiting out the production deadline).
-var recoverTimeout = 10 * time.Second
-
 // Deploy builds and starts an MRP-Store cluster.
 func Deploy(cfg DeployConfig) (*Deployment, error) {
 	cfg.withDefaults()
-	d := &Deployment{cfg: cfg, epoch: 1, viewEpoch: 1, partitioner: cfg.Partitioner}
+	d := &Deployment{cfg: cfg, cl: cfg.clusterConfig(), epoch: 1, viewEpoch: 1, partitioner: cfg.Partitioner}
 	for p := 0; p < cfg.Partitions; p++ {
 		var addrs []transport.Addr
 		for r := 0; r < cfg.Replicas; r++ {
@@ -289,22 +273,23 @@ func Deploy(cfg DeployConfig) (*Deployment, error) {
 	// rejoins rings whose order and roles match the survivors' by
 	// construction.
 	s := d.topologySchema()
+	var plans []replicaPlan
 	for p := 0; p < cfg.Partitions; p++ {
-		var hs []*ReplicaHandle
 		for r := 0; r < cfg.Replicas; r++ {
 			members, err := schemaMemberships(s, p, r)
 			if err != nil {
-				d.Stop()
 				return nil, err
 			}
-			h, err := d.buildReplicaAt(p, r, members, nil, nil, nil)
-			if err != nil {
-				d.Stop()
-				return nil, err
-			}
-			hs = append(hs, h)
+			plans = append(plans, replicaPlan{p: p, r: r, members: members})
 		}
-		d.Replicas = append(d.Replicas, hs)
+	}
+	hs, err := d.startReplicas(plans)
+	if err != nil {
+		return nil, err
+	}
+	d.Replicas = make([][]*ReplicaHandle, cfg.Partitions)
+	for _, h := range hs {
+		d.Replicas[h.Partition] = append(d.Replicas[h.Partition], h)
 	}
 
 	if cfg.TrimInterval > 0 {
@@ -321,141 +306,94 @@ func Deploy(cfg DeployConfig) (*Deployment, error) {
 	return d, nil
 }
 
-// buildReplicaAt constructs (or rebuilds, after a crash) one replica node
-// from its schema-derived ring memberships. starts maps each subscribed
-// ring to the delivery start instance (the recovered frontier); install is
-// an optional recovered checkpoint. birth, when non-nil, marks a replica
-// of a partition created by a live split: its state machine starts from
-// the split's deterministic initial state and its ring is joined through
-// the runtime subscription path, the same way the partition first came up.
-func (d *Deployment) buildReplicaAt(p, r int, members []ringMembership, birth *splitBirth, starts map[msg.RingID]msg.Instance, install *storage.Checkpoint) (*ReplicaHandle, error) {
-	cfg := d.cfg
-	h := &ReplicaHandle{
-		Partition: p,
-		Index:     r,
-		Logs:      make(map[msg.RingID]*storage.Log),
-		Aux:       make(map[msg.RingID]*transport.HandlerMux),
-		Disk:      storage.NewDisk(cfg.StorageMode.DiskFor().Scale(cfg.DiskScale)),
-		Ckpt:      storage.NewCheckpointStore(storage.NewDisk(cfg.StorageMode.DiskFor().Scale(cfg.DiskScale))),
+// replicaPlan is what assembling one replica needs beyond the deployment
+// config: its slot, the rings it subscribes to (derived from the schema),
+// and where it starts. birth, when non-nil, marks a replica of a partition
+// created by a live split: its state machine starts from the split's
+// deterministic initial state. starts and install are the recovered ring
+// frontier and checkpoint of a replica rebuilt after a crash.
+type replicaPlan struct {
+	p, r    int
+	members []cluster.Ring
+	birth   *splitBirth
+	starts  map[msg.RingID]msg.Instance
+	install *storage.Checkpoint
+}
+
+// startReplicas starts one replica per plan through the shared cluster
+// path, which binds every plan's endpoint before any replica starts.
+func (d *Deployment) startReplicas(plans []replicaPlan) ([]*ReplicaHandle, error) {
+	addrs := make([]transport.Addr, len(plans))
+	for i, pl := range plans {
+		addrs[i] = d.cfg.AddrFor(pl.p, pl.r)
 	}
-	if old := d.ReplicaAt(p, r); old != nil {
-		// Stable storage survives a crash-recover cycle.
-		h.Disk = old.Disk
-		h.Ckpt = old.Ckpt
-		h.Logs = old.Logs
-	}
-	ep, err := cfg.EndpointFor(cfg.AddrFor(p, r))
+	hs := make([]*ReplicaHandle, len(plans))
+	ms, err := d.cl.StartAll(addrs, func(i int, ep transport.Endpoint) cluster.Spec {
+		var spec cluster.Spec
+		hs[i], spec = d.replicaSpec(plans[i], ep)
+		return spec
+	})
 	if err != nil {
 		return nil, err
 	}
-	node := multiring.NewNode(nodeIDFor(p, r), ep)
-
-	ringCfg := func(m ringMembership) ringpaxos.Config {
-		var log *storage.Log
-		if existing, ok := h.Logs[m.ring]; ok {
-			log = existing
-		} else {
-			log = storage.NewLogOnDisk(cfg.StorageMode, h.Disk)
-			h.Logs[m.ring] = log
-		}
-		aux := &transport.HandlerMux{}
-		h.Aux[m.ring] = aux
-		rcfg := ringpaxos.Config{
-			Ring:          m.ring,
-			Peers:         m.peers,
-			Coordinator:   m.peers[0].ID,
-			Log:           log,
-			BatchMaxBytes: cfg.BatchMaxBytes,
-			BatchDelay:    cfg.BatchDelay,
-			SkipInterval:  cfg.SkipInterval,
-			SkipRate:      cfg.SkipRate,
-			RetryTimeout:  cfg.RetryTimeout,
-			Aux:           aux.Handle,
-		}
-		if starts != nil {
-			rcfg.StartInstance = starts[m.ring]
-		}
-		return rcfg
+	for i, m := range ms {
+		hs[i].Member = m
 	}
+	return hs, nil
+}
 
-	var procs []multiring.DecisionSource
-	if birth == nil {
-		for _, m := range members {
-			proc, err := node.Join(ringCfg(m))
-			if err != nil {
-				return nil, err
-			}
-			procs = append(procs, proc)
-		}
-	}
-
-	learner := multiring.NewLearner(cfg.MergeM, procs...)
-	var sm *SM
-	if birth != nil {
-		sm = NewSMAt(p, birth.partitioner, birth.epoch, true)
+// replicaSpec prepares the store's parts of one replica on its endpoint:
+// the stable storage a crash leaves behind (disk, checkpoints, acceptor
+// logs), the state machine, and the transaction vote exchanger.
+func (d *Deployment) replicaSpec(pl replicaPlan, ep transport.Endpoint) (*ReplicaHandle, cluster.Spec) {
+	h := &ReplicaHandle{Partition: pl.p, Index: pl.r}
+	var ckpt *storage.CheckpointStore
+	if old := d.ReplicaAt(pl.p, pl.r); old != nil {
+		// Stable storage survives a crash-recover cycle.
+		h.Disk, h.Logs, ckpt = old.Disk, old.Logs, old.Ckpt
 	} else {
-		sm = NewSM(p, cfg.Partitioner)
+		model := d.cfg.StorageMode.DiskFor().Scale(d.cl.DiskScale)
+		h.Disk, h.Logs = storage.NewDisk(model), make(map[msg.RingID]*storage.Log)
+		ckpt = storage.NewCheckpointStore(storage.NewDisk(model))
 	}
-	rep := smr.NewReplica(smr.ReplicaConfig{
-		Node:            node,
-		Learner:         learner,
-		SM:              sm,
-		Ckpt:            h.Ckpt,
-		CheckpointEvery: cfg.CheckpointEvery,
-		Pipeline:        cfg.Pipeline,
-	})
-	if install != nil {
-		rep.InstallCheckpoint(*install)
+	rings := append([]cluster.Ring(nil), pl.members...)
+	for i, m := range rings {
+		if _, ok := h.Logs[m.ID]; !ok {
+			h.Logs[m.ID] = storage.NewLogOnDisk(d.cfg.StorageMode, h.Disk)
+		}
+		rings[i].Log = h.Logs[m.ID]
 	}
-	for _, aux := range h.Aux {
-		aux.Set(rep.HandleTrimQuery)
+	if pl.birth != nil {
+		h.SM = NewSMAt(pl.p, pl.birth.partitioner, pl.birth.epoch, true)
+	} else {
+		h.SM = NewSM(pl.p, d.cfg.Partitioner)
 	}
 	// Cross-partition transaction votes ride the service plane alongside
 	// the replica's checkpoint RPCs; both handlers are non-blocking.
 	ex := txn.NewExchanger(txn.ExchangerConfig{
-		Self:    uint16(p),
-		Send:    func(to transport.Addr, m *msg.TxnVote) error { return node.Endpoint().Send(to, m) },
+		Self:    uint16(pl.p),
+		Send:    func(to transport.Addr, m *msg.TxnVote) error { return ep.Send(to, m) },
 		Resolve: d.txnPeers,
-		OwnVote: sm.TxnVote,
+		OwnVote: h.SM.TxnVote,
 	})
-	sm.SetTxnExchanger(ex)
+	h.SM.SetTxnExchanger(ex)
 	h.Ex = ex
-	node.Service(func(env transport.Envelope) {
-		if _, isVote := env.Msg.(*msg.TxnVote); isVote {
-			ex.Handle(env)
-			return
-		}
-		rep.HandleService(env)
-	})
-	node.Start()
-	learner.Start()
-	rep.Start()
-
-	if birth != nil {
-		// Runtime subscription path: splice each ring into the running
-		// node and learner at the recovered frontier. The fresh learner
-		// has consumed nothing, so immediate activation is trivially the
-		// same splice point on every replica of the partition.
-		for _, m := range members {
-			rc := ringCfg(m)
-			h.Aux[m.ring].Set(rep.HandleTrimQuery)
-			proc, err := node.Subscribe(rc)
-			if err != nil {
-				ex.Close()
-				rep.Stop()
-				learner.Stop()
-				node.Stop()
-				return nil, err
+	return h, cluster.Spec{
+		ID:      nodeIDFor(pl.p, pl.r),
+		Rings:   rings,
+		SM:      h.SM,
+		Ckpt:    ckpt,
+		Starts:  pl.starts,
+		Install: pl.install,
+		Service: func(env transport.Envelope) bool {
+			if _, isVote := env.Msg.(*msg.TxnVote); !isVote {
+				return false
 			}
-			learner.Subscribe(proc, multiring.Activation{})
-		}
+			ex.Handle(env)
+			return true
+		},
+		OnStop: ex.Close,
 	}
-
-	h.Node = node
-	h.Learner = learner
-	h.Replica = rep
-	h.SM = sm
-	return h, nil
 }
 
 // txnPeers resolves the live replica addresses of a participant
@@ -490,62 +428,38 @@ func (d *Deployment) handleAt(p, r int) *ReplicaHandle {
 
 // startTrimming launches a trim coordinator per ring at the ring's first
 // replica, wiring its Aux to serve both roles (replica and coordinator).
+// The global ring's replicas are every seed replica; its acceptors are
+// each partition's first replica.
 func (d *Deployment) startTrimming() {
-	ringReplicaAddrs := func(p int) []transport.Addr {
-		var out []transport.Addr
-		for r := 0; r < d.cfg.Replicas; r++ {
-			out = append(out, d.cfg.AddrFor(p, r))
-		}
-		return out
-	}
-	for p := 0; p < d.cfg.Partitions; p++ {
-		h0 := d.Replicas[p][0]
-		ring := d.PartitionRing(p)
+	start := func(h0 *ReplicaHandle, ring msg.RingID, replicas, acceptors []transport.Addr) {
 		tc := recovery.NewTrimCoordinator(recovery.TrimConfig{
 			Ring:      ring,
 			Endpoint:  h0.Node.Endpoint(),
-			Replicas:  ringReplicaAddrs(p),
-			Acceptors: ringReplicaAddrs(p),
+			Replicas:  replicas,
+			Acceptors: acceptors,
 			Interval:  d.cfg.TrimInterval,
 		})
-		d.wireTrimAux(h0, ring, tc)
+		rep := h0.Replica
+		h0.Aux[ring].Set(func(env transport.Envelope) {
+			switch env.Msg.(type) {
+			case *msg.TrimQuery:
+				rep.HandleTrimQuery(env)
+			case *msg.TrimReply:
+				tc.HandleReply(env)
+			}
+		})
 		tc.Start()
 		d.trims = append(d.trims, tc)
+	}
+	var all, firsts []transport.Addr
+	for p := 0; p < d.cfg.Partitions; p++ {
+		addrs := d.parts[p].addrs
+		start(d.Replicas[p][0], d.parts[p].ring, addrs, addrs)
+		all, firsts = append(all, addrs...), append(firsts, addrs[0])
 	}
 	if d.cfg.GlobalRing {
-		h0 := d.Replicas[0][0]
-		ring := d.GlobalRingID()
-		var allReplicas, acceptors []transport.Addr
-		for p := 0; p < d.cfg.Partitions; p++ {
-			acceptors = append(acceptors, d.cfg.AddrFor(p, 0))
-			allReplicas = append(allReplicas, ringReplicaAddrs(p)...)
-		}
-		tc := recovery.NewTrimCoordinator(recovery.TrimConfig{
-			Ring:      ring,
-			Endpoint:  h0.Node.Endpoint(),
-			Replicas:  allReplicas,
-			Acceptors: acceptors,
-			Quorum:    len(allReplicas)/2 + 1,
-			Interval:  d.cfg.TrimInterval,
-		})
-		d.wireTrimAux(h0, ring, tc)
-		tc.Start()
-		d.trims = append(d.trims, tc)
+		start(d.Replicas[0][0], d.GlobalRingID(), all, firsts)
 	}
-}
-
-// wireTrimAux makes a node's ring Aux serve both trim queries (replica
-// role) and trim replies (coordinator role).
-func (d *Deployment) wireTrimAux(h *ReplicaHandle, ring msg.RingID, tc *recovery.TrimCoordinator) {
-	rep := h.Replica
-	h.Aux[ring].Set(func(env transport.Envelope) {
-		switch env.Msg.(type) {
-		case *msg.TrimQuery:
-			rep.HandleTrimQuery(env)
-		case *msg.TrimReply:
-			tc.HandleReply(env)
-		}
-	})
 }
 
 // TrimCoordinators exposes the running trim coordinators (nil without
@@ -573,22 +487,9 @@ func (d *Deployment) Preload(entries []Entry) {
 // it, as the coordination service would (Section 8.5 terminates a replica
 // at runtime).
 func (d *Deployment) CrashReplica(p, r int) {
-	h := d.Replicas[p][r]
-	if h == nil || !h.stopped.CompareAndSwap(false, true) {
-		return
+	if h := d.ReplicaAt(p, r); h != nil && h.Stop() {
+		cluster.Heal(d.members(), nodeIDFor(p, r), true)
 	}
-	h.Ex.Close()
-	h.Replica.Stop()
-	h.Learner.Stop()
-	h.Node.Stop()
-	dead := nodeIDFor(p, r)
-	d.forEachLive(func(other *ReplicaHandle) {
-		for _, ring := range other.Node.Rings() {
-			if proc, ok := other.Node.Process(ring); ok {
-				proc.SetPeerDown(dead, true)
-			}
-		}
-	})
 }
 
 // RecoverReplica restarts a crashed replica: it retrieves the most recent
@@ -599,12 +500,11 @@ func (d *Deployment) CrashReplica(p, r int) {
 // because ring memberships, roles, and subscription points are derived
 // from the deployment's current schema (the same structure published to
 // the coordination service), not from the static deploy config. A split
-// partition's replica re-subscribes its runtime ring at the recovered
-// frontier and resumes redirect behavior from the snapshot's schema state;
-// if no checkpoint survives anywhere, it replays the full ring from the
+// partition's replica rejoins its ring at the recovered frontier and
+// resumes redirect behavior from the snapshot's schema state; if no
+// checkpoint survives anywhere, it replays the full ring from the
 // partition's deterministic birth state (warming, at the split's epoch).
 func (d *Deployment) RecoverReplica(p, r int) error {
-	cfg := d.cfg
 	d.mu.RLock()
 	committed := d.partitioner.N()
 	valid := p >= 0 && p < committed && p < len(d.parts) && !d.parts[p].retired &&
@@ -632,59 +532,34 @@ func (d *Deployment) RecoverReplica(p, r int) error {
 	if err != nil {
 		return err
 	}
-
-	recEp, err := cfg.EndpointFor(meta.addrs[r] + "-recovery")
+	starts, install, err := d.cl.Recover(meta.addrs[r], peers, d.ReplicaAt(p, r).Ckpt)
 	if err != nil {
 		return err
 	}
-	// The recovery conversation endpoint is transient: close it on every
-	// path, including Recover errors (it used to leak there).
-	defer func() { _ = recEp.Close() }()
-
-	res, recErr := recovery.Recover(recovery.RecoverConfig{
-		Endpoint: recEp,
-		Peers:    peers,
-		Local:    d.ReplicaAt(p, r).Ckpt,
-		Timeout:  recoverTimeout,
-	})
-	if recErr != nil {
-		return recErr
-	}
-
-	starts := recovery.StartInstances(res.Checkpoint.Tuple)
-	var install *storage.Checkpoint
-	if res.Found {
-		install = &res.Checkpoint
-	}
-	h, err := d.buildReplicaAt(p, r, members, meta.birth, starts, install)
+	hs, err := d.startReplicas([]replicaPlan{{p: p, r: r, members: members, birth: meta.birth, starts: starts, install: install}})
 	if err != nil {
 		return err
 	}
 	d.mu.Lock()
-	d.Replicas[p][r] = h
+	d.Replicas[p][r] = hs[0]
 	d.mu.Unlock()
-	recovered := nodeIDFor(p, r)
-	d.forEachLive(func(other *ReplicaHandle) {
-		if other == h {
-			return
-		}
-		for _, ring := range other.Node.Rings() {
-			if proc, ok := other.Node.Process(ring); ok {
-				proc.SetPeerDown(recovered, false)
-			}
-		}
-	})
+	cluster.Heal(d.members(), nodeIDFor(p, r), false)
 	return nil
 }
 
-func (d *Deployment) forEachLive(fn func(*ReplicaHandle)) {
+// members lists the cluster members of every replica slot.
+func (d *Deployment) members() []*cluster.Member {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	var ms []*cluster.Member
 	for _, hs := range d.Replicas {
 		for _, h := range hs {
-			if h != nil && !h.Stopped() {
-				fn(h)
+			if h != nil {
+				ms = append(ms, h.Member)
 			}
 		}
 	}
+	return ms
 }
 
 // Stop shuts the whole deployment down. Lease managers go first so no
@@ -695,30 +570,19 @@ func (d *Deployment) Stop() {
 		tc.Stop()
 	}
 	d.trims = nil
-	d.mu.RLock()
-	replicas := append([][]*ReplicaHandle(nil), d.Replicas...)
-	d.mu.RUnlock()
-	for _, hs := range replicas {
-		for _, h := range hs {
-			if h != nil && h.stopped.CompareAndSwap(false, true) {
-				h.Ex.Close()
-				h.Replica.Stop()
-				h.Learner.Stop()
-				h.Node.Stop()
-			}
-		}
+	for _, m := range d.members() {
+		m.Stop()
 	}
 }
 
 // AddPartition builds and starts the replicas of partition index part on a
-// ring from the allocator (recycling retired ring IDs first), using the
-// runtime subscription path: each replica's node and learner start empty
-// and then splice the new ring in (Node.Subscribe / Learner.Subscribe).
-// The partition starts warming — its state machines reject client commands
-// until an opActivatePart command is delivered on the ring — and is not
-// part of the committed topology until AdoptReconfig. part must be the
-// next free partition index (the committed partitioner's N); it may reuse
-// the tombstone of a retired partition at the top of the index space.
+// ring from the allocator (recycling retired ring IDs first). Like every
+// replica, each joins its ring before it starts; the partition starts
+// warming — its state machines reject client commands until an
+// opActivatePart command is delivered on the ring — and is not part of the
+// committed topology until AdoptReconfig. part must be the next free
+// partition index (the committed partitioner's N); it may reuse the
+// tombstone of a retired partition at the top of the index space.
 // partitioner is the post-split mapping; epoch its epoch.
 func (d *Deployment) AddPartition(partitioner Partitioner, part int, epoch uint64) (ring msg.RingID, addrs []transport.Addr, err error) {
 	cfg := d.cfg
@@ -747,33 +611,18 @@ func (d *Deployment) AddPartition(partitioner Partitioner, part int, epoch uint6
 	}
 	d.mu.Unlock()
 
-	peers := make([]ringpaxos.Peer, cfg.Replicas)
-	for r := 0; r < cfg.Replicas; r++ {
-		peers[r] = ringpaxos.Peer{
-			ID:    nodeIDFor(part, r),
-			Addr:  addrs[r],
-			Roles: ringpaxos.RoleProposer | ringpaxos.RoleAcceptor | ringpaxos.RoleLearner,
-		}
-	}
 	birth := &splitBirth{epoch: epoch, partitioner: partitioner}
-	members := []ringMembership{{ring: ring, peers: peers}}
-	hs := make([]*ReplicaHandle, 0, cfg.Replicas)
-	for r := 0; r < cfg.Replicas; r++ {
-		h, herr := d.buildReplicaAt(part, r, members, birth, nil, nil)
-		if herr != nil {
-			for _, built := range hs {
-				built.stopped.Store(true)
-				built.Ex.Close()
-				built.Replica.Stop()
-				built.Learner.Stop()
-				built.Node.Stop()
-			}
-			d.mu.Lock()
-			d.freeRings = append(d.freeRings, ring)
-			d.mu.Unlock()
-			return 0, nil, herr
-		}
-		hs = append(hs, h)
+	members := []cluster.Ring{{ID: ring, Peers: partitionPeers(part, addrs)}}
+	plans := make([]replicaPlan, cfg.Replicas)
+	for r := range plans {
+		plans[r] = replicaPlan{p: part, r: r, members: members, birth: birth}
+	}
+	hs, err := d.startReplicas(plans)
+	if err != nil {
+		d.mu.Lock()
+		d.freeRings = append(d.freeRings, ring)
+		d.mu.Unlock()
+		return 0, nil, err
 	}
 	d.mu.Lock()
 	meta := partMeta{ring: ring, addrs: addrs, birth: birth}
@@ -820,25 +669,16 @@ func (d *Deployment) RemovePartition(part int) error {
 	}
 	d.freeRings = append(d.freeRings, ring)
 	d.mu.Unlock()
-	for _, h := range hs {
-		if h != nil && h.stopped.CompareAndSwap(false, true) {
-			h.Ex.Close()
-			h.Replica.Stop()
-			h.Learner.Stop()
-			h.Node.Stop()
-		}
-	}
+	stopAll(hs)
 	return nil
 }
 
 // RetirePartition tears down the ring of a partition that was merged away:
-// each of its replicas splices the ring out of its deterministic merge
-// (Learner.Unsubscribe at the teardown activation point), unsubscribes the
-// ring at the node (Node.Unsubscribe — the process-level half of the
-// paper's inverted group addressing), and stops. The partition entry
-// becomes a tombstone and the ring ID returns to the allocator for the
-// next split to recycle. The committed partitioner must no longer assign
-// any range to the partition (i.e. the merge was committed first).
+// its replicas stop, which takes the ring out of every node that ran it.
+// The partition entry becomes a tombstone and the ring ID returns to the
+// allocator for the next split to recycle. The committed partitioner must
+// no longer assign any range to the partition (i.e. the merge was
+// committed first).
 func (d *Deployment) RetirePartition(part int) error {
 	d.stopLeaseManager(part)
 	d.mu.Lock()
@@ -869,18 +709,17 @@ func (d *Deployment) RetirePartition(part int) error {
 	d.parts[part] = partMeta{retired: true}
 	d.freeRings = append(d.freeRings, ring)
 	d.mu.Unlock()
-	for _, h := range hs {
-		if h == nil || !h.stopped.CompareAndSwap(false, true) {
-			continue
-		}
-		h.Learner.Unsubscribe(ring, multiring.Activation{})
-		_ = h.Node.Unsubscribe(ring)
-		h.Ex.Close()
-		h.Replica.Stop()
-		h.Learner.Stop()
-		h.Node.Stop()
-	}
+	stopAll(hs)
 	return nil
+}
+
+// stopAll stops the replicas of a partition taken out of the topology.
+func stopAll(hs []*ReplicaHandle) {
+	for _, h := range hs {
+		if h != nil {
+			h.Stop()
+		}
+	}
 }
 
 // AdoptReconfig commits a reconfiguration into the deployment's topology:
@@ -917,55 +756,28 @@ func (d *Deployment) RevertReconfig(epoch uint64, prev Partitioner) {
 	}
 }
 
-// currentView snapshots the committed routing state for a client.
+// currentView snapshots the committed routing state for a client. Its
+// epoch is the view watermark, and the advertised lease holder of a
+// partition is its designated holder while that replica is up (advisory:
+// the replica itself decides whether it may actually serve).
 func (d *Deployment) currentView() (routeView, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	v := routeView{
-		epoch:       d.viewEpoch,
-		partitioner: d.partitioner,
-		global:      d.globalRing(),
-		proposers:   make(map[msg.RingID][]transport.Addr),
-	}
-	n := d.partitioner.N()
-	if !d.cfg.Lease.Disabled {
-		v.leaseHolders = make([]transport.Addr, n)
-	}
-	for p := 0; p < n && p < len(d.parts); p++ {
-		meta := d.parts[p]
-		if meta.retired {
-			// Tombstone of a merged-away index: keep the arrays aligned but
-			// install no route (no key maps to it).
-			v.rings = append(v.rings, 0)
-			v.onGlobal = append(v.onGlobal, false)
-			continue
+	v := schemaView(d.topologySchema(), d.partitioner, func(p int, addrs []transport.Addr) transport.Addr {
+		hIdx := leaseHolderIdx(len(addrs))
+		if h := d.handleAt(p, hIdx); d.cfg.Lease.Disabled || len(addrs) == 0 || h == nil || h.Stopped() {
+			return ""
 		}
-		v.rings = append(v.rings, meta.ring)
-		v.onGlobal = append(v.onGlobal, meta.onGlobal)
-		v.proposers[meta.ring] = append([]transport.Addr(nil), meta.addrs...)
-		if v.leaseHolders != nil && len(meta.addrs) > 0 {
-			// Advisory fast-path route: the designated holder, when up. The
-			// replica itself decides whether it may actually serve.
-			hIdx := leaseHolderIdx(len(meta.addrs))
-			if h := d.handleAt(p, hIdx); h != nil && !h.Stopped() {
-				v.leaseHolders[p] = meta.addrs[hIdx]
-			}
-		}
-	}
-	if v.global != 0 {
-		var addrs []transport.Addr
-		for p := 0; p < d.cfg.Partitions; p++ {
-			addrs = append(addrs, d.parts[p].addrs[0])
-		}
-		v.proposers[v.global] = addrs
-	}
+		return addrs[hIdx]
+	})
+	v.epoch = d.viewEpoch
 	return v, nil
 }
 
 // NewClient creates a store client with a fresh endpoint and unique ID.
 func (d *Deployment) NewClient() *Client {
 	id := 1_000_000 + d.nextID.Add(1)
-	ep, err := d.cfg.EndpointFor(transport.Addr(fmt.Sprintf("store-client-%d", id)))
+	ep, err := d.cl.EndpointFor(transport.Addr(fmt.Sprintf("store-client-%d", id)))
 	if err != nil {
 		panic(fmt.Sprintf("store: client endpoint: %v", err))
 	}
@@ -988,7 +800,7 @@ func (d *Deployment) NewClientAt(ep transport.Endpoint, id uint64) *Client {
 // wrong-epoch redirects). The deployment must have published its schema.
 func (d *Deployment) NewRegistryClient(reg *registry.Registry) (*Client, error) {
 	id := 1_000_000 + d.nextID.Add(1)
-	ep, err := d.cfg.EndpointFor(transport.Addr(fmt.Sprintf("store-client-%d", id)))
+	ep, err := d.cl.EndpointFor(transport.Addr(fmt.Sprintf("store-client-%d", id)))
 	if err != nil {
 		return nil, err
 	}

@@ -113,7 +113,7 @@ type leaseManager struct {
 // startLeaseManager launches the lease manager of partition p.
 func (d *Deployment) startLeaseManager(p int) error {
 	id := 2_000_000 + d.nextID.Add(1)
-	ep, err := d.cfg.EndpointFor(transport.Addr(fmt.Sprintf("store-lease-p%d-%d", p, id)))
+	ep, err := d.cl.EndpointFor(transport.Addr(fmt.Sprintf("store-lease-p%d-%d", p, id)))
 	if err != nil {
 		return err
 	}

@@ -3,8 +3,10 @@ package store
 import (
 	"fmt"
 
+	"mrp/internal/cluster"
 	"mrp/internal/msg"
 	"mrp/internal/ringpaxos"
+	"mrp/internal/transport"
 )
 
 // This file is the single place ring memberships come from: both Deploy
@@ -14,21 +16,16 @@ import (
 // schema instead of the static DeployConfig is what makes recovery work
 // for partitions that did not exist at deploy time (live splits).
 
-// ringMembership names one ring a replica subscribes to together with the
-// ring's full peer list in ring order — everything a ringpaxos.Config
-// needs beyond tuning knobs.
-type ringMembership struct {
-	ring  msg.RingID
-	peers []ringpaxos.Peer
-}
-
 // schemaMemberships derives the ring memberships of replica r of partition
 // p from the schema: the partition's own ring (every replica is proposer,
 // acceptor, and learner) plus, when the partition subscribes to the global
 // ring, the global ring (every subscribed replica proposes and learns; the
 // first replica of each subscribed partition is additionally an acceptor,
 // exactly as Deploy wires it).
-func schemaMemberships(s Schema, p, r int) ([]ringMembership, error) {
+//
+// Each membership names the ring and its full peer list in ring order;
+// the replica's acceptor log for it is filled in at assembly.
+func schemaMemberships(s Schema, p, r int) ([]cluster.Ring, error) {
 	if p < 0 || p >= s.Partitions || p >= len(s.Replicas) {
 		return nil, fmt.Errorf("store: schema (epoch %d) has no partition %d", s.Epoch, p)
 	}
@@ -38,17 +35,17 @@ func schemaMemberships(s Schema, p, r int) ([]ringMembership, error) {
 	if r < 0 || r >= len(s.Replicas[p]) {
 		return nil, fmt.Errorf("store: schema (epoch %d) has no replica %d in partition %d", s.Epoch, r, p)
 	}
-	out := []ringMembership{{ring: s.RingOf(p), peers: partitionPeers(s, p)}}
+	out := []cluster.Ring{{ID: s.RingOf(p), Peers: partitionPeers(p, s.Replicas[p])}}
 	if s.GlobalRing && schemaOnGlobal(s, p) {
-		out = append(out, ringMembership{ring: s.globalRingID(), peers: globalPeers(s)})
+		out = append(out, cluster.Ring{ID: s.globalRingID(), Peers: globalPeers(s)})
 	}
 	return out, nil
 }
 
-// partitionPeers lists partition p's ring members in ring order.
-func partitionPeers(s Schema, p int) []ringpaxos.Peer {
-	peers := make([]ringpaxos.Peer, 0, len(s.Replicas[p]))
-	for r, addr := range s.Replicas[p] {
+// partitionPeers lists partition p's ring members, at addrs, in ring order.
+func partitionPeers(p int, addrs []transport.Addr) []ringpaxos.Peer {
+	peers := make([]ringpaxos.Peer, 0, len(addrs))
+	for r, addr := range addrs {
 		peers = append(peers, ringpaxos.Peer{
 			ID:    nodeIDFor(p, r),
 			Addr:  addr,

@@ -95,7 +95,7 @@ func (d *Deployment) topologySchema() Schema {
 		GlobalRing: d.cfg.GlobalRing,
 	}
 	if d.cfg.GlobalRing {
-		s.GlobalRingID = uint16(d.globalRing())
+		s.GlobalRingID = uint16(d.GlobalRingID())
 	}
 	for p := 0; p < s.Partitions && p < len(d.parts); p++ {
 		if d.parts[p].retired {

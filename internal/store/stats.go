@@ -106,12 +106,9 @@ func (d *Deployment) PartitionStats(p int) (PartitionStats, bool) {
 func (c *Client) Stats(partition int) (PartitionStats, error) {
 	deadline := time.Now().Add(c.timeout)
 	for {
-		v := c.viewFor()
-		if v.partitioner == nil {
-			if err := c.refresh(); err != nil {
-				return PartitionStats{}, err
-			}
-			continue
+		v, err := c.routedView()
+		if err != nil {
+			return PartitionStats{}, err
 		}
 		if partition < 0 || partition >= len(v.rings) || v.rings[partition] == 0 {
 			return PartitionStats{}, fmt.Errorf("store: no live partition %d in schema epoch %d", partition, v.epoch)
@@ -129,11 +126,7 @@ func (c *Client) Stats(partition int) (PartitionStats, error) {
 			if time.Now().After(deadline) {
 				return PartitionStats{}, &WrongEpochError{ClientEpoch: v.epoch, ServerEpoch: res.epoch}
 			}
-			before := v.epoch
-			_ = c.refresh()
-			if c.currentView().epoch == before {
-				time.Sleep(epochRetryDelay)
-			}
+			c.repace(v.epoch)
 			continue
 		}
 		if res.status != statusOK {

@@ -5,12 +5,15 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"mrp/internal/netsim"
 	"mrp/internal/storage"
+	"mrp/internal/transport"
 )
 
 // --- SortedMap ---
@@ -575,5 +578,49 @@ func TestStoreCrashAndRecoverReplica(t *testing.T) {
 			t.Fatal("recovered replica did not converge")
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// closeCounter counts the Close calls on an endpoint.
+type closeCounter struct {
+	transport.Endpoint
+	closed *atomic.Int32
+}
+
+func (e *closeCounter) Close() error {
+	e.closed.Add(1)
+	return e.Endpoint.Close()
+}
+
+// TestClientCloseClosesEndpoint: closing a client closes the endpoint it
+// was created on, so repeated client churn does not leak endpoints.
+func TestClientCloseClosesEndpoint(t *testing.T) {
+	net := netsim.New(netsim.WithUniformLatency(20 * time.Microsecond))
+	var closed atomic.Int32
+	d, err := Deploy(DeployConfig{
+		EndpointFor: func(a transport.Addr) (transport.Endpoint, error) {
+			ep := net.Endpoint(a)
+			if strings.HasPrefix(string(a), "store-client-") {
+				return &closeCounter{Endpoint: ep, closed: &closed}, nil
+			}
+			return ep, nil
+		},
+		Partitions:  1,
+		StorageMode: storage.InMemory,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		d.Stop()
+		net.Close()
+	})
+	cl := d.NewClient()
+	if err := cl.Insert("k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	cl.Close()
+	if got := closed.Load(); got != 1 {
+		t.Fatalf("client endpoint closed %d times, want 1", got)
 	}
 }

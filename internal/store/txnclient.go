@@ -144,12 +144,9 @@ func (c *Client) CompareAndSwapAcross(ops []CASOp) (bool, error) {
 	}
 	deadline := time.Now().Add(c.timeout)
 	for {
-		v := c.viewFor()
-		if v.partitioner == nil {
-			if err := c.refresh(); err != nil {
-				return false, err
-			}
-			continue
+		v, err := c.routedView()
+		if err != nil {
+			return false, err
 		}
 		plan, ok := c.planOps(v, kops, nil, nil)
 		if !ok {
@@ -322,12 +319,9 @@ func (c *Client) multiOp(kind byte, ops []txn.KeyOp) ([]txn.KeyRead, error) {
 	var seq uint64
 	sticky := false
 	for {
-		v := c.viewFor()
-		if v.partitioner == nil {
-			if err := c.refresh(); err != nil {
-				return nil, err
-			}
-			continue
+		v, err := c.routedView()
+		if err != nil {
+			return nil, err
 		}
 		var plan txnPlan
 		var ok bool
