@@ -1,7 +1,6 @@
-// Command mrp-lint runs the determinism, concurrency, and allocation
-// static-analysis suite (internal/lint) over the module: detmap,
-// wallclock, lockedblock, orderedresult, hotalloc, lockorder, and
-// snapcodec. CI runs it as
+// Command mrp-lint runs the determinism and concurrency static-analysis
+// suite (internal/lint) over the module: detmap, wallclock,
+// orderedresult, lockorder, and snapcodec. CI runs it as
 //
 //	go run ./cmd/mrp-lint ./...
 //
@@ -12,7 +11,7 @@
 //
 // Usage:
 //
-//	mrp-lint [-tests] [-fix] [-a name[,name]] [packages...]
+//	mrp-lint [-tests] [-a name[,name]] [packages...]
 //
 // Packages default to ./... relative to the module root (found by walking
 // up from the working directory to go.mod).
@@ -30,10 +29,9 @@ import (
 
 func main() {
 	tests := flag.Bool("tests", false, "also analyze in-package _test.go files")
-	fix := flag.Bool("fix", false, "apply suggested fixes (sorted-keys rewrites) in place")
 	only := flag.String("a", "", "comma-separated analyzer names to run (default: all)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: mrp-lint [-tests] [-fix] [-a names] [packages...]\n\nanalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: mrp-lint [-tests] [-a names] [packages...]\n\nanalyzers:\n")
 		for _, a := range lint.Analyzers() {
 			fmt.Fprintf(os.Stderr, "  %-14s %s\n", a.Name, a.Doc)
 		}
@@ -54,27 +52,8 @@ func main() {
 		fatal(err)
 	}
 	diags := lint.Run(m, analyzers)
-	if *fix {
-		changed, err := lint.ApplyFixes(m, diags)
-		if err != nil {
-			fatal(err)
-		}
-		for _, name := range changed {
-			fmt.Printf("fixed: %s\n", rel(root, name))
-		}
-		var remaining []lint.Diagnostic
-		for _, d := range diags {
-			if d.Fix == nil {
-				remaining = append(remaining, d)
-			}
-		}
-		diags = remaining
-	}
 	for _, d := range diags {
 		fmt.Printf("%s:%d:%d: [%s] %s\n", rel(root, d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
-		if d.Fix != nil && !*fix {
-			fmt.Printf("\tsuggested fix: %s (run with -fix)\n", d.Fix.Message)
-		}
 	}
 	// Always print the summary (CI scrapes it into a build annotation).
 	fmt.Fprintf(os.Stderr, "mrp-lint: %d finding(s) from %d analyzer(s) over %d package(s)\n",

@@ -167,9 +167,17 @@ func (c Config) StartAll(addrs []transport.Addr, spec func(i int, ep transport.E
 
 // start assembles one member on its endpoint: the node joins every ring,
 // the learner merges them, the replica runs the state machine, and all
-// three start.
+// three start. If a ring cannot be joined or the recovered checkpoint does
+// not install, nothing starts and the endpoint is closed.
 func (c Config) start(s Spec, ep transport.Endpoint) (*Member, error) {
 	node := multiring.NewNode(s.ID, ep)
+	fail := func(err error) (*Member, error) {
+		if s.OnStop != nil {
+			s.OnStop()
+		}
+		node.Stop()
+		return nil, err
+	}
 	m := &Member{Node: node, Ckpt: s.Ckpt, Aux: make(map[msg.RingID]*transport.HandlerMux, len(s.Rings)), onStop: s.OnStop}
 	procs := make([]multiring.DecisionSource, 0, len(s.Rings))
 	for _, r := range s.Rings {
@@ -189,11 +197,7 @@ func (c Config) start(s Spec, ep transport.Endpoint) (*Member, error) {
 			Aux:           aux.Handle,
 		})
 		if err != nil {
-			if s.OnStop != nil {
-				s.OnStop()
-			}
-			node.Stop()
-			return nil, err
+			return fail(err)
 		}
 		procs = append(procs, proc)
 	}
@@ -208,7 +212,9 @@ func (c Config) start(s Spec, ep transport.Endpoint) (*Member, error) {
 	})
 	m.Replica = rep
 	if s.Install != nil {
-		rep.InstallCheckpoint(*s.Install)
+		if err := rep.InstallCheckpoint(*s.Install); err != nil {
+			return fail(err)
+		}
 	}
 	for _, aux := range m.Aux {
 		aux.Set(rep.HandleTrimQuery)

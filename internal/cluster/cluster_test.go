@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"sync"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"mrp/internal/cluster"
 	"mrp/internal/dlog"
 	"mrp/internal/msg"
 	"mrp/internal/netsim"
@@ -16,9 +18,10 @@ import (
 	"mrp/internal/transport"
 )
 
-// service is what these tests drive of a deployed service: crash and
-// recover replica i of its first group, and tear it down.
+// service is what these tests drive of a deployed service: reach, crash
+// and recover replica i of its first group, and tear it down.
 type service struct {
+	member  func(i int) *cluster.Member
 	crash   func(i int)
 	recover func(i int) error
 	stop    func()
@@ -41,6 +44,7 @@ var services = []struct {
 			return service{}, err
 		}
 		return service{
+			member:  func(i int) *cluster.Member { return d.ReplicaAt(0, i).Member },
 			crash:   func(i int) { d.CrashReplica(0, i) },
 			recover: func(i int) error { return d.RecoverReplica(0, i) },
 			stop:    d.Stop,
@@ -57,7 +61,12 @@ var services = []struct {
 		if err != nil {
 			return service{}, err
 		}
-		return service{crash: d.CrashServer, recover: d.RecoverServer, stop: d.Stop}, nil
+		return service{
+			member:  func(i int) *cluster.Member { return d.Servers[i].Member },
+			crash:   d.CrashServer,
+			recover: d.RecoverServer,
+			stop:    d.Stop,
+		}, nil
 	}},
 }
 
@@ -121,6 +130,67 @@ func TestRecoverReplicaClosesEndpointOnFailure(t *testing.T) {
 				if err := s.recover(i); err == nil {
 					t.Fatalf("recovering replica %d succeeded", i)
 				}
+			}
+		})
+	}
+}
+
+// replicaCheckpoint frames replica checkpoint bytes: u32 dedupLen | dedup
+// | u32 leaseLen | lease, with an empty state machine snapshot.
+func replicaCheckpoint(dedup, lease []byte) []byte {
+	b := binary.BigEndian.AppendUint32(nil, uint32(len(dedup)))
+	b = append(b, dedup...)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(lease)))
+	return append(b, lease...)
+}
+
+// TestRecoverRejectsMalformedCheckpoint: a recovering replica whose
+// freshest checkpoint does not decode must fail to recover, not resume
+// past the checkpoint's tuple with empty state. Every failed attempt
+// releases the replica's endpoint, so recovery from a sound checkpoint
+// still succeeds afterwards.
+func TestRecoverRejectsMalformedCheckpoint(t *testing.T) {
+	// A dedup entry is a 28-byte header (client, seq, bits, result length)
+	// followed by the result.
+	entry := make([]byte, 28)
+	binary.BigEndian.PutUint32(entry[24:], 8)
+	malformed := []struct {
+		name  string
+		state []byte
+	}{
+		{"truncated frame", []byte{0, 0, 0}},
+		{"truncated dedup header", replicaCheckpoint(make([]byte, 27), nil)},
+		{"truncated dedup result", replicaCheckpoint(append(entry, 1, 2, 3, 4), nil)},
+		{"malformed lease", replicaCheckpoint(nil, make([]byte, 5))},
+	}
+	for _, svc := range services {
+		t.Run(svc.name, func(t *testing.T) {
+			net := netsim.New(netsim.WithUniformLatency(20 * time.Microsecond))
+			s, err := svc.deploy(func(a transport.Addr) (transport.Endpoint, error) { return net.Endpoint(a), nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() {
+				s.stop()
+				net.Close()
+			})
+
+			m := s.member(2)
+			m.Replica.Checkpoint()
+			sound, ok := m.Ckpt.Load()
+			if !ok {
+				t.Fatal("replica 2 saved no checkpoint")
+			}
+			s.crash(2)
+			for _, bad := range malformed {
+				m.Ckpt.Save(storage.Checkpoint{Tuple: sound.Tuple, Epoch: sound.Epoch, State: bad.state})
+				if err := s.recover(2); err == nil {
+					t.Fatalf("%s: recovery installed a malformed checkpoint", bad.name)
+				}
+			}
+			m.Ckpt.Save(sound)
+			if err := s.recover(2); err != nil {
+				t.Fatalf("recovery from a sound checkpoint after failed attempts: %v", err)
 			}
 		})
 	}

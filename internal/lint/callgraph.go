@@ -24,16 +24,8 @@ type Scope struct {
 }
 
 // Deterministic returns the provenance of fn in the scope and whether it
-// is in scope. (The name predates the hot-path scope, which reuses the
-// same propagation; Contains is the role-neutral alias.)
+// is in scope.
 func (s *Scope) Deterministic(fn *types.Func) (string, bool) {
-	why, ok := s.inScope[fn]
-	return why, ok
-}
-
-// Contains returns the provenance of fn in the scope and whether it is in
-// scope.
-func (s *Scope) Contains(fn *types.Func) (string, bool) {
 	why, ok := s.inScope[fn]
 	return why, ok
 }
@@ -42,71 +34,16 @@ func (s *Scope) Contains(fn *types.Func) (string, bool) {
 // without bodies or outside the module).
 func (s *Scope) Body(fn *types.Func) *ast.FuncDecl { return s.bodies[fn] }
 
-// scopeSpec parameterizes marked-scope propagation: which functions are
-// roots, which stop propagation, and which callees it may descend into.
-type scopeSpec struct {
-	root     func(fn *types.Func, pkg *Package) (string, bool)
-	stop     func(fn *types.Func) bool
-	eligible func(fn *types.Func) bool
-}
-
-// BuildScope computes the deterministic scope of the module.
+// BuildScope computes the deterministic scope of the module;
+// //mrp:nondeterministic stops propagation.
 func BuildScope(m *Module, mk *Markers) *Scope {
-	return buildScope(m, mk, scopeSpec{
-		root: func(fn *types.Func, pkg *Package) (string, bool) {
-			switch {
-			case mk.det[fn]:
-				return "marked //mrp:deterministic", true
-			case mk.pkgDet[pkg.Types]:
-				return "package " + pkg.Types.Name() + " is marked //mrp:deterministic", true
-			}
-			return "", false
-		},
-		stop: func(fn *types.Func) bool { return mk.nondet[fn] },
-		eligible: func(fn *types.Func) bool {
-			if mk.det[fn] {
-				return true
-			}
-			pkg := fn.Pkg()
-			return pkg != nil && mk.eligible[pkg]
-		},
-	})
-}
-
-// BuildHotScope computes the hot-path scope: roots are //mrp:hotpath
-// functions, //mrp:coldpath stops propagation (rare branches reached from
-// a hot loop pay their allocations outside the steady state), and the
-// graph descends only into packages that opted into the allocation
-// discipline by carrying a hot-family marker.
-func BuildHotScope(m *Module, mk *Markers) *Scope {
-	return buildScope(m, mk, scopeSpec{
-		root: func(fn *types.Func, pkg *Package) (string, bool) {
-			if mk.hot[fn] {
-				return "marked //mrp:hotpath", true
-			}
-			return "", false
-		},
-		stop: func(fn *types.Func) bool { return mk.cold[fn] },
-		eligible: func(fn *types.Func) bool {
-			if mk.hot[fn] {
-				return true
-			}
-			pkg := fn.Pkg()
-			return pkg != nil && mk.hotEligible[pkg]
-		},
-	})
-}
-
-// buildScope runs the worklist propagation shared by the deterministic
-// and hot-path scopes.
-func buildScope(m *Module, mk *Markers, spec scopeSpec) *Scope {
 	s := &Scope{
 		inScope: make(map[*types.Func]string),
 		bodies:  make(map[*types.Func]*ast.FuncDecl),
 	}
 	var worklist []*types.Func
 	add := func(fn *types.Func, why string) {
-		if fn == nil || spec.stop(fn) {
+		if fn == nil || mk.nondet[fn] {
 			return
 		}
 		if _, ok := s.inScope[fn]; ok {
@@ -114,6 +51,9 @@ func buildScope(m *Module, mk *Markers, spec scopeSpec) *Scope {
 		}
 		s.inScope[fn] = why
 		worklist = append(worklist, fn)
+	}
+	eligible := func(fn *types.Func) bool {
+		return mk.det[fn] || (fn.Pkg() != nil && mk.eligible[fn.Pkg()])
 	}
 
 	m.eachFuncDecl(func(pkg *Package, file *ast.File, decl *ast.FuncDecl) {
@@ -124,12 +64,15 @@ func buildScope(m *Module, mk *Markers, spec scopeSpec) *Scope {
 		if decl.Body != nil {
 			s.bodies[fn] = decl
 		}
-		if why, ok := spec.root(fn, pkg); ok {
-			add(fn, why)
+		switch {
+		case mk.det[fn]:
+			add(fn, "marked //mrp:deterministic")
+		case mk.pkgDet[pkg.Types]:
+			add(fn, "package "+pkg.Types.Name()+" is marked //mrp:deterministic")
 		}
 	})
 
-	concrete := eligibleNamedTypes(m, mk)
+	concrete := namedTypes(m, func(pkg *Package) bool { return mk.eligible[pkg.Types] })
 	for len(worklist) > 0 {
 		fn := worklist[len(worklist)-1]
 		worklist = worklist[:len(worklist)-1]
@@ -149,13 +92,13 @@ func buildScope(m *Module, mk *Markers, spec scopeSpec) *Scope {
 			}
 			if iface := interfaceRecv(callee); iface != nil {
 				for _, impl := range implementations(concrete, iface, callee) {
-					if spec.eligible(impl) {
+					if eligible(impl) {
 						add(impl, via+" (via "+relName(callee)+")")
 					}
 				}
 				return true
 			}
-			if spec.eligible(callee) {
+			if eligible(callee) {
 				add(callee, via)
 			}
 			return true
@@ -175,12 +118,12 @@ func interfaceRecv(fn *types.Func) *types.Interface {
 	return iface
 }
 
-// eligibleNamedTypes collects the named (non-interface) types declared in
-// marker-carrying packages — the candidate set for interface resolution.
-func eligibleNamedTypes(m *Module, mk *Markers) []types.Type {
+// namedTypes collects the named (non-interface) types declared in the
+// packages keep accepts — the candidate set for interface resolution.
+func namedTypes(m *Module, keep func(*Package) bool) []types.Type {
 	var out []types.Type
 	for _, pkg := range m.Pkgs {
-		if !mk.eligible[pkg.Types] {
+		if !keep(pkg) {
 			continue
 		}
 		scope := pkg.Types.Scope()

@@ -1,10 +1,7 @@
 package lint
 
 import (
-	"bytes"
-	"fmt"
 	"go/ast"
-	"go/printer"
 	"go/token"
 	"go/types"
 )
@@ -23,9 +20,9 @@ import (
 //   - the loop only collects keys/values into slices that are passed to a
 //     sort.* / slices.Sort* call later in the same function before use.
 //
-// Anything else is reported with a mechanical sorted-keys rewrite when
-// one applies. Iterations that are order-insensitive for reasons the
-// analyzer cannot prove carry a "//mrp:orderinsensitive — reason" marker.
+// Anything else is reported. Iterations that are order-insensitive for
+// reasons the analyzer cannot prove carry a "//mrp:orderinsensitive —
+// reason" marker.
 var DetMap = &Analyzer{
 	Name: "detmap",
 	Doc:  "flag nondeterministic map iteration in deterministic functions",
@@ -62,13 +59,7 @@ func runDetMap(p *Pass) {
 			if sortedAfter(info, decl, rs, insens.appended) {
 				return true
 			}
-			fix := sortedKeysFix(p.Module, pkg, rs, t.Underlying().(*types.Map))
-			msg := fmt.Sprintf("map iteration order reaches deterministic state (%s is deterministic: %s); sort the keys first or prove the loop order-insensitive", relName(fn), why)
-			if fix != nil {
-				p.ReportWithFix(rs.For, fix, "%s", msg)
-			} else {
-				p.Report(rs.For, "%s", msg)
-			}
+			p.Report(rs.For, "map iteration order reaches deterministic state (%s is deterministic: %s); sort the keys first or prove the loop order-insensitive", relName(fn), why)
 			return true
 		})
 	})
@@ -289,90 +280,4 @@ func sortedAfter(info *types.Info, decl *ast.FuncDecl, rs *ast.RangeStmt, append
 		}
 	}
 	return true
-}
-
-// sortedKeysFix builds the mechanical sorted-keys rewrite
-//
-//	for k, v := range m { ... }
-//
-// becomes
-//
-//	keys := make([]K, 0, len(m))
-//	for k := range m {
-//		keys = append(keys, k)
-//	}
-//	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-//	for _, k := range keys {
-//		v := m[k]
-//		...
-//	}
-//
-// when the key is an identifier of an ordered basic type. Returns nil when
-// the shape does not apply.
-func sortedKeysFix(m *Module, pkg *Package, rs *ast.RangeStmt, mt *types.Map) *Fix {
-	if rs.Tok != token.DEFINE {
-		return nil
-	}
-	key, ok := rs.Key.(*ast.Ident)
-	if !ok || key.Name == "_" {
-		return nil
-	}
-	if !ordered(mt.Key()) {
-		return nil
-	}
-	keysName := "keys"
-	if usesName(rs, keysName) {
-		keysName = "sortedKeys"
-	}
-	qual := func(p *types.Package) string {
-		if p == pkg.Types {
-			return ""
-		}
-		return p.Name()
-	}
-	keyType := types.TypeString(mt.Key(), qual)
-	x := exprString(m.Fset, rs.X)
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "%s := make([]%s, 0, len(%s))\n", keysName, keyType, x)
-	fmt.Fprintf(&b, "for %s := range %s {\n%s = append(%s, %s)\n}\n", key.Name, x, keysName, keysName, key.Name)
-	fmt.Fprintf(&b, "sort.Slice(%s, func(i, j int) bool { return %s[i] < %s[j] })\n", keysName, keysName, keysName)
-	fmt.Fprintf(&b, "for _, %s := range %s {\n", key.Name, keysName)
-	if v, ok := rs.Value.(*ast.Ident); ok && v.Name != "_" {
-		fmt.Fprintf(&b, "%s := %s[%s]\n", v.Name, x, key.Name)
-	}
-	return &Fix{
-		Message:     "iterate over sorted keys",
-		NeedsImport: "sort",
-		Edits: []TextEdit{{
-			Pos:     rs.For,
-			End:     rs.Body.Lbrace + 1,
-			NewText: b.String(),
-		}},
-	}
-}
-
-// ordered reports whether < is defined and deterministic for the type.
-func ordered(t types.Type) bool {
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&(types.IsOrdered) != 0
-}
-
-func usesName(n ast.Node, name string) bool {
-	found := false
-	ast.Inspect(n, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && id.Name == name {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// exprString renders an expression as source text.
-func exprString(fset *token.FileSet, x ast.Expr) string {
-	var b bytes.Buffer
-	if err := printer.Fprint(&b, fset, x); err != nil {
-		return "<expr>"
-	}
-	return b.String()
 }

@@ -14,11 +14,14 @@
 //   - wallclock forbids time.Now/Since/Until, timer channels, and the
 //     unseeded global math/rand inside deterministic functions (explicitly
 //     seeded *rand.Rand instances, like SortedMap's, stay allowed).
-//   - lockedblock flags channel operations and other blocking calls made
-//     while holding a sync.Mutex/RWMutex — the deadlock shape that has
-//     bitten the executor and recovery paths before.
 //   - orderedresult flags dropped errors and discarded typed-redirect
 //     results (statusWrongEpoch) at ordered-command call sites.
+//   - lockorder reports lock-order cycles across the module and blocking
+//     operations (channel operations, select without default, time.Sleep,
+//     WaitGroup.Wait) made while a sync.Mutex/RWMutex is held.
+//   - snapcodec checks the checkpoint codecs: encoders emit sorted output,
+//     decoders keep an arm for every version and bound every wire-sourced
+//     length before it sizes an allocation.
 //
 // Deterministic scope is declared with a "//mrp:deterministic" marker on
 // functions or package doc comments and propagated through the call graph
@@ -49,8 +52,6 @@ type Pass struct {
 	Markers  *Markers
 	// Scope is the deterministic scope (//mrp:deterministic roots).
 	Scope *Scope
-	// Hot is the hot-path scope (//mrp:hotpath roots).
-	Hot *Scope
 
 	diags *[]Diagnostic
 }
@@ -60,37 +61,11 @@ type Diagnostic struct {
 	Analyzer string
 	Pos      token.Position
 	Message  string
-	// Fix, when non-nil, is a mechanical rewrite that resolves the finding.
-	Fix *Fix
-}
-
-// Fix is a set of textual edits within one file, plus an import the
-// rewritten code needs (empty when none).
-type Fix struct {
-	Message     string
-	Edits       []TextEdit
-	NeedsImport string
-}
-
-// TextEdit replaces the source range [Pos, End) with NewText.
-type TextEdit struct {
-	Pos     token.Pos
-	End     token.Pos
-	NewText string
 }
 
 // Report records a finding. Findings on lines carrying a matching
 // "//mrp:nolint analyzer" comment are dropped.
 func (p *Pass) Report(pos token.Pos, format string, args ...any) {
-	p.report(pos, nil, format, args...)
-}
-
-// ReportWithFix records a finding with a suggested mechanical rewrite.
-func (p *Pass) ReportWithFix(pos token.Pos, fix *Fix, format string, args ...any) {
-	p.report(pos, fix, format, args...)
-}
-
-func (p *Pass) report(pos token.Pos, fix *Fix, format string, args ...any) {
 	position := p.Module.Fset.Position(pos)
 	if p.Markers.suppressed(p.Analyzer.Name, position) {
 		return
@@ -99,13 +74,12 @@ func (p *Pass) report(pos token.Pos, fix *Fix, format string, args ...any) {
 		Analyzer: p.Analyzer.Name,
 		Pos:      position,
 		Message:  fmt.Sprintf(format, args...),
-		Fix:      fix,
 	})
 }
 
 // Analyzers returns the full suite in a stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{DetMap, WallClock, LockedBlock, OrderedResult, HotAlloc, LockOrder, SnapCodec}
+	return []*Analyzer{DetMap, WallClock, OrderedResult, LockOrder, SnapCodec}
 }
 
 // Run executes the given analyzers over a loaded module and returns the
@@ -117,7 +91,6 @@ func Analyzers() []*Analyzer {
 func Run(m *Module, analyzers []*Analyzer) []Diagnostic {
 	markers := CollectMarkers(m)
 	scope := BuildScope(m, markers)
-	hot := BuildHotScope(m, markers)
 	var diags []Diagnostic
 	known := make(map[string]bool)
 	for _, a := range Analyzers() {
@@ -131,7 +104,7 @@ func Run(m *Module, analyzers []*Analyzer) []Diagnostic {
 		})
 	})
 	for _, a := range analyzers {
-		pass := &Pass{Analyzer: a, Module: m, Markers: markers, Scope: scope, Hot: hot, diags: &diags}
+		pass := &Pass{Analyzer: a, Module: m, Markers: markers, Scope: scope, diags: &diags}
 		a.Run(pass)
 	}
 	sort.Slice(diags, func(i, j int) bool {

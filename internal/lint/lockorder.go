@@ -1,48 +1,55 @@
 package lint
 
 import (
+	"bytes"
 	"fmt"
 	"go/ast"
+	"go/printer"
 	"go/token"
 	"go/types"
 	"sort"
 	"strings"
 )
 
-// LockOrder builds the module's lock graph and reports cycles — the
-// whole-module deadlock analysis that lockedblock's intra-procedural
-// blocking check cannot do. Locks are identified by class, not instance:
-// a named type's mutex field ("smr.Replica.mu"), a package-level mutex
-// var, or a named type that embeds a mutex. Acquiring lock B while
-// holding lock A adds the edge A→B; edges also follow the cross-package
-// call graph (including interface dispatch via class-hierarchy analysis
-// over every module type), so a function that calls into another package
-// while holding its own lock inherits that package's acquisitions as
-// nested. Any cycle in the graph is an ordering that can deadlock under
-// the right interleaving.
+// LockOrder walks every function body of the module once, threading the
+// set of held sync.Mutex/RWMutex locks through statement order, and
+// reports two deadlock shapes.
 //
-// Same-class nesting (A→A) is reported too: locking a second instance of
-// the same class while one is held deadlocks unless every path orders
-// the instances identically, which the analyzer cannot verify.
+// Blocking under a lock: a channel send or receive, a range over a
+// channel, a select without a default case, time.Sleep, or
+// sync.WaitGroup.Wait while a lock is held. A goroutine parked on a
+// channel while holding a lock is the classic SMR-executor deadlock: the
+// goroutine that would drain the channel needs the same lock.
 //
-// The analyzer additionally reports ordered-command submissions made
-// while holding any lock: an //mrp:ordered call blocks on a consensus
-// round-trip, and parking that under a mutex stalls every other path
-// through the lock (and deadlocks outright if the delivery path needs
-// it). Held regions are tracked flow-aware along statement order, the
-// same discipline as lockedblock: a deferred Unlock holds to function
-// exit, `go` statements and function literals run without the caller's
-// locks.
+// Lock-order cycles: locks are identified by class, not instance: a named
+// type's mutex field ("smr.Replica.mu"), a package-level mutex var, or a
+// named type that embeds a mutex. Acquiring lock B while holding lock A
+// adds the edge A→B; edges also follow the cross-package call graph
+// (including interface dispatch via class-hierarchy analysis over every
+// module type), so a function that calls into another package while
+// holding its own lock inherits that package's acquisitions as nested.
+// Any cycle in the graph is an ordering that can deadlock under the right
+// interleaving. Same-class nesting (A→A) is reported too: locking a second
+// instance of the same class while one is held deadlocks unless every path
+// orders the instances identically, which the analyzer cannot verify.
+//
+// Held regions are flow-aware: an Unlock on the same lock closes the
+// region, a deferred Unlock holds to function exit, branch bodies are
+// walked with a copy of the held set, and `go` statements and function
+// literals run without the caller's locks. A lock whose class cannot be
+// identified (a function-local mutex) still counts as held for the
+// blocking check but adds no edge to the graph.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "report lock-order cycles and lock-held ordered submissions",
+	Doc:  "report lock-order cycles and blocking operations under a held mutex",
 	Run:  runLockOrder,
 }
 
-// lockCall is one resolvable call site with the lock set held around it.
+// lockCall is one resolvable call site with the lock classes held around
+// it (sorted).
 type lockCall struct {
 	callee *types.Func
-	held   map[string]token.Pos
+	held   []string
 	pos    token.Pos
 }
 
@@ -63,27 +70,24 @@ type lockEdge struct {
 
 func runLockOrder(p *Pass) {
 	lo := &lockOrder{
-		pass:    p,
-		info:    p.Module.Info,
-		byFunc:  make(map[*types.Func]*lockSummary),
-		edges:   make(map[string]map[string]lockEdge),
-		ordered: make(map[*types.Func]bool),
+		pass:  p,
+		info:  p.Module.Info,
+		edges: make(map[string]map[string]lockEdge),
 	}
-	lo.concrete = allNamedTypes(p.Module)
+	// Interface calls resolve over every package: the lock graph does not
+	// stop at marker boundaries; deadlocks don't either.
+	lo.concrete = namedTypes(p.Module, func(*Package) bool { return true })
 	p.Module.eachFuncDecl(func(pkg *Package, file *ast.File, decl *ast.FuncDecl) {
 		fn := p.Module.funcFor(decl)
 		if fn == nil || decl.Body == nil {
 			return
 		}
 		s := &lockSummary{fn: fn, acquires: make(map[string]token.Pos)}
-		lo.byFunc[fn] = s
 		lo.order = append(lo.order, s)
-		w := &lockOrderWalker{lo: lo, sum: s}
-		w.stmts(decl.Body.List, make(map[string]token.Pos))
+		w := &lockWalker{lo: lo, sum: s}
+		w.stmts(decl.Body.List, make(heldSet))
 	})
-	lo.closeOrdered()
-	trans := lo.closeAcquires()
-	lo.callEdges(trans)
+	lo.callEdges(lo.closeAcquires())
 	lo.reportCycles()
 }
 
@@ -91,12 +95,8 @@ type lockOrder struct {
 	pass     *Pass
 	info     *types.Info
 	concrete []types.Type
-	byFunc   map[*types.Func]*lockSummary
 	order    []*lockSummary
 	edges    map[string]map[string]lockEdge
-	// ordered marks functions that are (or transitively make) an
-	// //mrp:ordered submission.
-	ordered map[*types.Func]bool
 }
 
 // addEdge records A→B once (first site wins; the walk order is
@@ -109,32 +109,6 @@ func (lo *lockOrder) addEdge(e lockEdge) {
 	}
 	if _, ok := m[e.to]; !ok {
 		m[e.to] = e
-	}
-}
-
-// closeOrdered propagates //mrp:ordered through the call graph: a
-// function that calls an ordered function anywhere submits ordered
-// commands itself.
-func (lo *lockOrder) closeOrdered() {
-	for _, s := range lo.order {
-		if _, ok := lo.pass.Markers.OrderedArg(s.fn); ok {
-			lo.ordered[s.fn] = true
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, s := range lo.order {
-			if lo.ordered[s.fn] {
-				continue
-			}
-			for _, c := range s.calls {
-				if _, ok := lo.pass.Markers.OrderedArg(c.callee); ok || lo.ordered[c.callee] {
-					lo.ordered[s.fn] = true
-					changed = true
-					break
-				}
-			}
-		}
 	}
 }
 
@@ -166,28 +140,17 @@ func (lo *lockOrder) closeAcquires() map[*types.Func]map[string]token.Pos {
 	return trans
 }
 
-// callEdges turns lock-held call sites into graph edges (held lock →
-// every lock the callee transitively acquires) and reports lock-held
-// ordered submissions.
+// callEdges turns lock-held call sites into graph edges: held lock →
+// every lock the callee transitively acquires.
 func (lo *lockOrder) callEdges(trans map[*types.Func]map[string]token.Pos) {
 	for _, s := range lo.order {
 		for _, c := range s.calls {
-			if len(c.held) == 0 {
-				continue
-			}
-			heldIDs := sortedLockIDs(c.held)
-			if lo.ordered[c.callee] {
-				at := lo.pass.Module.Fset.Position(c.held[heldIDs[0]])
-				lo.pass.Report(c.pos,
-					"ordered-command submission %s while holding %s (acquired at %s:%d): a consensus round-trip under a mutex stalls every other path through the lock",
-					relName(c.callee), heldIDs[0], at.Filename, at.Line)
-			}
 			acquired := trans[c.callee]
-			if len(acquired) == 0 {
+			if len(c.held) == 0 || len(acquired) == 0 {
 				continue
 			}
-			for _, to := range sortedLockIDs(acquired) {
-				for _, from := range heldIDs {
+			for _, to := range sortedKeys(acquired) {
+				for _, from := range c.held {
 					lo.addEdge(lockEdge{from: from, to: to, pos: c.pos, via: relName(c.callee)})
 				}
 			}
@@ -199,11 +162,7 @@ func (lo *lockOrder) callEdges(trans map[*types.Func]map[string]token.Pos) {
 // reports one representative cycle per component, plus same-class
 // self-edges.
 func (lo *lockOrder) reportCycles() {
-	nodes := make([]string, 0, len(lo.edges))
-	for from := range lo.edges {
-		nodes = append(nodes, from)
-	}
-	sort.Strings(nodes)
+	nodes := sortedKeys(lo.edges)
 
 	for _, from := range nodes {
 		if e, ok := lo.edges[from][from]; ok {
@@ -242,7 +201,7 @@ func (lo *lockOrder) findCycle(start string) []string {
 	dfs = func(node string) []string {
 		path = append(path, node)
 		onPath[node] = true
-		for _, next := range sortedEdgeTargets(lo.edges[node]) {
+		for _, next := range sortedKeys(lo.edges[node]) {
 			if next == node {
 				continue
 			}
@@ -284,98 +243,116 @@ func (lo *lockOrder) reportCycle(cycle []string) {
 		strings.Join(arrows, " → "), strings.Join(sites, "; "))
 }
 
-func sortedLockIDs(m map[string]token.Pos) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
-	for id := range m {
-		out = append(out, id)
+	for k := range m {
+		out = append(out, k)
 	}
 	sort.Strings(out)
 	return out
 }
 
-func sortedEdgeTargets(m map[string]lockEdge) []string {
-	out := make([]string, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
+// heldLock is one lock held at a program point.
+type heldLock struct {
+	at token.Pos
+	// classed is false for a lock lockClass cannot identify: it is keyed by
+	// its receiver's source text and counts for the blocking check only.
+	classed bool
 }
 
-// lockOrderWalker threads the held-lock set through a function body in
-// statement order (the same flow discipline as lockedblock's walker),
-// recording acquisitions, direct nested edges, and lock-held call sites.
-type lockOrderWalker struct {
-	lo  *lockOrder
-	sum *lockSummary
-}
+// heldSet maps a held lock's class (or, unclassed, its receiver's source
+// text) to where it was acquired.
+type heldSet map[string]heldLock
 
-func (w *lockOrderWalker) stmts(list []ast.Stmt, held map[string]token.Pos) map[string]token.Pos {
-	for _, s := range list {
-		held = w.stmt(s, held)
-	}
-	return held
-}
-
-func cloneHeld(h map[string]token.Pos) map[string]token.Pos {
-	c := make(map[string]token.Pos, len(h))
+func (h heldSet) clone() heldSet {
+	c := make(heldSet, len(h))
 	for k, v := range h {
 		c[k] = v
 	}
 	return c
 }
 
-func (w *lockOrderWalker) stmt(s ast.Stmt, held map[string]token.Pos) map[string]token.Pos {
+// classes returns the sorted classes of the held locks that have one.
+func (h heldSet) classes() []string {
+	var out []string
+	for id, l := range h {
+		if l.classed {
+			out = append(out, id)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// lockWalker threads the held-lock set through a function body in
+// statement order, reporting blocking operations under a lock and
+// recording acquisitions, direct nested edges, and lock-held call sites.
+type lockWalker struct {
+	lo  *lockOrder
+	sum *lockSummary
+}
+
+func (w *lockWalker) stmts(list []ast.Stmt, held heldSet) heldSet {
+	for _, s := range list {
+		held = w.stmt(s, held)
+	}
+	return held
+}
+
+func (w *lockWalker) stmt(s ast.Stmt, held heldSet) heldSet {
 	switch s := s.(type) {
 	case *ast.ExprStmt:
-		if id, op, ok := w.lockOp(s.X); ok {
+		if id, classed, op, ok := w.lockOp(s.X); ok {
 			switch op {
 			case "Lock", "RLock":
-				for _, from := range sortedLockIDs(held) {
-					w.lo.addEdge(lockEdge{from: from, to: id, pos: s.Pos()})
+				if classed {
+					for _, from := range held.classes() {
+						w.lo.addEdge(lockEdge{from: from, to: id, pos: s.Pos()})
+					}
+					if _, ok := w.sum.acquires[id]; !ok {
+						w.sum.acquires[id] = s.Pos()
+					}
 				}
-				if _, ok := w.sum.acquires[id]; !ok {
-					w.sum.acquires[id] = s.Pos()
-				}
-				held[id] = s.Pos()
+				held[id] = heldLock{at: s.Pos(), classed: classed}
 			case "Unlock", "RUnlock":
 				delete(held, id)
 			}
 			return held
 		}
-		w.scanCalls(s.X, held)
+		w.scan(s.X, held)
 	case *ast.DeferStmt:
 		// A deferred Unlock keeps the lock held for the remainder of the
 		// function; other deferred calls run at exit and are walked
 		// without the current held set.
-		if _, op, ok := w.lockOp(s.Call); !ok || (op != "Unlock" && op != "RUnlock") {
-			w.scanCalls(s.Call, nil)
+		if _, _, op, ok := w.lockOp(s.Call); !ok || (op != "Unlock" && op != "RUnlock") {
+			w.scan(s.Call, nil)
 		}
 	case *ast.GoStmt:
 		// Runs on another goroutine without the caller's locks.
-		w.scanCalls(s.Call, nil)
+		w.scan(s.Call, nil)
 	case *ast.SendStmt:
-		w.scanCalls(s.Chan, held)
-		w.scanCalls(s.Value, held)
+		w.blocking(s.Pos(), held, "channel send")
+		w.scan(s.Chan, held)
+		w.scan(s.Value, held)
 	case *ast.AssignStmt:
 		for _, r := range s.Rhs {
-			w.scanCalls(r, held)
+			w.scan(r, held)
 		}
 		for _, l := range s.Lhs {
-			w.scanCalls(l, held)
+			w.scan(l, held)
 		}
 	case *ast.ReturnStmt:
 		for _, r := range s.Results {
-			w.scanCalls(r, held)
+			w.scan(r, held)
 		}
 	case *ast.IfStmt:
 		if s.Init != nil {
 			held = w.stmt(s.Init, held)
 		}
-		w.scanCalls(s.Cond, held)
-		w.stmts(s.Body.List, cloneHeld(held))
+		w.scan(s.Cond, held)
+		w.stmts(s.Body.List, held.clone())
 		if s.Else != nil {
-			w.stmt(s.Else, cloneHeld(held))
+			w.stmt(s.Else, held.clone())
 		}
 	case *ast.BlockStmt:
 		held = w.stmts(s.List, held)
@@ -383,35 +360,39 @@ func (w *lockOrderWalker) stmt(s ast.Stmt, held map[string]token.Pos) map[string
 		if s.Init != nil {
 			held = w.stmt(s.Init, held)
 		}
-		if s.Cond != nil {
-			w.scanCalls(s.Cond, held)
-		}
-		w.stmts(s.Body.List, cloneHeld(held))
+		w.scan(s.Cond, held)
+		w.stmts(s.Body.List, held.clone())
 	case *ast.RangeStmt:
-		w.scanCalls(s.X, held)
-		w.stmts(s.Body.List, cloneHeld(held))
+		if t := w.lo.info.TypeOf(s.X); t != nil {
+			if _, isChan := t.Underlying().(*types.Chan); isChan {
+				w.blocking(s.Pos(), held, "range over channel")
+			}
+		}
+		w.scan(s.X, held)
+		w.stmts(s.Body.List, held.clone())
 	case *ast.SelectStmt:
+		if !hasDefault(s) {
+			w.blocking(s.Pos(), held, "select without default")
+		}
 		for _, c := range s.Body.List {
 			if cc, ok := c.(*ast.CommClause); ok {
-				w.stmts(cc.Body, cloneHeld(held))
+				w.stmts(cc.Body, held.clone())
 			}
 		}
 	case *ast.SwitchStmt:
 		if s.Init != nil {
 			held = w.stmt(s.Init, held)
 		}
-		if s.Tag != nil {
-			w.scanCalls(s.Tag, held)
-		}
+		w.scan(s.Tag, held)
 		for _, c := range s.Body.List {
 			if cc, ok := c.(*ast.CaseClause); ok {
-				w.stmts(cc.Body, cloneHeld(held))
+				w.stmts(cc.Body, held.clone())
 			}
 		}
 	case *ast.TypeSwitchStmt:
 		for _, c := range s.Body.List {
 			if cc, ok := c.(*ast.CaseClause); ok {
-				w.stmts(cc.Body, cloneHeld(held))
+				w.stmts(cc.Body, held.clone())
 			}
 		}
 	case *ast.LabeledStmt:
@@ -421,7 +402,7 @@ func (w *lockOrderWalker) stmt(s ast.Stmt, held map[string]token.Pos) map[string
 			for _, spec := range gd.Specs {
 				if vs, ok := spec.(*ast.ValueSpec); ok {
 					for _, v := range vs.Values {
-						w.scanCalls(v, held)
+						w.scan(v, held)
 					}
 				}
 			}
@@ -430,77 +411,131 @@ func (w *lockOrderWalker) stmt(s ast.Stmt, held map[string]token.Pos) map[string
 	return held
 }
 
-// scanCalls records every resolvable call inside an expression with the
-// current held set. Function literal bodies run later or elsewhere; they
-// are walked with no held locks so their own acquisitions still enter the
+// scan walks an expression under the held set: it reports channel
+// receives and blocking calls, and records every resolvable call for the
+// lock graph. Function literal bodies run later or elsewhere; they are
+// walked with no held locks, so their own acquisitions still enter the
 // enclosing function's summary.
-func (w *lockOrderWalker) scanCalls(x ast.Expr, held map[string]token.Pos) {
+func (w *lockWalker) scan(x ast.Expr, held heldSet) {
 	if x == nil {
 		return
 	}
-	var snapshot map[string]token.Pos
-	if len(held) > 0 {
-		snapshot = cloneHeld(held)
-	}
+	classes := held.classes()
 	ast.Inspect(x, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			w.stmts(n.Body.List, make(map[string]token.Pos))
+			w.stmts(n.Body.List, make(heldSet))
 			return false
+		case *ast.UnaryExpr:
+			if n.Op == token.ARROW {
+				w.blocking(n.Pos(), held, "channel receive")
+			}
 		case *ast.CallExpr:
-			w.recordCall(n, snapshot)
+			callee := calleeOf(w.lo.info, n)
+			if callee == nil {
+				return true
+			}
+			if what := blockingCall(callee); what != "" {
+				w.blocking(n.Pos(), held, what)
+			}
+			w.recordCall(callee, classes, n.Pos())
 		}
 		return true
 	})
 }
 
-func (w *lockOrderWalker) recordCall(call *ast.CallExpr, held map[string]token.Pos) {
-	callee := calleeOf(w.lo.info, call)
-	if callee == nil {
-		return
-	}
+func (w *lockWalker) recordCall(callee *types.Func, held []string, pos token.Pos) {
 	if iface := interfaceRecv(callee); iface != nil {
 		for _, impl := range implementations(w.lo.concrete, iface, callee) {
-			w.sum.calls = append(w.sum.calls, lockCall{callee: impl, held: held, pos: call.Pos()})
+			w.sum.calls = append(w.sum.calls, lockCall{callee: impl, held: held, pos: pos})
 		}
 		return
 	}
-	w.sum.calls = append(w.sum.calls, lockCall{callee: callee, held: held, pos: call.Pos()})
+	w.sum.calls = append(w.sum.calls, lockCall{callee: callee, held: held, pos: pos})
+}
+
+// blocking reports a blocking operation if any lock is held, naming the
+// lexicographically first one.
+func (w *lockWalker) blocking(pos token.Pos, held heldSet, what string) {
+	if len(held) == 0 {
+		return
+	}
+	lock := sortedKeys(held)[0]
+	at := w.lo.pass.Module.Fset.Position(held[lock].at)
+	w.lo.pass.Report(pos, "%s while holding %s (locked at %s:%d); blocking under a mutex is the executor-deadlock shape — release the lock first or make the operation non-blocking",
+		what, lock, at.Filename, at.Line)
+}
+
+// blockingCall names a call that parks the goroutine ("" for others).
+func blockingCall(fn *types.Func) string {
+	if fn.Pkg() == nil {
+		return ""
+	}
+	switch {
+	case fn.Pkg().Path() == "time" && fn.Name() == "Sleep":
+		return "time.Sleep"
+	case fn.Pkg().Path() == "sync" && fn.Name() == "Wait" && recvNamed(fn) == "WaitGroup":
+		return "sync.WaitGroup.Wait"
+	}
+	return ""
+}
+
+func hasDefault(s *ast.SelectStmt) bool {
+	for _, c := range s.Body.List {
+		if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
+			return true
+		}
+	}
+	return false
+}
+
+// recvNamed returns the name of a method's receiver named type ("" for
+// functions).
+func recvNamed(fn *types.Func) string {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return ""
+	}
+	if n := namedOf(sig.Recv().Type()); n != nil {
+		return n.Obj().Name()
+	}
+	return ""
 }
 
 // lockOp recognizes Lock/RLock/Unlock/RUnlock calls on sync mutexes
-// (including embedded ones) and returns the canonical lock class.
-func (w *lockOrderWalker) lockOp(x ast.Expr) (id, op string, ok bool) {
+// (including embedded ones). It returns the lock's class, or, when the
+// class cannot be identified, the receiver's source text with classed
+// false.
+func (w *lockWalker) lockOp(x ast.Expr) (id string, classed bool, op string, ok bool) {
 	call, isCall := ast.Unparen(x).(*ast.CallExpr)
 	if !isCall {
-		return "", "", false
+		return "", false, "", false
 	}
 	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !isSel {
-		return "", "", false
+		return "", false, "", false
 	}
 	name := sel.Sel.Name
 	switch name {
 	case "Lock", "RLock", "Unlock", "RUnlock":
 	default:
-		return "", "", false
+		return "", false, "", false
 	}
 	callee := calleeOf(w.lo.info, call)
 	if callee == nil || callee.Pkg() == nil || callee.Pkg().Path() != "sync" {
-		return "", "", false
+		return "", false, "", false
 	}
-	id, ok = w.lo.lockClass(sel.X)
-	if !ok {
-		return "", "", false
+	if id, ok := w.lo.lockClass(sel.X); ok {
+		return id, true, name, true
 	}
-	return id, name, true
+	return exprString(w.lo.pass.Module.Fset, sel.X), false, name, true
 }
 
 // lockClass canonicalizes the receiver of a lock operation into a lock
 // class: "pkg.Type.field" for a mutex field, "pkg.Type" for a named type
 // embedding a mutex, "pkg.var" for a package-level mutex. Locks it cannot
-// identify (function-local mutexes, anonymous struct fields) are skipped
-// rather than conflated.
+// identify (function-local mutexes, anonymous struct fields) get no class
+// rather than being conflated.
 func (lo *lockOrder) lockClass(x ast.Expr) (string, bool) {
 	x = ast.Unparen(x)
 	switch x := x.(type) {
@@ -558,23 +593,11 @@ func qualifiedName(n *types.Named) string {
 	return n.Obj().Name()
 }
 
-// allNamedTypes collects every named non-interface type of the module —
-// the candidate set for interface resolution across all packages (the
-// lock graph does not stop at marker boundaries; deadlocks don't either).
-func allNamedTypes(m *Module) []types.Type {
-	var out []types.Type
-	for _, pkg := range m.Pkgs {
-		scope := pkg.Types.Scope()
-		for _, name := range scope.Names() {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() {
-				continue
-			}
-			if _, isIface := tn.Type().Underlying().(*types.Interface); isIface {
-				continue
-			}
-			out = append(out, tn.Type())
-		}
+// exprString renders an expression as source text.
+func exprString(fset *token.FileSet, x ast.Expr) string {
+	var b bytes.Buffer
+	if err := printer.Fprint(&b, fset, x); err != nil {
+		return "<expr>"
 	}
-	return out
+	return b.String()
 }

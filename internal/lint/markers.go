@@ -36,18 +36,6 @@ import (
 //	    its body — nothing else, nowhere else — and flags every site
 //	    beyond the first.
 //
-//	//mrp:hotpath
-//	    On a function's doc comment: the function is a hot-path root —
-//	    it and everything it (statically) calls inside hot-eligible
-//	    packages must not allocate per operation. hotalloc flags heap
-//	    allocations in the propagated scope.
-//
-//	//mrp:coldpath
-//	    On a function's doc comment: stop hot-path propagation here.
-//	    Used for rare branches reached from a hot loop (reconfiguration,
-//	    admin ops, subscription changes) whose allocations are paid
-//	    outside the steady state.
-//
 //	//mrp:codec name encode|decode
 //	    On a function's doc comment: the function is one side of the
 //	    named checkpoint/snapshot codec pair. snapcodec checks encoders
@@ -64,11 +52,6 @@ import (
 //	//mrp:orderinsensitive — reason
 //	    Sugar for "//mrp:nolint detmap": asserts a map iteration is
 //	    order-insensitive for a reason the analyzer cannot prove.
-//
-//	//mrp:alloc — reason
-//	    Sugar for "//mrp:nolint hotalloc": allows one deliberate heap
-//	    allocation inside hot-path scope (amortized arena refills,
-//	    cold-entry scratch creation, state growth that must escape).
 const markerPrefix = "//mrp:"
 
 // Markers is the parsed marker set of a module.
@@ -85,21 +68,12 @@ type Markers struct {
 	leaseClock []*types.Func
 	// pkgDet marks packages whose package doc declares //mrp:deterministic.
 	pkgDet map[*types.Package]bool
-	// hot holds explicitly marked hot-path roots; cold holds explicit
-	// hot-path propagation stops.
-	hot  map[*types.Func]bool
-	cold map[*types.Func]bool
 	// codec maps //mrp:codec-marked functions to their codec name/role.
 	codec map[*types.Func]codecMark
 	// eligible marks packages containing at least one mrp marker: the
 	// deterministic call graph only descends into eligible packages, so
 	// unmarked layers (transport, registry) are propagation boundaries.
 	eligible map[*types.Package]bool
-	// hotEligible marks packages carrying at least one hot-family marker
-	// (hotpath, coldpath, alloc): the hot-path call graph only descends
-	// into these, so packages that never opted into the allocation
-	// discipline are boundaries even when they carry determinism markers.
-	hotEligible map[*types.Package]bool
 	// suppress maps analyzer name -> "file:line" keys where findings are
 	// muted by //mrp:nolint (or its sugar forms).
 	suppress map[string]map[string]bool
@@ -115,8 +89,8 @@ type codecMark struct {
 	role string // "encode" or "decode"
 }
 
-// suppressionMark is one //mrp:nolint / //mrp:orderinsensitive /
-// //mrp:alloc comment, kept for Run-level validation.
+// suppressionMark is one //mrp:nolint or //mrp:orderinsensitive comment,
+// kept for Run-level validation.
 type suppressionMark struct {
 	verb   string
 	names  []string
@@ -134,16 +108,13 @@ type markerProblem struct {
 // CollectMarkers parses every marker comment of the module.
 func CollectMarkers(m *Module) *Markers {
 	mk := &Markers{
-		det:         make(map[*types.Func]bool),
-		nondet:      make(map[*types.Func]bool),
-		ordered:     make(map[*types.Func]string),
-		pkgDet:      make(map[*types.Package]bool),
-		hot:         make(map[*types.Func]bool),
-		cold:        make(map[*types.Func]bool),
-		codec:       make(map[*types.Func]codecMark),
-		eligible:    make(map[*types.Package]bool),
-		hotEligible: make(map[*types.Package]bool),
-		suppress:    make(map[string]map[string]bool),
+		det:      make(map[*types.Func]bool),
+		nondet:   make(map[*types.Func]bool),
+		ordered:  make(map[*types.Func]string),
+		pkgDet:   make(map[*types.Package]bool),
+		codec:    make(map[*types.Func]codecMark),
+		eligible: make(map[*types.Package]bool),
+		suppress: make(map[string]map[string]bool),
 	}
 	for _, pkg := range m.Pkgs {
 		for _, file := range pkg.Files {
@@ -176,21 +147,11 @@ func CollectMarkers(m *Module) *Markers {
 					mk.leaseClock = append(mk.leaseClock, fn)
 					mk.eligible[pkg.Types] = true
 				}
-				if hasMarker(fd.Doc, "hotpath") {
-					mk.hot[fn] = true
-					mk.eligible[pkg.Types] = true
-					mk.hotEligible[pkg.Types] = true
-				}
-				if hasMarker(fd.Doc, "coldpath") {
-					mk.cold[fn] = true
-					mk.eligible[pkg.Types] = true
-					mk.hotEligible[pkg.Types] = true
-				}
 				if hasMarker(fd.Doc, "codec") {
 					mk.collectCodec(m, pkg, fd, fn)
 				}
 			}
-			mk.collectSuppressions(m, pkg, file)
+			mk.collectSuppressions(m, file)
 		}
 	}
 	return mk
@@ -221,13 +182,13 @@ func cutReason(s string) (reason string, hasSep bool) {
 	return strings.TrimSpace(after), true
 }
 
-// collectSuppressions records //mrp:nolint comments and their sugar forms
-// //mrp:orderinsensitive (detmap) and //mrp:alloc (hotalloc): they mute
-// the named analyzers on their own line and on the following line
-// (covering both trailing and preceding placement). Each marker is also
-// recorded verbatim so Run can validate it: the reason after the "—"
-// separator must be non-empty, and every named analyzer must exist.
-func (mk *Markers) collectSuppressions(m *Module, pkg *Package, file *ast.File) {
+// collectSuppressions records //mrp:nolint comments and their sugar form
+// //mrp:orderinsensitive (detmap): they mute the named analyzers on their
+// own line and on the following line (covering both trailing and
+// preceding placement). Each marker is also recorded verbatim so Run can
+// validate it: the reason after the "—" separator must be non-empty, and
+// every named analyzer must exist.
+func (mk *Markers) collectSuppressions(m *Module, file *ast.File) {
 	for _, cg := range file.Comments {
 		for _, c := range cg.List {
 			text, ok := strings.CutPrefix(c.Text, markerPrefix)
@@ -256,10 +217,6 @@ func (mk *Markers) collectSuppressions(m *Module, pkg *Package, file *ast.File) 
 			case "orderinsensitive":
 				names = []string{"detmap"}
 				reason, hasSep = cutReason(rest)
-			case "alloc":
-				names = []string{"hotalloc"}
-				reason, hasSep = cutReason(rest)
-				mk.hotEligible[pkg.Types] = true
 			default:
 				continue
 			}

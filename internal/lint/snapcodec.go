@@ -382,7 +382,6 @@ var versionConstRE = regexp.MustCompile(`^(.*[Vv])(\d+)$`)
 // an encoder writes has a matching arm in the paired decoder closure.
 func (sc *snapCodec) checkVersions() {
 	decodeRefs := make(map[string]map[types.Object]bool) // codec name -> consts referenced
-	decodeRoot := make(map[string]*types.Func)
 	for _, side := range sc.sides {
 		if side.role != "decode" {
 			continue
@@ -391,9 +390,6 @@ func (sc *snapCodec) checkVersions() {
 		if refs == nil {
 			refs = make(map[types.Object]bool)
 			decodeRefs[side.name] = refs
-		}
-		if decodeRoot[side.name] == nil && len(side.roots) > 0 {
-			decodeRoot[side.name] = side.roots[0]
 		}
 		for _, fn := range side.fnOrder {
 			if decl := sc.pass.Scope.Body(fn); decl != nil {
@@ -417,43 +413,26 @@ func (sc *snapCodec) checkVersions() {
 				if m == nil || obj.Pkg() == nil {
 					continue
 				}
-				sc.checkVersionGroup(side, fn, obj, m[1])
+				sc.checkVersionGroup(side, fn, obj, m[1], decodeRefs[side.name])
 			}
 		}
 	}
 }
 
-// checkVersionGroup reports group members missing from the decoder.
-func (sc *snapCodec) checkVersionGroup(side *codecSide, enc *types.Func, ref types.Object, prefix string) {
+// checkVersionGroup reports group members missing from the decoder's
+// referenced constants.
+func (sc *snapCodec) checkVersionGroup(side *codecSide, enc *types.Func, ref types.Object, prefix string, decodeRefs map[types.Object]bool) {
 	group := versionGroup(ref.Pkg(), prefix)
 	if len(group) < 2 {
 		return // a lone version constant has no prior arms to cover
 	}
-	refs := sc.decodeRefsFor(side.name)
 	for _, member := range group {
-		if refs == nil || !refs[member] {
+		if !decodeRefs[member] {
 			sc.pass.Report(enc.Pos(),
 				"encoder %s writes version-tag group %s* but the %s decoder has no arm for %s: every prior version must stay decodable",
 				relName(enc), prefix, side.name, member.Name())
 		}
 	}
-}
-
-func (sc *snapCodec) decodeRefsFor(name string) map[types.Object]bool {
-	for _, side := range sc.sides {
-		if side.name == name && side.role == "decode" {
-			refs := make(map[types.Object]bool)
-			for _, fn := range side.fnOrder {
-				if decl := sc.pass.Scope.Body(fn); decl != nil {
-					for obj := range constRefs(sc.info, decl.Body) {
-						refs[obj] = true
-					}
-				}
-			}
-			return refs
-		}
-	}
-	return nil
 }
 
 // versionGroup lists the package's constants sharing a version prefix,

@@ -1,4 +1,4 @@
-// Package lockedblocka exercises the lockedblock analyzer: blocking
+// Package lockedblocka exercises lockorder's blocking check: blocking
 // operations under a held mutex, with the non-blocking and
 // other-goroutine allowances.
 package lockedblocka
@@ -16,7 +16,7 @@ type box struct {
 
 func (b *box) sendLocked() {
 	b.mu.Lock()
-	b.ch <- 1 // want "channel send while holding b.mu"
+	b.ch <- 1 // want "channel send while holding lockedblocka.box.mu"
 	b.mu.Unlock()
 }
 
@@ -29,7 +29,7 @@ func (b *box) sendAfterUnlock() {
 func (b *box) deferred() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return <-b.ch // want "channel receive while holding b.mu"
+	return <-b.ch // want "channel receive while holding lockedblocka.box.mu"
 }
 
 func (b *box) nonBlocking() {
@@ -44,7 +44,7 @@ func (b *box) nonBlocking() {
 func (b *box) blockingSelect() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	select { // want "select without default while holding b.mu"
+	select { // want "select without default while holding lockedblocka.box.mu"
 	case v := <-b.ch:
 		_ = v
 	}
@@ -52,13 +52,13 @@ func (b *box) blockingSelect() {
 
 func (b *box) sleepy() {
 	b.mu.Lock()
-	time.Sleep(time.Millisecond) // want "time.Sleep while holding b.mu"
+	time.Sleep(time.Millisecond) // want "time.Sleep while holding lockedblocka.box.mu"
 	b.mu.Unlock()
 }
 
 func (b *box) waits() {
 	b.mu.Lock()
-	b.wg.Wait() // want "sync.WaitGroup.Wait while holding b.mu"
+	b.wg.Wait() // want "sync.WaitGroup.Wait while holding lockedblocka.box.mu"
 	b.mu.Unlock()
 }
 
@@ -74,7 +74,7 @@ func (b *box) branchUnlockReturn(x bool) {
 		b.mu.Unlock()
 		return
 	}
-	v := <-b.ch // want "channel receive while holding b.mu"
+	v := <-b.ch // want "channel receive while holding lockedblocka.box.mu"
 	_ = v
 	b.mu.Unlock()
 }
@@ -87,7 +87,7 @@ type embeds struct {
 
 func (e *embeds) locked() {
 	e.Lock()
-	<-e.ch // want "channel receive while holding e"
+	<-e.ch // want "channel receive while holding lockedblocka.embeds"
 	e.Unlock()
 }
 
@@ -98,13 +98,25 @@ type rw struct {
 
 func (r *rw) readLocked() {
 	r.mu.RLock()
-	<-r.ch // want "channel receive while holding r.mu"
+	<-r.ch // want "channel receive while holding lockedblocka.rw.mu"
 	r.mu.RUnlock()
 }
 
 func (r *rw) justified() {
 	r.mu.RLock()
-	//mrp:nolint lockedblock — buffered diagnostics channel sized for worst case
+	//mrp:nolint lockorder — buffered diagnostics channel sized for worst case
 	r.ch <- 1
 	r.mu.RUnlock()
+}
+
+// localMutex holds a function-local mutex: it has no lock class, so it
+// adds nothing to the lock graph, but it is still held.
+func localMutex(ch chan int) {
+	var mu sync.Mutex
+	mu.Lock()
+	for range ch { // want "range over channel while holding mu"
+	}
+	mu.Unlock()
+	for range ch {
+	}
 }

@@ -1,6 +1,5 @@
 // Package lockordera exercises the lock-order analyzer's in-package
-// shapes: an opposite-order two-lock cycle, same-class nesting, and an
-// ordered-command submission made under a mutex.
+// shapes: an opposite-order two-lock cycle and same-class nesting.
 package lockordera
 
 import "sync"
@@ -8,7 +7,6 @@ import "sync"
 var (
 	muA sync.Mutex
 	muB sync.Mutex
-	muC sync.Mutex
 )
 
 // abOrder takes muA then muB. The cycle is reported once, at the edge
@@ -53,28 +51,4 @@ func merge(a, b *Shard) {
 	for k := range a.keys {
 		b.keys[k] = true
 	}
-}
-
-// Submit mirrors ring submission: an //mrp:ordered call blocks on a
-// consensus round-trip.
-//
-//mrp:ordered
-func Submit(op []byte) error {
-	_ = op
-	return nil
-}
-
-// flush proposes while holding muC: the round-trip stalls every other
-// path through the lock.
-func flush(op []byte) error {
-	muC.Lock()
-	defer muC.Unlock()
-	return Submit(op) // want "ordered-command submission Submit while holding lockordera.muC"
-}
-
-// flushUnlocked proposes outside the critical section: fine.
-func flushUnlocked(op []byte) error {
-	muC.Lock()
-	muC.Unlock()
-	return Submit(op)
 }

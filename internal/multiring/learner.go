@@ -188,18 +188,18 @@ func (l *Learner) Stop() {
 // to the same rings with the same M consumes decisions in the same
 // round-robin order, so the delivery sequence — the input to every
 // replica's state machine — is identical across the group. The merge loop
-// runs once per delivered instance, so it is also a hot-path scope root.
+// runs once per delivered instance; TestLearnerMergeAllocationPin holds it
+// allocation-free.
 //
 //mrp:deterministic
-//mrp:hotpath
 func (l *Learner) run() {
 	defer close(l.done)
 	// frontier[r] is the highest instance of ring r the merge has consumed
 	// (inclusive; skips advance it to SkipTo-1). carry[r] counts instances
 	// ring r over-consumed in earlier turns (a single skip decision can
 	// cover many instances).
-	frontier := make(map[msg.RingID]msg.Instance) //mrp:alloc — once per learner lifetime, before the merge loop starts
-	carry := make(map[msg.RingID]uint64)          //mrp:alloc — once per learner lifetime, before the merge loop starts
+	frontier := make(map[msg.RingID]msg.Instance)
+	carry := make(map[msg.RingID]uint64)
 	for {
 		l.applyPending(frontier, carry)
 		// l.sources is mutated only by applyPending, on this goroutine, so
@@ -286,10 +286,7 @@ func (l *Learner) run() {
 // applyPending activates subscription changes whose trigger instance has
 // been consumed. It runs only at round boundaries, so every learner that
 // issued the same requests mutates its rotation at the same position of
-// the merged sequence — and reconfigurations are rare, so the hot-path
-// allocation discipline stops here.
-//
-//mrp:coldpath
+// the merged sequence.
 func (l *Learner) applyPending(frontier map[msg.RingID]msg.Instance, carry map[msg.RingID]uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

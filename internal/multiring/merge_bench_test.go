@@ -52,3 +52,15 @@ func BenchmarkLearnerMerge(b *testing.B) {
 		<-out
 	}
 }
+
+// TestLearnerMergeAllocationPin pins the steady-state merge allocation-free:
+// a warm Learner.run turn delivers an entry without a heap allocation, so
+// a new per-delivery allocation anywhere in the merge loop fails here.
+func TestLearnerMergeAllocationPin(t *testing.T) {
+	if testing.Short() {
+		t.Skip("benchmark-backed pin")
+	}
+	if got := testing.Benchmark(BenchmarkLearnerMerge).AllocsPerOp(); got != 0 {
+		t.Errorf("steady-state merge allocates: %d allocs/op, want 0", got)
+	}
+}

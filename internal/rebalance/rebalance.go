@@ -420,7 +420,7 @@ func (c *Coordinator) SplitPartition(src int, splitKey string) (int, error) {
 
 	// 1. Provision the new partition's replicas on a ring from the
 	// allocator (recycling retired ring IDs before minting new ones).
-	ring, addrs, err := d.AddPartition(next, newPart, epoch) //mrp:nolint lockorder — the coordinator mutex deliberately serializes whole reconfigurations end to end; it is control-plane-only, no data-plane path takes it
+	ring, addrs, err := d.AddPartition(next, newPart, epoch)
 	if err != nil {
 		return 0, err
 	}
@@ -429,10 +429,10 @@ func (c *Coordinator) SplitPartition(src int, splitKey string) (int, error) {
 	c.client.AddRoute(ring, addrs)
 	c.recordIntent(plan)
 	if err := c.step("provision"); err != nil {
-		return 0, c.failed(plan, "provision", err) //mrp:nolint lockorder — the coordinator mutex deliberately serializes whole reconfigurations end to end; it is control-plane-only, no data-plane path takes it
+		return 0, c.failed(plan, "provision", err)
 	}
 
-	if err := c.runSplit(plan, next); err != nil { //mrp:nolint lockorder — the coordinator mutex deliberately serializes whole reconfigurations end to end; it is control-plane-only, no data-plane path takes it
+	if err := c.runSplit(plan, next); err != nil {
 		return 0, err
 	}
 	c.splits++
@@ -537,7 +537,7 @@ func (c *Coordinator) MergePartitions(survivor, donor int) error {
 	}
 	c.recordIntent(plan)
 
-	if err := c.runMerge(plan, next); err != nil { //mrp:nolint lockorder — the coordinator mutex deliberately serializes whole reconfigurations end to end; it is control-plane-only, no data-plane path takes it
+	if err := c.runMerge(plan, next); err != nil {
 		return err
 	}
 	c.merges++
@@ -724,7 +724,7 @@ func (c *Coordinator) ResolvePending() (*Plan, error) {
 		return nil, err
 	}
 	if plan.Phase != phasePublished {
-		if err := c.abortPlan(plan); err != nil { //mrp:nolint lockorder — the coordinator mutex deliberately serializes whole reconfigurations end to end; it is control-plane-only, no data-plane path takes it
+		if err := c.abortPlan(plan); err != nil {
 			return plan, err
 		}
 		return plan, nil
@@ -732,7 +732,7 @@ func (c *Coordinator) ResolvePending() (*Plan, error) {
 	// Published: roll forward.
 	switch plan.Kind {
 	case PlanSplit:
-		if err := c.client.CommitSplit(msg.RingID(plan.DonorVia), plan.Donor, plan.Epoch); err != nil { //mrp:nolint lockorder — the coordinator mutex deliberately serializes whole reconfigurations end to end; it is control-plane-only, no data-plane path takes it
+		if err := c.client.CommitSplit(msg.RingID(plan.DonorVia), plan.Donor, plan.Epoch); err != nil {
 			return plan, fmt.Errorf("rebalance: resuming commit: %w", err)
 		}
 	case PlanMerge:
@@ -740,7 +740,7 @@ func (c *Coordinator) ResolvePending() (*Plan, error) {
 		if err != nil {
 			return plan, fmt.Errorf("rebalance: resuming commit: %w", err)
 		}
-		if err := c.client.CommitMerge(msg.RingID(plan.DestRing), plan.Donor, plan.Dest, plan.Epoch, next); err != nil { //mrp:nolint lockorder — the coordinator mutex deliberately serializes whole reconfigurations end to end; it is control-plane-only, no data-plane path takes it
+		if err := c.client.CommitMerge(msg.RingID(plan.DestRing), plan.Donor, plan.Dest, plan.Epoch, next); err != nil {
 			return plan, fmt.Errorf("rebalance: resuming commit: %w", err)
 		}
 		if err := c.cfg.Store.RetirePartition(plan.Donor); err != nil {

@@ -163,7 +163,9 @@ func (e *env) buildMember(i int, start msg.Instance, install *storage.Checkpoint
 		Ckpt:    m.ckpt,
 	})
 	if install != nil {
-		rep.InstallCheckpoint(*install)
+		if err := rep.InstallCheckpoint(*install); err != nil {
+			e.t.Fatal(err)
+		}
 	}
 	m.aux.Set(rep.HandleTrimQuery)
 	node.Service(rep.HandleService)

@@ -102,7 +102,7 @@ func decodeBatchInto(dst []Command, b []byte, intern func([]byte) transport.Addr
 		return nil, ErrBadBatch
 	}
 	if dst == nil {
-		dst = make([]Command, 0, count) //mrp:alloc — first delivery only: the scratch is handed back to the caller and reused by every later batch
+		dst = make([]Command, 0, count)
 	}
 	off := batchHeaderLen
 	for i := 0; i < count; i++ {

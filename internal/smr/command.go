@@ -64,7 +64,7 @@ func decodeCommandWith(b []byte, intern func([]byte) transport.Addr) (Command, e
 	if intern != nil {
 		c.ReplyTo = intern(raw)
 	} else {
-		c.ReplyTo = transport.Addr(raw) //mrp:alloc — internless callers (tests, tools) own the copy; the replica's delivery path always passes intern
+		c.ReplyTo = transport.Addr(raw)
 	}
 	c.Op = b[18+alen:]
 	return c, nil

@@ -67,26 +67,12 @@ func BenchmarkApplySingle(b *testing.B) {
 // allocations and at most 48 amortized bytes per op (the arena slab and
 // the occasional cmdScratch growth, spread over their lifetimes).
 // Re-introducing a per-reply allocation — e.g. a fresh &msg.Response in
-// applyCommand — fails this test AND is flagged by mrp-lint's hotalloc.
+// applyCommand — fails this test.
 func TestApplyAllocationPin(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark-backed pin")
 	}
-	res := testing.Benchmark(func(b *testing.B) {
-		r := newBenchReplica()
-		payload := benchPayload()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			binary.BigEndian.PutUint64(payload[8:], uint64(i+1))
-			r.apply(multiring.Delivery{
-				Ring:          1,
-				Instance:      msg.Instance(i + 1),
-				Entry:         msg.Entry{Data: payload},
-				EndOfInstance: true,
-			})
-		}
-	})
+	res := testing.Benchmark(BenchmarkApplySingle)
 	if got := res.AllocsPerOp(); got > 0 {
 		t.Errorf("steady-state apply allocates: %d allocs/op, want 0", got)
 	}

@@ -197,10 +197,7 @@ func (r *Replica) RegisterLeaseClaim(clientID, seq uint64, deadline time.Time) {
 // inside the deterministic scope: everything it writes to r.lease must be
 // a pure function of the delivery stream. The serve window and the
 // silence window are process-local liveness state and deliberately are
-// not — see the package comment. Lease commands are rare control traffic,
-// so the hot-path allocation discipline stops here.
-//
-//mrp:coldpath
+// not — see the package comment.
 func (r *Replica) applyLease(cmd Command) []byte {
 	op := cmd.Op
 	r.mu.Lock()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -66,8 +67,9 @@ func TestPipelineBackpressure(t *testing.T) {
 }
 
 // feedBatches sends n four-command batch proposals for client 42 through
-// a raw endpoint, pacing them so the ring orders them steadily.
-func feedBatches(t *testing.T, c *smrCluster, n int, pace time.Duration) {
+// a raw endpoint, calling after(sent) once each batch is sent; it stops
+// at the first error after returns.
+func feedBatches(t *testing.T, c *smrCluster, n int, after func(sent int) error) {
 	t.Helper()
 	ep := c.net.Endpoint("batch-feeder")
 	for k := 0; k < n; k++ {
@@ -85,7 +87,18 @@ func feedBatches(t *testing.T, c *smrCluster, n int, pace time.Duration) {
 			t.Errorf("feed batch %d: %v", k, err)
 			return
 		}
-		time.Sleep(pace)
+		if err := after(k + 1); err != nil {
+			t.Error(err)
+			return
+		}
+	}
+}
+
+// pace is a feedBatches callback that waits d after every batch.
+func pace(d time.Duration) func(int) error {
+	return func(int) error {
+		time.Sleep(d)
+		return nil
 	}
 }
 
@@ -95,28 +108,66 @@ func feedBatches(t *testing.T, c *smrCluster, n int, pace time.Duration) {
 // ever observe a partially applied batch: client 42's dedup head must sit
 // on a batch boundary (seq ≡ 0 mod 4) in every checkpoint taken, and the
 // trailing window bits must show the whole last batch executed.
+//
+// The feeder sends a batch only once the previous one has executed, so
+// the stream cannot finish before the loop checkpoints it however slowly
+// the ring runs (under -race it may order nothing for milliseconds), and
+// it takes one checkpoint itself at the midpoint, so every run checks one
+// mid-stream checkpoint.
 func TestPipelineCheckpointBatchAligned(t *testing.T) {
 	c := newSMRCluster(t)
 	const batches = 60
+	rep := c.replicas[0]
+	var checked atomic.Int32
+	aligned := func(ck storage.Checkpoint) error {
+		dedupRaw, _, _, err := decodeReplicaState(ck.State)
+		if err != nil {
+			return err
+		}
+		dedup, err := decodeDedup(dedupRaw)
+		if err != nil {
+			return err
+		}
+		e, ok := dedup[42]
+		if !ok {
+			return nil
+		}
+		checked.Add(1)
+		if e.seq%4 != 0 {
+			return fmt.Errorf("checkpoint observed mid-batch: client 42 head seq = %d", e.seq)
+		}
+		if e.seq >= 4 && e.bits&0xF != 0xF {
+			return fmt.Errorf("checkpoint head seq %d but last batch incomplete: bits = %#x", e.seq, e.bits)
+		}
+		return nil
+	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		feedBatches(t, c, batches, 200*time.Microsecond)
+		feedBatches(t, c, batches, func(sent int) error {
+			deadline := time.Now().Add(5 * time.Second)
+			for rep.Executed() < uint64(4*sent) {
+				if time.Now().After(deadline) {
+					return fmt.Errorf("batch %d never executed: executed = %d", sent, rep.Executed())
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+			if sent != batches/2 {
+				return nil
+			}
+			rep.Checkpoint()
+			ck, ok := storageLoad(rep)
+			if !ok {
+				return fmt.Errorf("no checkpoint at the midpoint")
+			}
+			return aligned(ck)
+		})
 	}()
-	rep := c.replicas[0]
-	checked := 0
 	for {
 		rep.Checkpoint()
 		if ck, ok := storageLoad(rep); ok {
-			_, dedupRaw := mustDecodeState(t, ck.State)
-			if e, ok := dedupRaw[42]; ok {
-				checked++
-				if e.seq%4 != 0 {
-					t.Fatalf("checkpoint observed mid-batch: client 42 head seq = %d", e.seq)
-				}
-				if e.seq >= 4 && e.bits&0xF != 0xF {
-					t.Fatalf("checkpoint head seq %d but last batch incomplete: bits = %#x", e.seq, e.bits)
-				}
+			if err := aligned(ck); err != nil {
+				t.Fatal(err)
 			}
 		}
 		select {
@@ -138,8 +189,8 @@ func TestPipelineCheckpointBatchAligned(t *testing.T) {
 			if e := dedupRaw[42]; e.seq != 4*batches {
 				t.Fatalf("final head seq = %d, want %d", e.seq, 4*batches)
 			}
-			if checked == 0 {
-				t.Fatal("no mid-stream checkpoint observed client 42: test raced past the stream")
+			if checked.Load() == 0 {
+				t.Fatal("no mid-stream checkpoint observed client 42")
 			}
 			return
 		default:
@@ -153,7 +204,11 @@ func mustDecodeState(t *testing.T, state []byte) ([]byte, map[uint64]clientEntry
 	if err != nil {
 		t.Fatalf("decode checkpoint state: %v", err)
 	}
-	return smState, decodeDedup(dedupRaw)
+	dedup, err := decodeDedup(dedupRaw)
+	if err != nil {
+		t.Fatalf("decode checkpoint dedup table: %v", err)
+	}
+	return smState, dedup
 }
 
 // TestPipelineStopMidBatchStream stops a replica while the pipelined
@@ -172,7 +227,7 @@ func TestPipelineStopMidBatchStream(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		feedBatches(t, c, 40, 100*time.Microsecond)
+		feedBatches(t, c, 40, pace(100*time.Microsecond))
 	}()
 	rep := c.replicas[0]
 	deadline := time.Now().Add(5 * time.Second)
@@ -284,7 +339,9 @@ func TestRecoverAcrossBatchBoundary(t *testing.T) {
 	// recovery path re-delivers from the start, overlapping the prefix.
 	recCk := storage.NewCheckpointStore(storage.NewDisk(storage.NullDisk))
 	rec := NewReplica(ReplicaConfig{SM: newRegSM(), Ckpt: recCk})
-	rec.InstallCheckpoint(ck)
+	if err := rec.InstallCheckpoint(ck); err != nil {
+		t.Fatal(err)
+	}
 	run(rec, stream)
 	// And a straggling re-delivery of a mid-prefix batch for good measure.
 	run(rec, stream[2:4])

@@ -222,18 +222,15 @@ const addrCacheCap = 4096
 // internAddr returns a stable string for a decoded reply address without
 // re-allocating it on every delivery. Process-local routing state only:
 // the bytes of the address, which are all that execution observes, are
-// identical on every replica. Marked hot explicitly: it is reached through
-// the r.intern func value, which the call-graph propagation cannot see.
-//
-//mrp:hotpath
+// identical on every replica.
 func (r *Replica) internAddr(b []byte) transport.Addr {
 	if a, ok := r.addrCache[string(b)]; ok { // no-alloc map lookup
 		return a
 	}
 	if len(r.addrCache) >= addrCacheCap {
-		r.addrCache = make(map[string]transport.Addr) //mrp:alloc — overflow reset, once per addrCacheCap distinct client addresses
+		r.addrCache = make(map[string]transport.Addr)
 	}
-	a := transport.Addr(b) //mrp:alloc — the one copy the cache keeps; every later delivery from this client hits the no-alloc lookup above
+	a := transport.Addr(b)
 	r.addrCache[string(a)] = a
 	return a
 }
@@ -258,7 +255,7 @@ const respArenaChunk = 256
 // amortized slab refill.
 func (r *Replica) newResponse(clientID, seq uint64, result []byte) *msg.Response {
 	if len(r.respArena) == 0 {
-		r.respArena = make([]msg.Response, respArenaChunk) //mrp:alloc — amortized slab refill, one allocation per respArenaChunk replies
+		r.respArena = make([]msg.Response, respArenaChunk)
 	}
 	resp := &r.respArena[0]
 	r.respArena = r.respArena[1:]
@@ -382,32 +379,42 @@ func (r *Replica) SafeTuple() []msg.RingInstance {
 }
 
 // InstallCheckpoint restores the state machine, the deduplication table,
-// and the tuples from a recovered checkpoint. Must be called before Start.
-func (r *Replica) InstallCheckpoint(ck storage.Checkpoint) {
+// the lease table and the tuples from a recovered checkpoint. Must be
+// called before Start. The replica's own sections are decoded in full
+// before anything is installed: malformed ones return ErrBadCheckpoint
+// and leave the replica untouched.
+func (r *Replica) InstallCheckpoint(ck storage.Checkpoint) error {
 	dedupRaw, leaseRaw, smState, err := decodeReplicaState(ck.State)
 	if err != nil {
-		return
+		return err
+	}
+	dedup, err := decodeDedup(dedupRaw)
+	if err != nil {
+		return err
+	}
+	lt, ok := decodeLeaseTable(leaseRaw)
+	if !ok {
+		return ErrBadCheckpoint
 	}
 	r.cfg.SM.Restore(smState)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.dedup = decodeDedup(dedupRaw)
-	if lt, ok := decodeLeaseTable(leaseRaw); ok {
-		r.lease = lt
-		// The replicated lease recovers identically; the local windows do
-		// not. A recovered holder serves nothing until a fresh claim of
-		// its own round-trips (readDeadline stays zero). A recovered
-		// non-holder re-arms its silence window from NOW — recovery
-		// happens after the claim was applied somewhere, so now + D is a
-		// superset of the window the crashed process was observing.
-		if lt.active && lt.holder != r.cfg.Node.ID() {
-			r.suppressUntil = leaseClockNow().Add(time.Duration(lt.durMs) * time.Millisecond)
-		}
+	r.dedup = dedup
+	r.lease = lt
+	// The replicated lease recovers identically; the local windows do
+	// not. A recovered holder serves nothing until a fresh claim of its
+	// own round-trips (readDeadline stays zero). A recovered non-holder
+	// re-arms its silence window from NOW — recovery happens after the
+	// claim was applied somewhere, so now + D is a superset of the window
+	// the crashed process was observing.
+	if lt.active && lt.holder != r.cfg.Node.ID() {
+		r.suppressUntil = leaseClockNow().Add(time.Duration(lt.durMs) * time.Millisecond)
 	}
 	for _, e := range ck.Tuple {
 		r.applied[e.Ring] = e.Instance
 		r.safe[e.Ring] = e.Instance
 	}
+	return nil
 }
 
 // Checkpoint synchronously snapshots the state machine and persists it,
@@ -547,10 +554,10 @@ func (r *Replica) StateSnapshot() []byte {
 // replica of the partition applies the same delivery stream; anything
 // this reaches must be a pure function of that stream. It is also the
 // executor's steady-state loop body: allocations here are per-delivery
-// garbage, so the hot-path scope holds it to the scratch/arena discipline.
+// garbage, so TestApplyAllocationPin holds it to the scratch/arena
+// discipline.
 //
 //mrp:deterministic
-//mrp:hotpath
 func (r *Replica) apply(d multiring.Delivery) {
 	if d.Skip {
 		r.mu.Lock()

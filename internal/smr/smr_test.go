@@ -317,7 +317,9 @@ func TestCheckpointRestoresDedupAndState(t *testing.T) {
 		Learner: multiring.NewLearner(1),
 		SM:      sm2,
 	})
-	rep2.InstallCheckpoint(ck)
+	if err := rep2.InstallCheckpoint(ck); err != nil {
+		t.Fatal(err)
+	}
 	if got := sm2.Execute(getOp("a")); string(got) != "42" {
 		t.Fatalf("restored get = %q", got)
 	}
@@ -422,9 +424,12 @@ func TestReplicaStateCodec(t *testing.T) {
 	if string(sm) != "sm-state" {
 		t.Fatalf("sm = %q", sm)
 	}
-	got := decodeDedup(dRaw)
-	if len(got) != 2 || got[1].seq != 5 || got[1].bits != 0b1011 || string(got[1].result) != "r1" || got[9].seq != 2 {
-		t.Fatalf("dedup = %+v", got)
+	got, err := decodeDedup(dRaw)
+	if err != nil || len(got) != 2 || got[1].seq != 5 || got[1].bits != 0b1011 || string(got[1].result) != "r1" || got[9].seq != 2 {
+		t.Fatalf("dedup = %+v err=%v", got, err)
+	}
+	if _, err := decodeDedup(dRaw[:len(dRaw)-1]); err == nil {
+		t.Fatal("truncated dedup entry should fail")
 	}
 	if lt, ok := decodeLeaseTable(leaseRaw); !ok || lt.active || lt.holder != 0 {
 		t.Fatalf("lease = %+v ok=%v", lt, ok)

@@ -2,8 +2,14 @@ package smr
 
 import (
 	"encoding/binary"
+	"errors"
 	"sort"
 )
+
+// ErrBadCheckpoint reports checkpoint bytes that do not decode. They come
+// from a peer, so a recovering replica must refuse them rather than
+// resume past the checkpoint's tuple with partial state.
+var ErrBadCheckpoint = errors.New("smr: malformed checkpoint")
 
 // Replica checkpoints wrap the state machine's snapshot with the replica's
 // own metadata (the client-dedup table and the replicated lease table),
@@ -31,17 +37,17 @@ func encodeReplicaState(dedup, lease, smState []byte) []byte {
 //mrp:codec replicastate decode
 func decodeReplicaState(b []byte) (dedup, lease, smState []byte, err error) {
 	if len(b) < 4 {
-		return nil, nil, nil, ErrBadCommand
+		return nil, nil, nil, ErrBadCheckpoint
 	}
 	n := int(binary.BigEndian.Uint32(b))
 	if len(b) < 4+n+4 {
-		return nil, nil, nil, ErrBadCommand
+		return nil, nil, nil, ErrBadCheckpoint
 	}
 	dedup = b[4 : 4+n]
 	b = b[4+n:]
 	ln := int(binary.BigEndian.Uint32(b))
 	if len(b) < 4+ln {
-		return nil, nil, nil, ErrBadCommand
+		return nil, nil, nil, ErrBadCheckpoint
 	}
 	return dedup, b[4 : 4+ln], b[4+ln:], nil
 }
@@ -70,18 +76,21 @@ func encodeDedup(m map[uint64]clientEntry) []byte {
 }
 
 //mrp:codec dedup decode
-func decodeDedup(b []byte) map[uint64]clientEntry {
+func decodeDedup(b []byte) (map[uint64]clientEntry, error) {
 	m := make(map[uint64]clientEntry)
-	for len(b) >= 28 {
+	for len(b) > 0 {
+		if len(b) < 28 {
+			return nil, ErrBadCheckpoint
+		}
 		id := binary.BigEndian.Uint64(b)
 		seq := binary.BigEndian.Uint64(b[8:])
 		bits := binary.BigEndian.Uint64(b[16:])
 		n := int(binary.BigEndian.Uint32(b[24:]))
 		if len(b) < 28+n {
-			break
+			return nil, ErrBadCheckpoint
 		}
 		m[id] = clientEntry{seq: seq, bits: bits, result: append([]byte(nil), b[28:28+n]...)}
 		b = b[28+n:]
 	}
-	return m
+	return m, nil
 }

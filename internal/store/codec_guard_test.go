@@ -55,3 +55,23 @@ func TestTakePartitionerMalformed(t *testing.T) {
 		t.Errorf("round-tripped partitioner differs: %+v vs %+v", got, rp)
 	}
 }
+
+// TestRestoreAcceptsOnlySnapshotV4 pins the single snapshot version: a
+// snapshot under the retired v3 header restores to an empty shard, while
+// the same bytes under the v4 header restore in full.
+func TestRestoreAcceptsOnlySnapshotV4(t *testing.T) {
+	sm := NewSM(0, NewHashPartitioner(1))
+	sm.Data().Put("k", []byte("v"))
+	snap := sm.Snapshot()
+	for _, tc := range []struct {
+		version byte
+		want    int
+	}{{3, 0}, {snapshotV4, 1}} {
+		b := append([]byte{tc.version}, snap[1:]...)
+		restored := NewSM(0, NewHashPartitioner(1))
+		restored.Restore(b)
+		if got := restored.Data().Len(); got != tc.want {
+			t.Errorf("v%d header: restored %d entries, want %d", tc.version, got, tc.want)
+		}
+	}
+}

@@ -116,7 +116,7 @@ func takeString(b []byte) (string, []byte, error) {
 	}
 	// The decoded key outlives the op — it is stored in the map or
 	// becomes part of the reply — so the copy is mandatory.
-	return string(b[2 : 2+n]), b[2+n:], nil //mrp:alloc — decoded strings escape into the map and the reply; the copy is the ownership transfer
+	return string(b[2 : 2+n]), b[2+n:], nil
 }
 
 func takeBytes(b []byte) ([]byte, []byte, error) {
@@ -217,7 +217,7 @@ func decodeOp(b []byte) (op, error) {
 		if n > len(b) {
 			return op{}, errBadOp
 		}
-		o.batch = make([]op, 0, n) //mrp:alloc — a batch op owns its sub-ops for its lifetime; sized exactly, once per batch command
+		o.batch = make([]op, 0, n)
 		for i := 0; i < n; i++ {
 			var raw []byte
 			raw, b, err = takeBytes(b)
@@ -298,7 +298,7 @@ func (r result) encode() []byte {
 	for _, e := range r.entries {
 		n += 2 + len(e.Key) + 4 + len(e.Value)
 	}
-	b := make([]byte, 0, n) //mrp:alloc — the encoded reply escapes into the dedup cache and the transport; sized exactly, one allocation per result instead of append growth
+	b := make([]byte, 0, n) // sized exactly: one allocation per result
 	b = append(b, r.status)
 	b = binary.BigEndian.AppendUint16(b, r.partition)
 	b = binary.BigEndian.AppendUint64(b, r.epoch)

@@ -114,10 +114,9 @@ func (s *SM) Warming() bool { return s.warming }
 func (s *SM) Pending() uint64 { return s.pendingEpoch }
 
 // Execute implements smr.StateMachine. It runs once per ordered command
-// on the executor goroutine: a hot-path scope root.
+// on the executor goroutine; TestExecuteAllocationPin pins its cost.
 //
 //mrp:deterministic
-//mrp:hotpath
 func (s *SM) Execute(raw []byte) []byte {
 	o, err := decodeOp(raw)
 	if err != nil {
@@ -300,7 +299,7 @@ func (s *SM) scanOwned(from, to string, limit int) []Entry {
 	// merge survivor's half-received chunks, interleave with owned keys —
 	// the limit only applies after filtering.
 	raw := s.data.Scan(from, to, 0)
-	out := make([]Entry, 0, len(raw)) //mrp:alloc — reconfiguration-window scans only; the steady-state branch above filters in place
+	out := make([]Entry, 0, len(raw))
 	for _, e := range raw {
 		p := s.partitioner.PartitionOf(e.Key)
 		if p == s.partition || (s.migrating && p == s.movedPart) {
@@ -369,10 +368,7 @@ func (s *SM) resolveAbort() {
 	s.clearPending()
 }
 
-// applyPrepare dispatches an ordered reconfiguration prepare. Prepares
-// happen once per reconfiguration, not per command: cold path.
-//
-//mrp:coldpath
+// applyPrepare dispatches an ordered reconfiguration prepare.
 func (s *SM) applyPrepare(o op) result {
 	res := result{status: statusOK, partition: uint16(s.partition), epoch: s.epoch}
 	s.resolveStraggler(o.epoch)
@@ -453,10 +449,7 @@ func (s *SM) applyPrepareSplit(o op) result {
 
 // applyCommit finishes a prepared reconfiguration: the split source drops
 // the moved range, the merge survivor adopts the merged mapping, and the
-// replicas on the ring adopt the new epoch. Once per reconfiguration:
-// cold path.
-//
-//mrp:coldpath
+// replicas on the ring adopt the new epoch.
 func (s *SM) applyCommit(o op) result {
 	res := result{status: statusOK, partition: uint16(s.partition), epoch: s.epoch}
 	s.resolveStraggler(o.epoch)
@@ -500,10 +493,7 @@ func (s *SM) applyCommit(o op) result {
 // applyAbort rolls a prepared reconfiguration back: the pre-prepare
 // mapping is restored, frozen ranges unfreeze, and half-transferred
 // entries are dropped. A replica with no matching pending state treats the
-// abort as an idempotent duplicate. Once per failed reconfiguration:
-// cold path.
-//
-//mrp:coldpath
+// abort as an idempotent duplicate.
 func (s *SM) applyAbort(o op) result {
 	res := result{status: statusOK, partition: uint16(s.partition), epoch: s.epoch}
 	s.resolveStraggler(o.epoch)
@@ -574,13 +564,10 @@ func (s *SM) dropUnowned() {
 	}
 }
 
-// Snapshot format version tags: v3 added the generalized reconfiguration
-// state (pending kind, abort-restore mapping, merge flags); v4 appends the
-// replica's own transaction-vote history (txn.go) after the entries.
-const (
-	snapshotV3 = 3
-	snapshotV4 = 4
-)
+// snapshotV4 is the snapshot format version tag, the only one Restore
+// accepts: checkpoints never outlive the process, so no older encoding
+// needs to stay decodable.
+const snapshotV4 = 4
 
 // appendPartitioner encodes a partitioner for snapshots.
 func appendPartitioner(b []byte, p Partitioner) []byte {
@@ -603,11 +590,7 @@ func appendPartitioner(b []byte, p Partitioner) []byte {
 	return b
 }
 
-// takePartitioner decodes a snapshot-encoded partitioner. Snapshots are
-// decoded only on restore and reconfiguration prepare, never per command:
-// cold path.
-//
-//mrp:coldpath
+// takePartitioner decodes a snapshot-encoded partitioner.
 func takePartitioner(b []byte) (Partitioner, []byte, bool) {
 	if len(b) < 1 {
 		return nil, nil, false
@@ -714,10 +697,9 @@ func (s *SM) Restore(b []byte) {
 	s.data = NewSortedMap()
 	s.clearPending()
 	s.votes.reset()
-	if len(b) < 1 || (b[0] != snapshotV3 && b[0] != snapshotV4) {
+	if len(b) < 1 || b[0] != snapshotV4 {
 		return
 	}
-	version := b[0]
 	b = b[1:]
 	if len(b) < 20 {
 		return
@@ -767,7 +749,5 @@ func (s *SM) Restore(b []byte) {
 		s.data.Put(k, append([]byte(nil), v...))
 		b = rest2
 	}
-	if version >= snapshotV4 {
-		s.votes.decode(b)
-	}
+	s.votes.decode(b)
 }

@@ -95,7 +95,7 @@ func (m *SortedMap) Put(key string, value []byte) bool {
 		}
 		m.level = lvl
 	}
-	n := &skipNode{key: key, value: value, next: make([]*skipNode, lvl)} //mrp:alloc — the inserted node lives in the map until deleted; the allocation is the data structure
+	n := &skipNode{key: key, value: value, next: make([]*skipNode, lvl)}
 	for i := 0; i < lvl; i++ {
 		n.next[i] = prev[i].next[i]
 		prev[i].next[i] = n
@@ -164,7 +164,7 @@ func (m *SortedMap) Scan(from, to string, limit int) []Entry {
 	x = x.next[0]
 	var out []Entry
 	for x != nil && (to == "" || x.key <= to) {
-		out = append(out, Entry{Key: x.key, Value: x.value}) //mrp:alloc — scan results escape into the reply; the result size is unknown until the walk runs
+		out = append(out, Entry{Key: x.key, Value: x.value})
 		if limit > 0 && len(out) >= limit {
 			break
 		}

@@ -45,10 +45,7 @@ func (s *SM) Stats() PartitionStats {
 // reconfiguration in flight still needs the numbers. A command that
 // reached the wrong partition (a stale view routed it to a ring whose ID
 // was recycled by a later reconfiguration) gets the typed wrong-epoch
-// redirect, the same self-correction contract as every data op. Stats
-// are an operator read, not steady-state traffic: cold path.
-//
-//mrp:coldpath
+// redirect, the same self-correction contract as every data op.
 func (s *SM) applyStats(o op) result {
 	if int(o.part) != s.partition {
 		return s.wrongEpoch()

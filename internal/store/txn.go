@@ -45,11 +45,7 @@ func (s *SM) TxnVote(client, seq uint64) (byte, bool) {
 }
 
 // applyTxn executes this partition's half of a cross-partition
-// transaction at its merged delivery position. Cross-partition
-// transactions decode and vote off the single-key fast path; the
-// allocation discipline covers the fast path, so it stops here.
-//
-//mrp:coldpath
+// transaction at its merged delivery position.
 func (s *SM) applyTxn(o op) result {
 	t, err := txn.Decode(o.value)
 	if err != nil {
