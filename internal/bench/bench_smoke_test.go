@@ -383,13 +383,13 @@ func TestLatencySmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	// Saturation with enough workers per shared client that batches really
-	// form, and enough disk cost per instance (sync SSD at quarter scale)
+	// Saturation with enough concurrent workers that the coordinator's
+	// batches really fill, and enough disk cost per instance (sync SSD at quarter scale)
 	// that amortizing it is measurable.
 	opts := Options{PointSeconds: 0.3, Scale: 0.25, Clients: 64}
 	batched := latencyPoint(opts, LatencyBatched, 16, 0)
 	unbatched := latencyPoint(opts, LatencyUnbatched, 16, 0)
-	paced := latencyPoint(opts, LatencyCoupled, 16, 1000)
+	paced := latencyPoint(opts, LatencyBatched, 16, 1000)
 	for _, r := range []LatencyRow{batched, unbatched, paced} {
 		if r.OpsPerSec <= 0 {
 			t.Fatalf("%s: no throughput", r.Mode)
@@ -419,7 +419,7 @@ func TestLatencySmoke(t *testing.T) {
 		t.Log("race detector enabled; skipping throughput comparison")
 		return
 	}
-	// The acceptance claim: at saturation, command batching amortizes one
+	// The acceptance claim: at saturation, ring-level batching amortizes one
 	// consensus instance (and its synchronous log write) over many
 	// commands, so batched throughput must be at least twice unbatched.
 	// Sub-second points are noisy under a loaded machine, so remeasure a

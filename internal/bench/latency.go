@@ -18,20 +18,26 @@ import (
 	"mrp/internal/transport"
 )
 
-// LatencyMode names the three SMR submission paths the figure compares.
+// LatencyMode names the two ring settings the figure compares.
 type LatencyMode string
 
-// The compared paths: command batching with pipelined execution (the
-// default), batching off (one consensus instance per command, the classic
-// wire), and batching on but execution coupled to delivery (no pipeline).
+// The compared settings: ring-level batching on (the coordinator groups up
+// to latencyBatchBytes of proposals into one consensus instance) and off
+// (one consensus instance, and one log write, per command).
 const (
 	LatencyBatched   LatencyMode = "batched"
 	LatencyUnbatched LatencyMode = "unbatched"
-	LatencyCoupled   LatencyMode = "coupled"
 )
 
 // LatencyModes lists the modes in report order.
-var LatencyModes = []LatencyMode{LatencyBatched, LatencyUnbatched, LatencyCoupled}
+var LatencyModes = []LatencyMode{LatencyBatched, LatencyUnbatched}
+
+// latencyBatchBytes and latencyBatchDelay are the coordinator's batch
+// bounds in LatencyBatched mode.
+const (
+	latencyBatchBytes = 64 << 10
+	latencyBatchDelay = 200 * time.Microsecond
+)
 
 // latencyPayloads and latencyRates are the sweep axes: command payload
 // size and offered load (ops/s aggregate; 0 means closed-loop
@@ -83,7 +89,7 @@ func (s *latencySM) Restore(b []byte) {
 	fmt.Sscan(string(b), &s.n)
 }
 
-// Latency sweeps payload size × offered rate for each submission path and
+// Latency sweeps payload size × offered rate for each ring setting and
 // reports p50/p99/p999 command latency and throughput. The deployment is
 // the paper's baseline shape — one ring, three replicas, synchronous SSD
 // logs — where every consensus instance pays a disk write: with batching
@@ -130,14 +136,19 @@ func latencyPoint(opts Options, mode LatencyMode, payload, rate int) LatencyRow 
 	}
 	var stops []func()
 	diskMode := storage.SyncSSD
+	batchBytes := latencyBatchBytes
+	if mode == LatencyUnbatched {
+		batchBytes = 0
+	}
 	for i := range peers {
 		node := multiring.NewNode(peers[i].ID, net.Endpoint(peers[i].Addr))
 		proc, err := node.Join(ringpaxos.Config{
-			Ring:        1,
-			Peers:       peers,
-			Coordinator: peers[0].ID,
-			Log:         storage.NewLogOnDisk(diskMode, storage.NewDisk(diskMode.DiskFor().Scale(opts.Scale))),
-			BatchDelay:  500 * time.Microsecond,
+			Ring:          1,
+			Peers:         peers,
+			Coordinator:   peers[0].ID,
+			Log:           storage.NewLogOnDisk(diskMode, storage.NewDisk(diskMode.DiskFor().Scale(opts.Scale))),
+			BatchMaxBytes: batchBytes,
+			BatchDelay:    latencyBatchDelay,
 			// Generous: premature re-proposals would double the sync-disk
 			// load exactly when it is slowest.
 			RetryTimeout: 2 * time.Second,
@@ -148,11 +159,10 @@ func latencyPoint(opts Options, mode LatencyMode, payload, rate int) LatencyRow 
 		}
 		learner := multiring.NewLearner(1, proc)
 		rep := smr.NewReplica(smr.ReplicaConfig{
-			Node:     node,
-			Learner:  learner,
-			SM:       &latencySM{},
-			Ckpt:     storage.NewCheckpointStore(storage.NewDisk(storage.NullDisk)),
-			Pipeline: smr.PipelinePolicy{Disabled: mode == LatencyCoupled},
+			Node:    node,
+			Learner: learner,
+			SM:      &latencySM{},
+			Ckpt:    storage.NewCheckpointStore(storage.NewDisk(storage.NullDisk)),
 		})
 		node.Service(rep.HandleService)
 		node.Start()
@@ -170,10 +180,8 @@ func latencyPoint(opts Options, mode LatencyMode, payload, rate int) LatencyRow 
 		}
 	}()
 
-	// A few shared proposer-side clients: the batcher lives in the client,
-	// so workers must share clients for a backlog to form. Every worker
-	// issuing through the same client is the "proposer thread" shape of
-	// the paper's baseline.
+	// A few shared proposer-side clients: every worker issuing through the
+	// same client is the "proposer thread" shape of the paper's baseline.
 	const sharedClients = 6
 	addrs := []transport.Addr{peers[0].Addr, peers[1].Addr, peers[2].Addr}
 	clients := make([]*smr.Client, sharedClients)
@@ -184,10 +192,6 @@ func latencyPoint(opts Options, mode LatencyMode, payload, rate int) LatencyRow 
 			Proposers:    map[msg.RingID][]transport.Addr{1: addrs},
 			RetryTimeout: 2 * time.Second,
 			Timeout:      20 * time.Second,
-			Batch: smr.BatchPolicy{
-				Disabled: mode == LatencyUnbatched,
-				MaxDelay: 200 * time.Microsecond,
-			},
 		})
 	}
 	defer func() {
@@ -255,7 +259,7 @@ func latencyPoint(opts Options, mode LatencyMode, payload, rate int) LatencyRow 
 
 // RenderLatency prints the latency figure.
 func RenderLatency(w io.Writer, rows []LatencyRow) {
-	fmt.Fprintln(w, "SMR command latency — batched+pipelined vs unbatched vs coupled execution")
+	fmt.Fprintln(w, "SMR command latency — ring-level batching on vs off")
 	fmt.Fprintln(w, "(one ring, 3 replicas, sync-SSD logs; rate 0 = closed-loop saturation)")
 	fmt.Fprintf(w, "%-11s %8s %8s %12s %10s %10s %10s %8s\n",
 		"mode", "payload", "rate", "ops/s", "p50", "p99", "p999", "errors")

@@ -41,7 +41,6 @@ type Config struct {
 
 	// Replica settings (see smr.ReplicaConfig).
 	CheckpointEvery time.Duration
-	Pipeline        smr.PipelinePolicy
 }
 
 // WithDefaults returns c with the defaults filled in.
@@ -208,7 +207,6 @@ func (c Config) start(s Spec, ep transport.Endpoint) (*Member, error) {
 		SM:              s.SM,
 		Ckpt:            s.Ckpt,
 		CheckpointEvery: c.CheckpointEvery,
-		Pipeline:        c.Pipeline,
 	})
 	m.Replica = rep
 	if s.Install != nil {

@@ -274,7 +274,10 @@ func (d *Deployment) NewClientAt(ep transport.Endpoint, id uint64) *Client {
 	}
 }
 
-// Client accesses a dLog deployment through the Table 2 operations.
+// Client accesses a dLog deployment through the Table 2 operations. A
+// Client is safe for concurrent use by multiple goroutines: each call is
+// an independent command under its own sequence number, ordered against
+// the others only by the rings.
 type Client struct {
 	smr *smr.Client
 	ep  transport.Endpoint

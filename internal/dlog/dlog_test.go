@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -482,4 +483,36 @@ func TestClientCloseClosesEndpoint(t *testing.T) {
 	if got := closed.Load(); got != 1 {
 		t.Fatalf("client endpoint closed %d times, want 1", got)
 	}
+}
+
+// TestClientSharedAcrossGoroutines drives one client from 8 goroutines at
+// once, each appending to the log and reading its own entries back at the
+// positions it was given. Run under -race it also checks the client's
+// shared state.
+func TestClientSharedAcrossGoroutines(t *testing.T) {
+	d := testDeploy(t, 2, false)
+	cl := d.NewClient()
+	defer cl.Close()
+	const workers, appends = 8, 5
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			l := LogID(g % 2)
+			for i := 0; i < appends; i++ {
+				want := fmt.Sprintf("w%d-%d", g, i)
+				pos, err := cl.Append(l, []byte(want))
+				if err != nil {
+					t.Errorf("worker %d append: %v", g, err)
+					return
+				}
+				if v, err := cl.Read(l, pos); err != nil || string(v) != want {
+					t.Errorf("worker %d read %d@%d = %q, %v; want %q", g, l, pos, v, err, want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

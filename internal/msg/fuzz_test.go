@@ -15,6 +15,7 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xFF})
 	f.Add([]byte{byte(TPhase2), 0, 0})
+	f.Add([]byte{byte(TProposal + 1), 0, 1}) // the retired tag must not decode
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Unmarshal(data)
 		if err != nil {

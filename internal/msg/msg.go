@@ -6,14 +6,18 @@
 //
 //   - Proposal: a value multicast to a group, forwarded along the ring
 //     until it reaches the coordinator.
-//   - Phase1A / Phase1B: the pre-executed Paxos Phase 1 for a window of
-//     consensus instances.
+//   - Phase1B: the pre-executed Paxos Phase 1 for a window of consensus
+//     instances; Phase 1A and 1B are combined into this one message, which
+//     circulates the ring accumulating promises.
 //   - Phase2: the combined Phase 2A/2B message circulating the ring and
 //     accumulating acceptor votes.
 //   - Decision: produced by the last acceptor once a majority voted;
 //     circulates until every ring member has received it.
 //   - LearnReq / LearnResp: retransmission of decided instances, used by
 //     recovering learners (Section 5.1, acceptor recovery).
+//   - SkipReq: learner feedback for rate leveling — a learner whose
+//     deterministic merge stalls on a ring asks that ring's coordinator to
+//     skip forward to where the other subscribed rings already are.
 //   - TrimQuery / TrimReply / TrimCmd: the log-trimming protocol between a
 //     ring coordinator, the replicas, and the acceptors (Section 5.2).
 //   - CkptQuery / CkptReply / CkptFetch / CkptData: remote checkpoint
@@ -56,7 +60,9 @@ type Type uint8
 // Message type tags.
 const (
 	TProposal Type = iota + 1
-	TPhase1A
+	// Tag 2 is retired and never reused: storage.FileWAL persists
+	// marshalled Phase2 records, so later tags keep their numbers.
+	_
 	TPhase1B
 	TPhase2
 	TDecision
@@ -74,6 +80,7 @@ const (
 	TTxnVote
 	TLeaseRead
 	TLeaseReply
+	TSkipReq
 	maxType
 )
 
@@ -118,35 +125,6 @@ func (m *Proposal) unmarshal(r *reader) {
 	m.ProposerID = NodeID(r.u32())
 	m.Seq = r.u64()
 	m.Payload = r.bytes()
-}
-
-// Phase1A asks the acceptors to promise ballot Ballot for every instance in
-// [From, To). It is pre-executed for a whole window of instances.
-type Phase1A struct {
-	Ring   RingID
-	Ballot Ballot
-	From   Instance
-	To     Instance
-}
-
-// Type implements Message.
-func (*Phase1A) Type() Type { return TPhase1A }
-
-// Size implements Message.
-func (m *Phase1A) Size() int { return 1 + 2 + 4 + 8 + 8 }
-
-func (m *Phase1A) marshal(w *writer) {
-	w.u16(uint16(m.Ring))
-	w.u32(uint32(m.Ballot))
-	w.u64(uint64(m.From))
-	w.u64(uint64(m.To))
-}
-
-func (m *Phase1A) unmarshal(r *reader) {
-	m.Ring = RingID(r.u16())
-	m.Ballot = Ballot(r.u32())
-	m.From = Instance(r.u64())
-	m.To = Instance(r.u64())
 }
 
 // VotedValue reports, inside a Phase1B, the highest-ballot value an acceptor
@@ -509,6 +487,38 @@ func (m *TrimCmd) unmarshal(r *reader) {
 	m.UpTo = Instance(r.u64())
 }
 
+// SkipReq asks the coordinator of Ring for a skip instance that brings the
+// ring's next free instance up to To (the exclusive SkipTo bound the skip
+// would carry). A learner sends it when its deterministic merge stalls on
+// Ring while another subscribed ring has already advanced past it. Members
+// that do not coordinate forward it along the ring; Hops counts those
+// forwards so a request finding no coordinator dies after one lap. Only
+// the timing of the skip depends on the request: the skip value itself is
+// decided through consensus like every other.
+type SkipReq struct {
+	Ring RingID
+	To   Instance
+	Hops uint8
+}
+
+// Type implements Message.
+func (*SkipReq) Type() Type { return TSkipReq }
+
+// Size implements Message.
+func (m *SkipReq) Size() int { return 1 + 2 + 8 + 1 }
+
+func (m *SkipReq) marshal(w *writer) {
+	w.u16(uint16(m.Ring))
+	w.u64(uint64(m.To))
+	w.u8(m.Hops)
+}
+
+func (m *SkipReq) unmarshal(r *reader) {
+	m.Ring = RingID(r.u16())
+	m.To = Instance(r.u64())
+	m.Hops = r.u8()
+}
+
 // RingInstance is one entry of a checkpoint tuple k_p: the highest applied
 // instance of one ring. Tuples are ordered by ring identifier (Predicate 1).
 type RingInstance struct {
@@ -828,8 +838,6 @@ func New(t Type) Message {
 	switch t {
 	case TProposal:
 		return &Proposal{}
-	case TPhase1A:
-		return &Phase1A{}
 	case TPhase1B:
 		return &Phase1B{}
 	case TPhase2:
@@ -864,6 +872,8 @@ func New(t Type) Message {
 		return &LeaseRead{}
 	case TLeaseReply:
 		return &LeaseReply{}
+	case TSkipReq:
+		return &SkipReq{}
 	default:
 		return nil
 	}

@@ -12,7 +12,6 @@ import (
 func allSamples() []Message {
 	return []Message{
 		&Proposal{Ring: 3, ProposerID: 7, Seq: 42, Payload: []byte("hello")},
-		&Phase1A{Ring: 1, Ballot: 9, From: 10, To: 20},
 		&Phase1B{Ring: 1, Ballot: 9, From: 10, To: 20, Promises: 2,
 			Voted: []VotedValue{{Instance: 11, VRnd: 3,
 				Value: Value{Batch: []Entry{{Proposer: 1, Seq: 2, Data: []byte("x")}}}}}},
@@ -40,6 +39,7 @@ func allSamples() []Message {
 			&TrimCmd{Ring: 1, UpTo: 5},
 			&Proposal{Ring: 1, ProposerID: 2, Seq: 3, Payload: []byte("p")},
 		}},
+		&SkipReq{Ring: 6, To: 4500, Hops: 1},
 	}
 }
 
@@ -233,7 +233,7 @@ func TestNestedBatch(t *testing.T) {
 }
 
 func TestNewUnknownType(t *testing.T) {
-	if New(0) != nil || New(maxType) != nil || New(200) != nil {
+	if New(0) != nil || New(TProposal+1) != nil || New(maxType) != nil || New(200) != nil {
 		t.Error("New should return nil for unknown types")
 	}
 }

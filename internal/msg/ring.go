@@ -7,8 +7,6 @@ func RingOf(m Message) (RingID, bool) {
 	switch v := m.(type) {
 	case *Proposal:
 		return v.Ring, true
-	case *Phase1A:
-		return v.Ring, true
 	case *Phase1B:
 		return v.Ring, true
 	case *Phase2:
@@ -24,6 +22,8 @@ func RingOf(m Message) (RingID, bool) {
 	case *TrimReply:
 		return v.Ring, true
 	case *TrimCmd:
+		return v.Ring, true
+	case *SkipReq:
 		return v.Ring, true
 	default:
 		return 0, false

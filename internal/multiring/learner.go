@@ -89,6 +89,10 @@ type Learner struct {
 	// this copy, it only serves observers (lease catch-up waits, stats).
 	pub  map[msg.RingID]msg.Instance
 	kick chan struct{}
+	// wake is signalled by every SkipRequester source when it queues a
+	// decided instance, so a merge waiting on one ring notices another
+	// ring's progress (see stalled).
+	wake chan struct{}
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -106,14 +110,27 @@ func NewLearner(m int, procs ...DecisionSource) *Learner {
 	}
 	sources := append([]DecisionSource(nil), procs...)
 	sort.Slice(sources, func(i, j int) bool { return sources[i].Ring() < sources[j].Ring() })
-	return &Learner{
+	l := &Learner{
 		m:       m,
 		sources: sources,
 		out:     make(chan Delivery, 8192),
 		pub:     make(map[msg.RingID]msg.Instance),
 		kick:    make(chan struct{}, 1),
+		wake:    make(chan struct{}, 1),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
+	}
+	for _, src := range sources {
+		l.watch(src)
+	}
+	return l
+}
+
+// watch registers the learner's wake channel with a source that takes
+// learner feedback.
+func (l *Learner) watch(src DecisionSource) {
+	if req, ok := src.(SkipRequester); ok {
+		req.NotifyDecided(l.wake)
 	}
 }
 
@@ -136,7 +153,8 @@ func (l *Learner) Rings() []msg.RingID {
 // skip ranges advance it), as of the last round boundary. This is the
 // applied-frontier position lease machinery and recovery waits observe:
 // everything at or below it has been emitted toward the replica (though
-// the replica may still be draining the pipeline). Ordered by ring ID.
+// the replica may still be draining the Deliveries buffer). Ordered by
+// ring ID.
 func (l *Learner) Frontier() []msg.RingInstance {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -200,8 +218,11 @@ func (l *Learner) run() {
 	// cover many instances).
 	frontier := make(map[msg.RingID]msg.Instance)
 	carry := make(map[msg.RingID]uint64)
+	// asked[r] is the highest skip bound requested from ring r, so a
+	// repeated stall does not resend the same request.
+	asked := make(map[msg.RingID]msg.Instance)
 	for {
-		l.applyPending(frontier, carry)
+		l.applyPending(frontier, carry, asked)
 		// l.sources is mutated only by applyPending, on this goroutine, so
 		// the rotation can be walked without copying it per round (the
 		// mutex only orders those writes with Rings()'s reads).
@@ -226,8 +247,26 @@ func (l *Learner) run() {
 				var d ringpaxos.Decided
 				select {
 				case d = <-src.Decisions():
-				case <-l.stop:
-					return
+				default:
+					// The merge is about to block on this ring: ask its
+					// coordinator to catch up with what the other rings
+					// already decided, and ask again whenever one of them
+					// decides more while the wait lasts. A lone ring has
+					// nothing to catch up with (nil wake never fires).
+					wake := l.wake
+					if len(l.sources) < 2 {
+						wake = nil
+					}
+					for waiting := true; waiting; {
+						l.stalled(src, frontier, carry, asked)
+						select {
+						case d = <-src.Decisions():
+							waiting = false
+						case <-wake:
+						case <-l.stop:
+							return
+						}
+					}
 				}
 				consumed := uint64(1)
 				if d.Value.Skip && d.Value.SkipTo > d.Instance {
@@ -283,11 +322,70 @@ func (l *Learner) run() {
 	}
 }
 
+// SkipRequester is implemented by decision sources whose ring takes
+// learner feedback for rate leveling (*ringpaxos.Process).
+type SkipRequester interface {
+	// Decided returns the highest instance queued on Decisions so far.
+	Decided() msg.Instance
+	// RequestSkip asks the ring's coordinator to skip the ring forward
+	// to the exclusive instance bound to.
+	RequestSkip(to msg.Instance)
+	// NotifyDecided registers a channel signalled, without blocking,
+	// every time an instance is queued on Decisions.
+	NotifyDecided(ch chan<- struct{})
+}
+
+// stalled is learner feedback, called while the merge waits on src's ring.
+// The merge consumes the rings in lockstep, so what another ring has
+// decided but the merge has not consumed yet, plus what it over-supplied
+// in earlier turns (its carry), cannot be delivered before the stalled
+// ring supplies as many instances of its own. Rate leveling alone supplies
+// them at the ring coordinator's next Δ tick; asking the coordinator for
+// that many skipped instances now cuts the wait to one ring round. A ring
+// not consumed from yet has no frontier to measure against and is left
+// out. The request only moves when a skip is decided, never what is
+// decided, so the merged order stays a pure function of the decided
+// streams.
+func (l *Learner) stalled(src DecisionSource, frontier map[msg.RingID]msg.Instance, carry map[msg.RingID]uint64, asked map[msg.RingID]msg.Instance) {
+	req, ok := src.(SkipRequester)
+	if !ok {
+		return
+	}
+	var backlog msg.Instance
+	for _, s := range l.sources {
+		o, ok := s.(SkipRequester)
+		if !ok || s == src {
+			continue
+		}
+		f, consumed := frontier[s.Ring()]
+		if !consumed {
+			continue
+		}
+		ahead := msg.Instance(carry[s.Ring()])
+		if d := o.Decided(); d > f {
+			ahead += d - f
+		}
+		if ahead > backlog {
+			backlog = ahead
+		}
+	}
+	if backlog == 0 {
+		return
+	}
+	ring := src.Ring()
+	to := frontier[ring] + 1 + backlog
+	if to <= asked[ring] {
+		return
+	}
+	asked[ring] = to
+	req.RequestSkip(to)
+}
+
 // applyPending activates subscription changes whose trigger instance has
 // been consumed. It runs only at round boundaries, so every learner that
 // issued the same requests mutates its rotation at the same position of
 // the merged sequence.
-func (l *Learner) applyPending(frontier map[msg.RingID]msg.Instance, carry map[msg.RingID]uint64) {
+func (l *Learner) applyPending(frontier map[msg.RingID]msg.Instance, carry map[msg.RingID]uint64, asked map[msg.RingID]msg.Instance) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	// Publish the consumed frontier for Frontier() readers while the lock
@@ -305,6 +403,7 @@ func (l *Learner) applyPending(frontier map[msg.RingID]msg.Instance, carry map[m
 			continue
 		}
 		if c.src != nil {
+			l.watch(c.src)
 			replaced := false
 			for i, s := range l.sources {
 				if s.Ring() == c.ring {
@@ -328,6 +427,7 @@ func (l *Learner) applyPending(frontier map[msg.RingID]msg.Instance, carry map[m
 			}
 			delete(frontier, c.ring)
 			delete(carry, c.ring)
+			delete(asked, c.ring)
 			delete(l.pub, c.ring)
 		}
 	}

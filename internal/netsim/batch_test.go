@@ -8,14 +8,11 @@ import (
 	"mrp/internal/transport"
 )
 
-// TestCoalescedBurstFIFO pushes a burst through tight coalescing bounds:
-// everything must arrive, individually and in order, exactly as on the
-// unbatched path.
+// TestCoalescedBurstFIFO pushes a burst larger than DefaultBatchCount
+// through coalescing, so it spans several packets: everything must arrive,
+// individually and in order, exactly as on the unbatched path.
 func TestCoalescedBurstFIFO(t *testing.T) {
-	n := New(
-		WithUniformLatency(time.Millisecond),
-		WithBatch(transport.BatchPolicy{MaxBytes: 256, MaxCount: 4}),
-	)
+	n := New(WithUniformLatency(time.Millisecond))
 	defer n.Close()
 	a := n.Endpoint("a")
 	b := n.Endpoint("b")

@@ -72,7 +72,8 @@ func WithInboxSize(size int) Option {
 
 // WithBatch sets the write-coalescing policy applied by every endpoint's
 // per-destination sender, mirroring tcpnet.WithBatch. The default is the
-// zero transport.BatchPolicy: coalescing enabled with default bounds. Pass
+// zero transport.BatchPolicy: coalescing enabled within the transport's
+// DefaultBatchBytes and DefaultBatchCount. Pass
 // transport.BatchPolicy{Disabled: true} to model one packet per message
 // (the paper's Figure 3 baseline).
 func WithBatch(p transport.BatchPolicy) Option {
@@ -125,7 +126,6 @@ func New(opts ...Option) *Network {
 	for _, o := range opts {
 		o(n)
 	}
-	n.batch = n.batch.WithDefaults()
 	return n
 }
 
@@ -395,8 +395,6 @@ func (e *Endpoint) senderFor(to transport.Addr) chan queuedMsg {
 // packet first, preserving per-incarnation delivery.
 func (e *Endpoint) coalesceLoop(to transport.Addr, ch chan queuedMsg) {
 	l := e.net.linkFor(e.addr, to)
-	maxBytes := e.net.batch.MaxBytes
-	maxCount := e.net.batch.MaxCount
 	var carry *queuedMsg
 	for {
 		var q queuedMsg
@@ -415,10 +413,10 @@ func (e *Endpoint) coalesceLoop(to transport.Addr, ch chan queuedMsg) {
 		// prefix per packed message (matching Batch.marshal).
 		size := msg.BatchSize(nil) + 4 + q.env.Msg.Size()
 	drain:
-		for len(envs) < maxCount {
+		for len(envs) < transport.DefaultBatchCount {
 			select {
 			case q2 := <-ch:
-				if q2.ep != q.ep || size+4+q2.env.Msg.Size() > maxBytes {
+				if q2.ep != q.ep || size+4+q2.env.Msg.Size() > transport.DefaultBatchBytes {
 					carry = &q2
 					break drain
 				}

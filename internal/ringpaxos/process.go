@@ -24,6 +24,7 @@ type Process struct {
 
 	in        chan transport.Envelope
 	proposeCh chan []byte
+	skipReqCh chan struct{}
 	ctl       chan func()
 	out       chan Decided
 	stop      chan struct{}
@@ -63,6 +64,13 @@ type Process struct {
 	maxSeen      msg.Instance
 	lastProgress msg.Instance
 	retransAcc   int // round-robin acceptor cursor for LearnReqs
+
+	// Learner feedback (see RequestSkip). skipWant is the highest bound a
+	// local learner asked for; decided mirrors the highest instance queued
+	// on out; notify, when set, is signalled after every queued instance.
+	skipWant atomic.Uint64
+	decided  atomic.Uint64
+	notify   atomic.Pointer[chan<- struct{}]
 
 	stats Stats
 }
@@ -135,6 +143,7 @@ func New(cfg Config, ep transport.Endpoint) (*Process, error) {
 		maj:         majorityOf(nAcc),
 		in:          make(chan transport.Envelope, 4096),
 		proposeCh:   make(chan []byte, 1024),
+		skipReqCh:   make(chan struct{}, 1),
 		ctl:         make(chan func(), 16),
 		out:         make(chan Decided, cfg.DeliverBuf),
 		stop:        make(chan struct{}),
@@ -191,6 +200,32 @@ func (p *Process) Propose(payload []byte) error {
 		return transport.ErrClosed
 	}
 }
+
+// RequestSkip asks the ring's coordinator for a skip instance that brings
+// the ring's next free instance up to to (learner feedback for rate
+// leveling; see msg.SkipReq). It never blocks; concurrent requests
+// coalesce into the highest bound.
+func (p *Process) RequestSkip(to msg.Instance) {
+	for {
+		cur := p.skipWant.Load()
+		if uint64(to) <= cur || p.skipWant.CompareAndSwap(cur, uint64(to)) {
+			break
+		}
+	}
+	select {
+	case p.skipReqCh <- struct{}{}:
+	default:
+	}
+}
+
+// Decided returns the highest instance queued on Decisions so far (the
+// end of the range, for a skip); 0 before the first.
+func (p *Process) Decided() msg.Instance { return msg.Instance(p.decided.Load()) }
+
+// NotifyDecided registers ch to be signalled, without blocking, every time
+// an instance is queued on Decisions. One channel is kept; a later call
+// replaces it.
+func (p *Process) NotifyDecided(ch chan<- struct{}) { p.notify.Store(&ch) }
 
 // BecomeCoordinator makes this process take over coordination with a fresh,
 // higher ballot, pre-executing Phase 1. Called by the ring manager when the
@@ -290,6 +325,8 @@ func (p *Process) run() {
 			p.handle(env)
 		case payload := <-p.proposeCh:
 			p.handlePropose(payload)
+		case <-p.skipReqCh:
+			p.handleSkipReq(&msg.SkipReq{Ring: p.cfg.Ring, To: msg.Instance(p.skipWant.Load())})
 		case fn := <-p.ctl:
 			fn()
 		case <-batch.C:
@@ -320,6 +357,8 @@ func (p *Process) handle(env transport.Envelope) {
 		p.handleLearnReq(m, env.From)
 	case *msg.LearnResp:
 		p.handleLearnResp(m)
+	case *msg.SkipReq:
+		p.handleSkipReq(m)
 	case *msg.TrimCmd:
 		if p.self().Roles.Has(RoleAcceptor) && p.cfg.Log != nil {
 			p.cfg.Log.Trim(m.UpTo)
@@ -328,9 +367,6 @@ func (p *Process) handle(env transport.Envelope) {
 		if p.cfg.Aux != nil {
 			p.cfg.Aux(env)
 		}
-	case *msg.Phase1A:
-		// Phase 1A/1B are combined into the circulating Phase1B; a bare
-		// Phase1A is not used by this implementation.
 	}
 }
 
@@ -751,6 +787,13 @@ func (p *Process) advance() {
 			case <-p.stop:
 				return
 			}
+			p.decided.Store(uint64(p.nextDeliver - 1))
+			if n := p.notify.Load(); n != nil {
+				select {
+				case *n <- struct{}{}:
+				default:
+				}
+			}
 		}
 	}
 }
@@ -812,10 +855,7 @@ func (p *Process) skipTick() {
 	count := p.intervalOps
 	p.intervalOps = 0
 	// λ is a per-second rate; the per-interval target is λ x Δ.
-	target := int(float64(p.cfg.SkipRate) * p.cfg.SkipInterval.Seconds())
-	if target < 1 {
-		target = 1
-	}
+	target := p.intervalTarget()
 	if count >= target {
 		return
 	}
@@ -831,6 +871,58 @@ func (p *Process) skipTick() {
 		return
 	}
 	p.startInstance(msg.Value{Skip: true, SkipTo: to})
+}
+
+// handleSkipReq serves learner feedback: the coordinator skips the ring
+// forward at once instead of leaving the stalled merge to wait for the
+// next Δ tick. A member that does not coordinate forwards the request
+// along the ring, for at most one lap. Requests are honoured only with
+// rate leveling on (SkipRate > 0) and only when the ring is behind the
+// requested bound. The skip covers at least what the current Δ interval
+// still owes the ring (λ x Δ less the instances already started in it) —
+// the feedback pulls the tick's fill forward, so a stream of requests
+// costs about one skip instance per interval, like the tick — and at most
+// one whole interval's worth, inside the promised window. The skipped
+// range counts toward the interval, so the next tick tops the ring up
+// only by what is still missing and the ring's rate stays λ.
+func (p *Process) handleSkipReq(m *msg.SkipReq) {
+	if !p.isCoord {
+		if int(m.Hops)+1 < p.n {
+			c := *m
+			c.Hops++
+			p.forward(&c)
+		}
+		return
+	}
+	if p.cfg.SkipRate <= 0 || m.To <= p.next || !p.ensureWindow() {
+		return
+	}
+	target := p.intervalTarget()
+	to := m.To
+	if owed := target - p.intervalOps; owed > 0 && p.next+msg.Instance(owed) > to {
+		to = p.next + msg.Instance(owed)
+	}
+	if limit := p.next + msg.Instance(target); to > limit {
+		to = limit
+	}
+	if to > p.winTo {
+		to = p.winTo
+	}
+	if to <= p.next {
+		return
+	}
+	from := p.next
+	p.startInstance(msg.Value{Skip: true, SkipTo: to})
+	p.intervalOps += int(to-from) - 1
+}
+
+// intervalTarget is rate leveling's per-interval instance count, λ x Δ.
+func (p *Process) intervalTarget() int {
+	target := int(float64(p.cfg.SkipRate) * p.cfg.SkipInterval.Seconds())
+	if target < 1 {
+		target = 1
+	}
+	return target
 }
 
 func (p *Process) retryTick() {

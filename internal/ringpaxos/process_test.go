@@ -584,3 +584,85 @@ func TestPhase1WindowExtensionWithSkips(t *testing.T) {
 	tr.waitDelivered([]int{0, 1, 2}, 60, 20*time.Second)
 	tr.assertPrefixAgreement([]int{0, 1, 2})
 }
+
+// waitDecided waits until process i has queued instance want on its
+// Decisions stream.
+func (tr *testRing) waitDecided(i int, want msg.Instance, timeout time.Duration) {
+	tr.t.Helper()
+	deadline := time.Now().Add(timeout)
+	for tr.procs[i].Decided() < want {
+		if time.Now().After(deadline) {
+			tr.t.Fatalf("node %d decided up to %d, want %d", i, tr.procs[i].Decided(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRequestSkipReachesCoordinator: learner feedback from a member that
+// does not coordinate travels the ring to the coordinator, which skips at
+// once — the Δ tick is ten seconds away — and every member learns the
+// skip.
+func TestRequestSkipReachesCoordinator(t *testing.T) {
+	tr := newTestRing(t, 3, func(_ int, c *Config) {
+		c.SkipInterval = 10 * time.Second
+		c.SkipRate = 5 // λ x Δ = 50 instances per interval
+	})
+	// A first value gives the coordinator its promised window.
+	if err := tr.procs[1].Propose([]byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	tr.waitDelivered([]int{0, 1, 2}, 1, 5*time.Second)
+	tr.procs[2].RequestSkip(40)
+	for i := range tr.procs {
+		tr.waitDecided(i, 39, 5*time.Second)
+	}
+	// A value proposed afterwards takes the first instance past the skip.
+	skipped := tr.procs[1].Decided()
+	if err := tr.procs[1].Propose([]byte("after-skip")); err != nil {
+		t.Fatal(err)
+	}
+	tr.waitDelivered([]int{0, 1, 2}, 2, 5*time.Second)
+	if got := tr.procs[2].Decided(); got != skipped+1 {
+		t.Fatalf("value decided at %d, want %d", got, skipped+1)
+	}
+}
+
+// TestRequestSkipBounded: a request is served with a skip covering what
+// the current Δ interval still owes the ring (λ x Δ = 10 here, one
+// instance already started), at most one interval's worth, and not at all
+// with rate leveling off. Each ring first decides a value, so its
+// coordinator holds a promised window when the request arrives.
+func TestRequestSkipBounded(t *testing.T) {
+	run := func(t *testing.T, mutate func(int, *Config), ask, wantSecond msg.Instance) {
+		tr := newTestRing(t, 3, mutate)
+		if err := tr.procs[0].Propose([]byte("first")); err != nil {
+			t.Fatal(err)
+		}
+		tr.waitDelivered([]int{0}, 1, 5*time.Second)
+		tr.procs[0].RequestSkip(ask)
+		// Propose only once node 0's event loop has taken the request
+		// off its queue, so the request is served first.
+		deadline := time.Now().Add(5 * time.Second)
+		for len(tr.procs[0].skipReqCh) > 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("skip request never consumed")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if err := tr.procs[0].Propose([]byte("second")); err != nil {
+			t.Fatal(err)
+		}
+		tr.waitDelivered([]int{0}, 2, 5*time.Second)
+		if got := tr.procs[0].Decided(); got != wantSecond {
+			t.Fatalf("second value decided at %d, want %d", got, wantSecond)
+		}
+	}
+	leveled := func(_ int, c *Config) {
+		c.SkipInterval = 10 * time.Second
+		c.SkipRate = 1
+	}
+	// Instance 1 holds the first value; the interval owes 9 more.
+	t.Run("fills-interval", func(t *testing.T) { run(t, leveled, 5, 11) })
+	t.Run("capped", func(t *testing.T) { run(t, leveled, 1000, 12) })
+	t.Run("leveling-off", func(t *testing.T) { run(t, nil, 1000, 2) })
+}

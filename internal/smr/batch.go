@@ -3,42 +3,26 @@ package smr
 import (
 	"encoding/binary"
 	"errors"
-	"time"
 
 	"mrp/internal/transport"
 )
 
-// SMR-level command batching: the client (the proposer of the paper's
-// Section 6 deployment) packs several encoded Commands into ONE atomic
-// multicast payload, so a single consensus instance orders and pays the
-// per-instance cost — proposal circulation, stable-storage write, merge
-// position — for N application commands. The replica unpacks the batch at
-// delivery and applies each inner command through the ordinary per-client
-// dedup window and reply routing, so exactly-once semantics and the
-// determinism invariants are unchanged (docs/DETERMINISM.md, invariant 8:
+// The SMR batch codec: one atomic multicast payload carrying several
+// encoded Commands, so a single consensus instance orders N application
+// commands. Clients send every command unwrapped, and batching happens
+// below them, at the ring coordinator (ringpaxos.Config.BatchMaxBytes)
+// and in the transport (transport.BatchPolicy). A proposer that builds a
+// batch with EncodeBatch gets it applied all the same: the replica unpacks
+// it at delivery and applies each inner command through the ordinary
+// per-client dedup window and reply routing, so exactly-once semantics
+// and the determinism invariants hold (docs/DETERMINISM.md, invariant 8:
 // batch cut points are never observable in state).
-//
-// This is the third and highest batching layer, independent of the two
-// below it: ring-level batching (ringpaxos.Config.BatchMaxBytes) groups
-// several already-formed entries into one instance, and transport-level
-// coalescing (transport.BatchPolicy) packs protocol messages into one
-// network write. Command batching is the only one that reduces the number
-// of entries — and with it the per-entry proposal/dedup overhead — rather
-// than just the number of instances or packets.
 
 // batchMagic marks a batch payload. The first eight bytes of a plain
 // Command encoding are the ClientID, and client IDs must fit in 32 bits
 // (ClientConfig.ID), so a first word with the high 32 bits set can never
 // collide with a compliant command.
 const batchMagic uint64 = 0xFFFFFFFF4D524231 // low word "MRB1"
-
-// batchSeqBit is OR-ed into the proposal sequence number of a batch.
-// Command sequence numbers are small counters, and the coordinator
-// deduplicates proposals by (proposer, seq): the top bit keeps a batch's
-// proposal identity disjoint from every inner command's own identity, so
-// a later direct retry of an inner command is never mistaken for a
-// duplicate of the batch that carried the original.
-const batchSeqBit = uint64(1) << 63
 
 // ErrBadBatch reports a malformed or non-canonical batch encoding,
 // including the empty batch: a batch carries at least one command.
@@ -125,43 +109,4 @@ func decodeBatchInto(dst []Command, b []byte, intern func([]byte) transport.Addr
 		return nil, ErrBadBatch
 	}
 	return dst, nil
-}
-
-// BatchPolicy controls SMR-level command batching on the client. The zero
-// value enables batching with the defaults; set Disabled to opt out, which
-// preserves the unbatched wire behavior byte for byte (every command is
-// its own proposal, exactly as before batching existed).
-//
-// The batcher never delays a lone command: with MaxDelay zero a batch is
-// exactly the backlog present when the batching loop dequeues (the same
-// contract as transport.BatchPolicy's write coalescing), and a batch of
-// one is sent as a plain unwrapped command. Batches therefore form only
-// under concurrent load, where the amortization is worth having.
-type BatchPolicy struct {
-	// Disabled turns command batching off entirely.
-	Disabled bool
-	// MaxCmds caps the commands per batch (default 64; hard cap 65535,
-	// the width of the codec's count field).
-	MaxCmds int
-	// MaxBytes caps the summed command bytes per batch (default 64 KB).
-	MaxBytes int
-	// MaxDelay is how long the batcher may hold the first command of a
-	// batch waiting for more (default 0: never wait, drain the backlog
-	// only). Raising it trades first-command latency for larger batches
-	// at moderate load.
-	MaxDelay time.Duration
-}
-
-// WithDefaults fills unset fields.
-func (p BatchPolicy) WithDefaults() BatchPolicy {
-	if p.MaxCmds <= 0 {
-		p.MaxCmds = 64
-	}
-	if p.MaxCmds > 65535 {
-		p.MaxCmds = 65535
-	}
-	if p.MaxBytes <= 0 {
-		p.MaxBytes = 64 << 10
-	}
-	return p
 }

@@ -11,6 +11,14 @@ import (
 	"mrp/internal/transport"
 )
 
+// batchSeqBit is OR-ed into the proposal sequence number of a batch that a
+// test proposes by hand. Command sequence numbers are small counters, and
+// the coordinator deduplicates proposals by (proposer, seq): the top bit
+// keeps a batch's proposal identity disjoint from every inner command's
+// own identity, so a later direct retry of an inner command is never
+// mistaken for a duplicate of the batch that carried the original.
+const batchSeqBit = uint64(1) << 63
+
 func TestBatchCodecRoundTrip(t *testing.T) {
 	var payloads [][]byte
 	var want []Command
@@ -71,11 +79,11 @@ func TestBatchDecodeRejects(t *testing.T) {
 	}
 }
 
-// TestBatchOptOutWireEquivalence pins the opt-out contract: with batching
-// disabled — and equally for a batch of one on the enabled drain-style
-// path — the proposal hitting the wire is byte-for-byte the classic
-// unbatched one: the command's own (proposer, seq) identity and its plain
-// Command encoding, no wrapper.
+// TestBatchOptOutWireEquivalence pins the client's only send path: every
+// Execute proposes its command unwrapped, under the command's own
+// (proposer, seq) identity and in its plain Command encoding — with
+// transport coalescing disabled and equally with it enabled for a lone
+// command, which the network packs into a Batch packet and unpacks again.
 func TestBatchOptOutWireEquivalence(t *testing.T) {
 	for _, disabled := range []bool{true, false} {
 		name := "enabled-single"
@@ -83,7 +91,7 @@ func TestBatchOptOutWireEquivalence(t *testing.T) {
 			name = "disabled"
 		}
 		t.Run(name, func(t *testing.T) {
-			net := netsim.New()
+			net := netsim.New(netsim.WithBatch(transport.BatchPolicy{Disabled: disabled}))
 			defer net.Close()
 			prop := net.Endpoint("proposer")
 			cl := NewClient(ClientConfig{
@@ -91,7 +99,6 @@ func TestBatchOptOutWireEquivalence(t *testing.T) {
 				Endpoint:  net.Endpoint("client"),
 				Proposers: map[msg.RingID][]transport.Addr{1: {prop.Addr()}},
 				Timeout:   300 * time.Millisecond,
-				Batch:     BatchPolicy{Disabled: disabled},
 			})
 			defer cl.Close()
 			go cl.Execute(1, []byte("payload")) //nolint // times out: nobody replies
@@ -103,69 +110,17 @@ func TestBatchOptOutWireEquivalence(t *testing.T) {
 				}
 				wantCmd := Command{ClientID: 42, Seq: 1, ReplyTo: "client", Op: []byte("payload")}
 				if !bytes.Equal(p.Payload, wantCmd.Encode()) {
-					t.Fatalf("payload diverged from the unbatched encoding:\n got %x\nwant %x", p.Payload, wantCmd.Encode())
+					t.Fatalf("payload diverged from the plain command encoding:\n got %x\nwant %x", p.Payload, wantCmd.Encode())
 				}
 				if p.ProposerID != 42 || p.Seq != 1 || p.Ring != 1 {
 					t.Fatalf("proposal identity = (%d, %d) ring %d, want (42, 1) ring 1", p.ProposerID, p.Seq, p.Ring)
 				}
 				if IsBatch(p.Payload) {
-					t.Fatal("lone command was wrapped in a batch")
+					t.Fatal("command was wrapped in a batch")
 				}
 			case <-time.After(2 * time.Second):
 				t.Fatal("no proposal reached the proposer")
 			}
 		})
-	}
-}
-
-// TestBatcherAggregatesConcurrentCommands proves batches actually form: a
-// stalled proposer lets a backlog accumulate, and the drained backlog must
-// arrive as one batch proposal under the client's batch identity.
-func TestBatcherAggregatesConcurrentCommands(t *testing.T) {
-	net := netsim.New()
-	defer net.Close()
-	prop := net.Endpoint("proposer")
-	cl := NewClient(ClientConfig{
-		ID:        7,
-		Endpoint:  net.Endpoint("client"),
-		Proposers: map[msg.RingID][]transport.Addr{1: {prop.Addr()}},
-		Timeout:   time.Second,
-		// MaxDelay gives the concurrent submitters below a window to pile
-		// up before the first flush.
-		Batch: BatchPolicy{MaxDelay: 50 * time.Millisecond},
-	})
-	defer cl.Close()
-	const n = 8
-	for i := 0; i < n; i++ {
-		go cl.Execute(1, []byte(fmt.Sprintf("op-%d", i))) //nolint // times out: nobody replies
-	}
-	deadline := time.After(2 * time.Second)
-	got, batched := 0, 0
-	for got < n {
-		select {
-		case env := <-prop.Inbox():
-			p, ok := env.Msg.(*msg.Proposal)
-			if !ok {
-				continue
-			}
-			if !IsBatch(p.Payload) {
-				got++ // a straggler that missed the batch window
-				continue
-			}
-			if p.Seq&batchSeqBit == 0 {
-				t.Fatalf("batch proposal seq %#x lacks the batch identity bit", p.Seq)
-			}
-			cmds, err := DecodeBatch(p.Payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got += len(cmds)
-			batched += len(cmds)
-		case <-deadline:
-			t.Fatalf("saw %d of %d commands before the deadline", got, n)
-		}
-	}
-	if batched < 2 {
-		t.Fatalf("no aggregation: %d of %d commands rode batches", batched, n)
 	}
 }

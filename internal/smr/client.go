@@ -27,12 +27,6 @@ type ClientConfig struct {
 	RetryTimeout time.Duration
 	// Timeout bounds one Execute end to end (default 15 s).
 	Timeout time.Duration
-	// Batch controls SMR-level command batching (see BatchPolicy): the
-	// zero value batches with defaults, Disabled opts out. First sends go
-	// through the per-ring batcher; retries always go direct under the
-	// command's own proposal identity, so the retry path is identical to
-	// the unbatched one.
-	Batch BatchPolicy
 }
 
 // ErrTimeout reports that a command did not complete within the deadline.
@@ -41,42 +35,23 @@ var ErrTimeout = errors.New("smr: request timed out")
 // Client submits commands to a replicated service and waits for replica
 // responses: the first response for single-partition commands, one
 // response per partition for multi-partition commands such as range scans
-// (paper Section 7.2).
+// (paper Section 7.2). A Client is safe for concurrent use: every call
+// proposes its own command under its own sequence number.
 type Client struct {
 	cfg ClientConfig
 
 	mu           sync.Mutex
 	seq          uint64
-	batchSeq     uint64
 	leaseSeq     uint64
 	pending      map[uint64]chan *msg.Response
 	leasePending map[uint64]chan *msg.LeaseReply
 	cursor       map[msg.RingID]int
-	batchers     map[msg.RingID]*ringBatcher
 	closed       bool
 
-	batchWG  sync.WaitGroup
 	stopOnce sync.Once
 	stop     chan struct{}
 	done     chan struct{}
 }
-
-// ringBatcher queues one ring's outgoing commands for the batching loop.
-type ringBatcher struct {
-	ring msg.RingID
-	ch   chan batchCmd
-}
-
-// batchCmd is one encoded command awaiting batching, with the sequence
-// number that identifies it when it is flushed alone.
-type batchCmd struct {
-	seq     uint64
-	payload []byte
-}
-
-// batcherBuf bounds a ring batcher's queue; an enqueue finding it full
-// falls back to a direct send instead of blocking the caller.
-const batcherBuf = 1024
 
 // NewClient creates and starts a client.
 func NewClient(cfg ClientConfig) *Client {
@@ -86,13 +61,11 @@ func NewClient(cfg ClientConfig) *Client {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 15 * time.Second
 	}
-	cfg.Batch = cfg.Batch.WithDefaults()
 	c := &Client{
 		cfg:          cfg,
 		pending:      make(map[uint64]chan *msg.Response),
 		leasePending: make(map[uint64]chan *msg.LeaseReply),
 		cursor:       make(map[msg.RingID]int),
-		batchers:     make(map[msg.RingID]*ringBatcher),
 		stop:         make(chan struct{}),
 		done:         make(chan struct{}),
 	}
@@ -109,7 +82,6 @@ func (c *Client) Close() {
 		close(c.stop)
 	})
 	<-c.done
-	c.batchWG.Wait()
 }
 
 func (c *Client) readLoop() {
@@ -282,126 +254,6 @@ func (c *Client) LeaseRead(addr transport.Addr, op []byte, timeout time.Duration
 	}
 }
 
-// enqueueBatch hands one encoded command to the ring's batcher, starting
-// the batching loop on first use. A full queue falls back to a direct
-// send: backpressure degrades to the unbatched path instead of blocking
-// the caller or growing without bound.
-func (c *Client) enqueueBatch(ring msg.RingID, seq uint64, payload []byte) error {
-	// Fail fast when the ring has no route, like the direct path does.
-	addr, err := c.proposerFor(ring, false)
-	if err != nil {
-		return err
-	}
-	c.mu.Lock()
-	b := c.batchers[ring]
-	if b == nil {
-		b = &ringBatcher{ring: ring, ch: make(chan batchCmd, batcherBuf)}
-		c.batchers[ring] = b
-		c.batchWG.Add(1)
-		go c.runBatcher(b)
-	}
-	c.mu.Unlock()
-	select {
-	case b.ch <- batchCmd{seq: seq, payload: payload}:
-		return nil
-	default:
-		return c.cfg.Endpoint.Send(addr, &msg.Proposal{
-			Ring:       ring,
-			ProposerID: msg.NodeID(c.cfg.ID),
-			Seq:        seq,
-			Payload:    payload,
-		})
-	}
-}
-
-// runBatcher is one ring's batching loop. With MaxDelay zero it never
-// waits: a batch is exactly the backlog present once the first command is
-// dequeued, so a lone synchronous caller sees no added latency and batches
-// form only under concurrent load. With MaxDelay set, the first command of
-// a batch may be held that long waiting for company.
-func (c *Client) runBatcher(b *ringBatcher) {
-	defer c.batchWG.Done()
-	pol := c.cfg.Batch
-	for {
-		var first batchCmd
-		select {
-		case first = <-b.ch:
-		case <-c.stop:
-			return
-		}
-		cmds := []batchCmd{first}
-		size := len(first.payload)
-		var timer *time.Timer
-		var delay <-chan time.Time
-		if pol.MaxDelay > 0 {
-			timer = time.NewTimer(pol.MaxDelay)
-			delay = timer.C
-		}
-	fill:
-		for len(cmds) < pol.MaxCmds && size < pol.MaxBytes {
-			if delay == nil {
-				select {
-				case cmd := <-b.ch:
-					cmds = append(cmds, cmd)
-					size += len(cmd.payload)
-				default:
-					break fill
-				}
-				continue
-			}
-			select {
-			case cmd := <-b.ch:
-				cmds = append(cmds, cmd)
-				size += len(cmd.payload)
-			case <-delay:
-				break fill
-			case <-c.stop:
-				return
-			}
-		}
-		if timer != nil {
-			timer.Stop()
-		}
-		c.flushBatch(b.ring, cmds)
-	}
-}
-
-// flushBatch proposes one formed batch. A batch of one is sent exactly as
-// the unbatched path would send it — same proposal identity, same payload
-// bytes — so batching degenerates to the status quo at low concurrency. A
-// real batch is proposed under the client's batch identity (batchSeqBit);
-// send errors are left to the per-command retry tickers, which re-send
-// direct and surface the error to the caller.
-func (c *Client) flushBatch(ring msg.RingID, cmds []batchCmd) {
-	addr, err := c.proposerFor(ring, false)
-	if err != nil {
-		return
-	}
-	if len(cmds) == 1 {
-		_ = c.cfg.Endpoint.Send(addr, &msg.Proposal{
-			Ring:       ring,
-			ProposerID: msg.NodeID(c.cfg.ID),
-			Seq:        cmds[0].seq,
-			Payload:    cmds[0].payload,
-		})
-		return
-	}
-	payloads := make([][]byte, len(cmds))
-	for i, cmd := range cmds {
-		payloads[i] = cmd.payload
-	}
-	c.mu.Lock()
-	c.batchSeq++
-	bseq := batchSeqBit | c.batchSeq
-	c.mu.Unlock()
-	_ = c.cfg.Endpoint.Send(addr, &msg.Proposal{
-		Ring:       ring,
-		ProposerID: msg.NodeID(c.cfg.ID),
-		Seq:        bseq,
-		Payload:    EncodeBatch(payloads),
-	})
-}
-
 func (c *Client) execute(ring msg.RingID, op []byte, want int, classify func([]byte) (int, bool)) (map[int][]byte, error) {
 	c.mu.Lock()
 	if c.closed {
@@ -432,17 +284,9 @@ func (c *Client) executeAt(seq uint64, rings []msg.RingID, op []byte, want int, 
 	cmd := Command{ClientID: c.cfg.ID, Seq: seq, ReplyTo: c.cfg.Endpoint.Addr(), Op: op}
 	payload := cmd.Encode()
 	send := func(rotate bool) error {
+		// First sends and retries carry the same proposal identity, so
+		// the coordinator's (proposer, seq) dedup absorbs retransmissions.
 		for _, ring := range rings {
-			// First sends ride the ring's batcher; retries (rotate) go
-			// direct under the command's own identity, exactly as an
-			// unbatched client would, so the coordinator's (proposer, seq)
-			// dedup still absorbs retransmissions of the original.
-			if !rotate && !c.cfg.Batch.Disabled {
-				if err := c.enqueueBatch(ring, seq, payload); err != nil {
-					return err
-				}
-				continue
-			}
 			addr, err := c.proposerFor(ring, rotate)
 			if err != nil {
 				return err

@@ -82,8 +82,8 @@ func TestApplyAllocationPin(t *testing.T) {
 }
 
 // BenchmarkApplyBatch16 is one 16-command batch delivery per op (the
-// shape SMR-level batching produces under load); divide by 16 for
-// per-command cost.
+// shape an EncodeBatch proposer produces); divide by 16 for per-command
+// cost.
 func BenchmarkApplyBatch16(b *testing.B) {
 	const inner = 16
 	r := newBenchReplica()

@@ -87,7 +87,7 @@ func TestCheckpointDeterminism(t *testing.T) {
 	}
 }
 
-// TestBatchCutDeterminism pins DETERMINISM invariant 8: where the batcher
+// TestBatchCutDeterminism pins DETERMINISM invariant 8: where a proposer
 // cuts the command stream into entries must never be observable in state.
 // The same logical client stream is fed to three replicas under different
 // cuts — every command its own entry (batch=1, the unbatched wire), each

@@ -14,7 +14,7 @@ import (
 )
 
 // slowSM wraps a StateMachine with a fixed per-command delay, making the
-// executor the bottleneck so the pipeline queue actually fills.
+// executor the bottleneck so deliveries queue up in front of it.
 type slowSM struct {
 	inner StateMachine
 	delay time.Duration
@@ -27,13 +27,11 @@ func (s *slowSM) Execute(op []byte) []byte {
 func (s *slowSM) Snapshot() []byte { return s.inner.Snapshot() }
 func (s *slowSM) Restore(b []byte) { s.inner.Restore(b) }
 
-// TestPipelineBackpressure runs a cluster whose executors are slow and
-// whose pipeline queues hold a single delivery: the pump must block on
-// the full queue (bounded memory, no drops) and every command must still
-// complete and converge.
+// TestPipelineBackpressure runs a cluster whose executors are slow, so
+// deliveries back up in the learner's buffer: no delivery may be dropped,
+// and every command must still complete and converge.
 func TestPipelineBackpressure(t *testing.T) {
 	c := newSMRClusterOpt(t, func(i int, rc *ReplicaConfig) {
-		rc.Pipeline = PipelinePolicy{Depth: 1}
 		rc.SM = &slowSM{inner: rc.SM, delay: 300 * time.Microsecond}
 	})
 	const nClients, perClient = 3, 15
@@ -103,7 +101,7 @@ func pace(d time.Duration) func(int) error {
 }
 
 // TestPipelineCheckpointBatchAligned hammers Checkpoint while the
-// pipelined executor chews through a stream of four-command batches. One
+// executor chews through a stream of four-command batches. One
 // delivered entry is one atomic unit of execution, so NO checkpoint may
 // ever observe a partially applied batch: client 42's dedup head must sit
 // on a batch boundary (seq ≡ 0 mod 4) in every checkpoint taken, and the
@@ -211,16 +209,15 @@ func mustDecodeState(t *testing.T, state []byte) ([]byte, map[uint64]clientEntry
 	return smState, dedup
 }
 
-// TestPipelineStopMidBatchStream stops a replica while the pipelined
-// executor is mid-stream. Stop must return promptly (the pump and the
-// executor both unblock on the stop channel even with a full queue), the
+// TestPipelineStopMidBatchStream stops a replica while its executor is
+// mid-stream. Stop must return promptly (the executor unblocks on the
+// stop channel however many deliveries are buffered), the
 // in-flight entry must have been applied atomically — the dedup head
 // still sits on a batch boundary — and checkpoint/snapshot on the stopped
 // replica must keep working via the direct path.
 func TestPipelineStopMidBatchStream(t *testing.T) {
 	c := newSMRClusterOpt(t, func(i int, rc *ReplicaConfig) {
 		if i == 0 {
-			rc.Pipeline = PipelinePolicy{Depth: 2}
 			rc.SM = &slowSM{inner: rc.SM, delay: 200 * time.Microsecond}
 		}
 	})
@@ -242,7 +239,7 @@ func TestPipelineStopMidBatchStream(t *testing.T) {
 	select {
 	case <-stopped:
 	case <-time.After(2 * time.Second):
-		t.Fatal("Stop hung on a mid-stream pipelined replica")
+		t.Fatal("Stop hung on a mid-stream replica")
 	}
 	<-done
 	// The executor finished its in-flight entry before exiting: whatever

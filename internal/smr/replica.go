@@ -46,35 +46,6 @@ type ReplicaConfig struct {
 	// paper's replicas checkpoint periodically and write synchronously to
 	// disk so acceptors can trim, Section 7.2).
 	CheckpointEvery time.Duration
-	// Pipeline controls the delivery→execution pipeline (see
-	// PipelinePolicy): the zero value pipelines with the default depth,
-	// Disabled couples execution to delivery on one goroutine.
-	Pipeline PipelinePolicy
-}
-
-// PipelinePolicy controls the replica's delivery→execution pipeline: a
-// pump goroutine moves merged deliveries from the learner into a bounded
-// queue, and the executor goroutine applies them, so apply cost
-// (state-machine work, checkpoint encoding) no longer back-pressures the
-// deterministic merge. Checkpoints and StateSnapshot stay routed through
-// the executor either way, and each delivery — including a whole batch
-// entry — is applied atomically between executor steps, so a checkpoint
-// can never observe half a batch.
-type PipelinePolicy struct {
-	// Disabled runs execution on the delivery goroutine (the coupled,
-	// pre-pipeline behavior; the latency figure's "coupled" baseline).
-	Disabled bool
-	// Depth is the executor queue's capacity in deliveries (default 128).
-	// A full queue blocks the pump — backpressure propagates to the
-	// learner rather than dropping a delivery.
-	Depth int
-}
-
-func (p PipelinePolicy) withDefaults() PipelinePolicy {
-	if p.Depth <= 0 {
-		p.Depth = 128
-	}
-	return p
 }
 
 // Replica executes delivered commands against the state machine, responds
@@ -469,17 +440,9 @@ func (r *Replica) checkpoint() {
 
 func (r *Replica) run() {
 	defer close(r.done)
+	// The learner's own goroutine fills its buffered Deliveries channel,
+	// so the merge runs ahead of execution and no second queue is needed.
 	deliveries := r.cfg.Learner.Deliveries()
-	if pol := r.cfg.Pipeline.withDefaults(); !pol.Disabled {
-		// Pipelined: the pump feeds the executor through a bounded queue.
-		// The executor loop below is the same either way; only the channel
-		// it reads differs.
-		execQ := make(chan multiring.Delivery, pol.Depth)
-		pumpDone := make(chan struct{})
-		go r.pump(deliveries, execQ, pumpDone)
-		defer func() { <-pumpDone }()
-		deliveries = execQ
-	}
 	var ckptC <-chan time.Time
 	if r.cfg.CheckpointEvery > 0 {
 		t := time.NewTicker(r.cfg.CheckpointEvery)
@@ -506,25 +469,6 @@ func (r *Replica) run() {
 			close(done)
 		case resp := <-r.snaps:
 			resp <- r.cfg.SM.Snapshot()
-		case <-r.stop:
-			return
-		}
-	}
-}
-
-// pump is the delivery half of the pipeline: it moves merged deliveries
-// from the learner into the executor queue. A full queue blocks the pump
-// (bounded memory, no drops); stopping the replica unblocks it.
-func (r *Replica) pump(in <-chan multiring.Delivery, out chan<- multiring.Delivery, done chan struct{}) {
-	defer close(done)
-	for {
-		select {
-		case d := <-in:
-			select {
-			case out <- d:
-			case <-r.stop:
-				return
-			}
 		case <-r.stop:
 			return
 		}

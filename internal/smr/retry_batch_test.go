@@ -33,8 +33,8 @@ func waitExecuted(t *testing.T, c *smrCluster, n uint64) {
 // TestRetryInsideBatchExactlyOnce is the ambiguous-timeout regression for
 // batching: a command's first attempt rides a batch (mid-batch, between
 // two other clients' commands), the response is lost, and the client
-// retries the SAME sequence directly. The batch proposal travels under the
-// client's batch identity — not the command's (proposer, seq) — so the
+// retries the SAME sequence directly. The batch proposal travels under a
+// batch identity (batchSeqBit) — not the command's (proposer, seq) — so the
 // coordinator cannot dedup the retry; the replicas' executed-window must.
 // The retry must return the original cached result and the state machine
 // must have executed the command exactly once.
@@ -43,8 +43,8 @@ func TestRetryInsideBatchExactlyOnce(t *testing.T) {
 	cl := c.client(t, 5000)
 	seq := cl.Reserve()
 
-	// The "first attempt": the command lands mid-batch, as if the client's
-	// batcher had packed it with two commands of another client. ReplyTo
+	// The "first attempt": the command lands mid-batch, as if a batching
+	// proposer had packed it with two commands of another client. ReplyTo
 	// points at the real client, but its pending table has no entry yet, so
 	// the original responses are dropped — an ambiguous timeout.
 	target := Command{ClientID: cl.ID(), Seq: seq, ReplyTo: cl.cfg.Endpoint.Addr(), Op: setOp("t", "orig")}

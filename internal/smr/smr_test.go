@@ -94,7 +94,7 @@ func newSMRCluster(t *testing.T) *smrCluster {
 }
 
 // newSMRClusterOpt builds the cluster with a per-replica config hook
-// (pipeline policy, wrapped state machines, ...).
+// (wrapped state machines, ...).
 func newSMRClusterOpt(t *testing.T, mod func(i int, rc *ReplicaConfig)) *smrCluster {
 	t.Helper()
 	net := netsim.New(netsim.WithUniformLatency(20 * time.Microsecond))

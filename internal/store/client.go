@@ -152,8 +152,13 @@ var execTimeout = 5 * time.Second
 // the client refreshes its view from its source — the deployment's live
 // topology or the registry-published schema — re-routes, and retries until
 // its deadline. Registry-backed clients additionally refresh eagerly from
-// a schema watch. Client methods are not safe for concurrent use; create
-// one client per worker thread.
+// a schema watch.
+//
+// A Client is safe for concurrent use by multiple goroutines. Each call is
+// an independent command under its own sequence number; calls from
+// different goroutines are ordered only by the rings, so a caller that
+// needs one write visible to another call must wait for the first to
+// return.
 type Client struct {
 	smr     *smr.Client
 	ep      transport.Endpoint
@@ -162,7 +167,7 @@ type Client struct {
 
 	// forceGlobal routes every cross-partition transaction through the
 	// global ring (the bench baseline; see ForceGlobal).
-	forceGlobal bool
+	forceGlobal atomic.Bool
 
 	mu   sync.Mutex
 	view routeView
@@ -180,17 +185,13 @@ type Client struct {
 // consensus-free by a lease holder rather than through ordering.
 func (c *Client) LeaseReads() int64 { return c.leaseHits.Load() }
 
-// newClient builds a client over an endpoint and routing-view source. The
-// batch policy passes straight to the underlying smr.Client, so every
-// ordered verb — single-key ops, scans, WriteBatch, opTxn — rides
-// SMR-level command batches transparently unless the policy disables it.
-func newClient(ep transport.Endpoint, id uint64, src viewSource, batch smr.BatchPolicy) *Client {
+// newClient builds a client over an endpoint and routing-view source.
+func newClient(ep transport.Endpoint, id uint64, src viewSource) *Client {
 	c := &Client{
 		smr: smr.NewClient(smr.ClientConfig{
 			ID:       id,
 			Endpoint: ep,
 			Timeout:  execTimeout,
-			Batch:    batch,
 		}),
 		ep:      ep,
 		src:     src,

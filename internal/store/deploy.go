@@ -11,7 +11,6 @@ import (
 	"mrp/internal/netsim"
 	"mrp/internal/recovery"
 	"mrp/internal/registry"
-	"mrp/internal/smr"
 	"mrp/internal/storage"
 	"mrp/internal/transport"
 	"mrp/internal/txn"
@@ -65,15 +64,6 @@ type DeployConfig struct {
 	// TrimInterval enables trim coordination per ring when > 0.
 	TrimInterval time.Duration
 
-	// CmdBatch controls SMR-level command batching in clients created by
-	// NewClient/NewClientAt (see smr.BatchPolicy). The zero value batches
-	// with defaults, so every ordered store verb — including opTxn — rides
-	// batches transparently; set Disabled to opt out.
-	CmdBatch smr.BatchPolicy
-	// Pipeline controls the replicas' delivery→execution pipeline (see
-	// smr.PipelinePolicy). The zero value pipelines with the default
-	// queue depth.
-	Pipeline smr.PipelinePolicy
 	// Lease configures ring leases for consensus-free local reads (see
 	// LeasePolicy): the zero value enables them with defaults, so every
 	// deployment serves lease reads unless Lease.Disabled is set.
@@ -242,7 +232,6 @@ func (c *DeployConfig) clusterConfig() cluster.Config {
 		RetryTimeout:    c.RetryTimeout,
 		MergeM:          c.MergeM,
 		CheckpointEvery: c.CheckpointEvery,
-		Pipeline:        c.Pipeline,
 	}.WithDefaults()
 }
 
@@ -789,7 +778,7 @@ func (d *Deployment) NewClient() *Client {
 // deployment's live topology: it refreshes its cached view whenever a
 // replica answers with the typed wrong-epoch redirect.
 func (d *Deployment) NewClientAt(ep transport.Endpoint, id uint64) *Client {
-	return newClient(ep, id, d, d.cfg.CmdBatch)
+	return newClient(ep, id, d)
 }
 
 // NewRegistryClient creates a client that discovers and refreshes the
@@ -809,7 +798,7 @@ func (d *Deployment) NewRegistryClient(reg *registry.Registry) (*Client, error) 
 		_ = ep.Close()
 		return nil, err
 	}
-	c := newClient(ep, id, src, d.cfg.CmdBatch)
+	c := newClient(ep, id, src)
 	c.watchSchema(reg)
 	return c, nil
 }

@@ -126,7 +126,6 @@ func (d *Deployment) startLeaseManager(p int) error {
 			ID:       id,
 			Endpoint: ep,
 			Timeout:  d.cfg.Lease.Duration,
-			Batch:    smr.BatchPolicy{Disabled: true},
 		}),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),

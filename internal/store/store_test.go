@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -623,4 +624,54 @@ func TestClientCloseClosesEndpoint(t *testing.T) {
 	if got := closed.Load(); got != 1 {
 		t.Fatalf("client endpoint closed %d times, want 1", got)
 	}
+}
+
+// TestClientSharedAcrossGoroutines drives one client from 8 goroutines at
+// once, each writing and reading back its own keys through every kind of
+// call: single-key writes and reads, a cross-partition MultiPut and a
+// scan. Run under -race it also checks the client's shared state.
+func TestClientSharedAcrossGoroutines(t *testing.T) {
+	d := testDeploy(t, true, 2)
+	cl := d.NewClient()
+	defer cl.Close()
+	const workers, keys = 8, 4
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			key := func(i int) string { return fmt.Sprintf("g%d-k%d", g, i) }
+			for i := 0; i < keys; i++ {
+				if err := cl.Insert(key(i), []byte("v0")); err != nil {
+					t.Errorf("insert %s: %v", key(i), err)
+					return
+				}
+				want := fmt.Sprintf("v1-%d-%d", g, i)
+				if err := cl.Update(key(i), []byte(want)); err != nil {
+					t.Errorf("update %s: %v", key(i), err)
+					return
+				}
+				if v, err := cl.Read(key(i)); err != nil || string(v) != want {
+					t.Errorf("read %s = %q, %v; want %q", key(i), v, err, want)
+					return
+				}
+			}
+			multi := []Entry{{Key: key(keys), Value: []byte("m")}, {Key: key(keys + 1), Value: []byte("m")}}
+			if err := cl.MultiPut(multi); err != nil {
+				t.Errorf("worker %d multiput: %v", g, err)
+				return
+			}
+			got, err := cl.Scan(key(0), key(keys+1), 0)
+			if err != nil || len(got) != keys+2 {
+				t.Errorf("worker %d scan = %d entries, %v; want %d", g, len(got), err, keys+2)
+				return
+			}
+			for i, e := range got {
+				if e.Key != key(i) {
+					t.Errorf("worker %d scan entry %d = %q, want %q", g, i, e.Key, key(i))
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

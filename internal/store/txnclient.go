@@ -52,7 +52,7 @@ type CASOp struct {
 // EVERY transaction on the global ring, regardless of how few partitions
 // it touches — the comparison leg of the txn bench figure. It fails fast
 // when the deployment has no global ring.
-func (c *Client) ForceGlobal(on bool) { c.forceGlobal = on }
+func (c *Client) ForceGlobal(on bool) { c.forceGlobal.Store(on) }
 
 // MultiGet reads several keys — possibly spanning partitions — as one
 // multicast command and returns the found entries. Each participant
@@ -276,7 +276,7 @@ func (c *Client) coverPlan(v routeView, plan txnPlan) (txnPlan, bool) {
 	if len(plan.parts) == 0 {
 		return txnPlan{}, false
 	}
-	if c.forceGlobal {
+	if c.forceGlobal.Load() {
 		if v.global == 0 {
 			return txnPlan{}, false
 		}

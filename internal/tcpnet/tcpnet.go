@@ -60,7 +60,8 @@ var _ transport.Endpoint = (*Endpoint)(nil)
 type Option func(*Endpoint)
 
 // WithBatch sets the endpoint's write-coalescing policy. The default is the
-// zero transport.BatchPolicy: coalescing enabled with default bounds.
+// zero transport.BatchPolicy: coalescing enabled within the transport's
+// DefaultBatchBytes and DefaultBatchCount.
 func WithBatch(p transport.BatchPolicy) Option {
 	return func(e *Endpoint) { e.batch = p }
 }
@@ -88,7 +89,6 @@ func Listen(addr string, opts ...Option) (*Endpoint, error) {
 	for _, o := range opts {
 		o(e)
 	}
-	e.batch = e.batch.WithDefaults()
 	e.wg.Add(1)
 	go e.acceptLoop()
 	return e, nil
@@ -198,10 +198,6 @@ func (e *Endpoint) sendLoop(to transport.Addr, oc *outConn) {
 		return
 	}
 
-	maxBytes := e.batch.MaxBytes
-	if maxBytes > maxFrame {
-		maxBytes = maxFrame
-	}
 	var (
 		pending []msg.Message
 		carry   msg.Message
@@ -219,7 +215,7 @@ func (e *Endpoint) sendLoop(to transport.Addr, oc *outConn) {
 		}
 		pending = append(pending[:0], m)
 		if !e.batch.Disabled {
-			pending, carry = collectBatch(oc.ch, pending, msg.BatchSize(pending), e.batch.MaxCount, maxBytes)
+			pending, carry = collectBatch(oc.ch, pending, msg.BatchSize(pending), transport.DefaultBatchCount, transport.DefaultBatchBytes)
 		}
 		*buf = (*buf)[:0]
 		if len(pending) > 1 {

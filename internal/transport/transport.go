@@ -31,36 +31,23 @@ var ErrClosed = errors.New("transport: endpoint closed")
 // Section 4: "different types of messages ... are often grouped into bigger
 // packets before being forwarded").
 //
-// The zero value enables coalescing with default bounds. Coalescing never
-// delays a message: a batch is exactly the backlog present when the sender
-// loop dequeues, so an idle queue still sends immediately.
+// The zero value enables coalescing within DefaultBatchBytes and
+// DefaultBatchCount. Coalescing never delays a message: a batch is exactly
+// the backlog present when the sender loop dequeues, so an idle queue
+// still sends immediately.
 type BatchPolicy struct {
 	// Disabled turns coalescing off: every message travels in its own
 	// packet (the paper's Figure 3 baseline behavior).
 	Disabled bool
-	// MaxBytes caps the encoded size of one coalesced packet. Messages
-	// beyond the cap start the next batch. Default 256 KB.
-	MaxBytes int
-	// MaxCount caps how many messages one batch may carry. Default 128.
-	MaxCount int
 }
 
-// Default coalescing bounds.
+// Coalescing bounds: one packet carries at most DefaultBatchCount messages
+// and DefaultBatchBytes of encoded batch; a message beyond either bound
+// starts the next packet.
 const (
 	DefaultBatchBytes = 256 << 10
 	DefaultBatchCount = 128
 )
-
-// WithDefaults returns p with zero fields replaced by defaults.
-func (p BatchPolicy) WithDefaults() BatchPolicy {
-	if p.MaxBytes <= 0 {
-		p.MaxBytes = DefaultBatchBytes
-	}
-	if p.MaxCount <= 0 {
-		p.MaxCount = DefaultBatchCount
-	}
-	return p
-}
 
 // Endpoint is one node's attachment to a network.
 //
