@@ -1,6 +1,6 @@
 // Command mrp-lint runs the determinism and concurrency static-analysis
 // suite (internal/lint) over the module: detmap, wallclock,
-// orderedresult, lockorder, and snapcodec. CI runs it as
+// orderedresult and lockorder. CI runs it as
 //
 //	go run ./cmd/mrp-lint ./...
 //

@@ -20,6 +20,10 @@ import (
 	"mrp/internal/transport"
 )
 
+// mergeM is the deterministic merge constant M: consensus instances taken
+// per ring per round-robin turn (the paper's deployments use 1).
+const mergeM = 1
+
 // Config is what every member of a deployment shares: where endpoints come
 // from and how every ring is tuned. The services copy it from their own
 // deploy configurations.
@@ -37,7 +41,6 @@ type Config struct {
 	SkipInterval  time.Duration
 	SkipRate      int
 	RetryTimeout  time.Duration // default 100 ms
-	MergeM        int           // deterministic merge constant M (default 1)
 
 	// Replica settings (see smr.ReplicaConfig).
 	CheckpointEvery time.Duration
@@ -59,9 +62,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.BatchDelay <= 0 {
 		c.BatchDelay = time.Millisecond
-	}
-	if c.MergeM <= 0 {
-		c.MergeM = 1
 	}
 	return c
 }
@@ -200,7 +200,7 @@ func (c Config) start(s Spec, ep transport.Endpoint) (*Member, error) {
 		}
 		procs = append(procs, proc)
 	}
-	m.Learner = multiring.NewLearner(c.MergeM, procs...)
+	m.Learner = multiring.NewLearner(mergeM, procs...)
 	rep := smr.NewReplica(smr.ReplicaConfig{
 		Node:            node,
 		Learner:         m.Learner,

@@ -21,6 +21,7 @@ import (
 // service is what these tests drive of a deployed service: reach, crash
 // and recover replica i of its first group, and tear it down.
 type service struct {
+	write   func(n int) error // n writes through a fresh client
 	member  func(i int) *cluster.Member
 	crash   func(i int)
 	recover func(i int) error
@@ -44,6 +45,16 @@ var services = []struct {
 			return service{}, err
 		}
 		return service{
+			write: func(n int) error {
+				cl := d.NewClient()
+				defer cl.Close()
+				for k := 0; k < n; k++ {
+					if err := cl.Insert(fmt.Sprintf("k%d", k), []byte("value")); err != nil {
+						return err
+					}
+				}
+				return nil
+			},
 			member:  func(i int) *cluster.Member { return d.ReplicaAt(0, i).Member },
 			crash:   func(i int) { d.CrashReplica(0, i) },
 			recover: func(i int) error { return d.RecoverReplica(0, i) },
@@ -57,11 +68,25 @@ var services = []struct {
 			Servers:      3,
 			StorageMode:  storage.InMemory,
 			RetryTimeout: 50 * time.Millisecond,
+			// Rate leveling keeps the idle common ring from stalling the
+			// merge, so appends to log 0 are delivered.
+			SkipInterval: 5 * time.Millisecond,
+			SkipRate:     200,
 		})
 		if err != nil {
 			return service{}, err
 		}
 		return service{
+			write: func(n int) error {
+				cl := d.NewClient()
+				defer cl.Close()
+				for k := 0; k < n; k++ {
+					if _, err := cl.Append(0, []byte("value")); err != nil {
+						return err
+					}
+				}
+				return nil
+			},
 			member:  func(i int) *cluster.Member { return d.Servers[i].Member },
 			crash:   d.CrashServer,
 			recover: d.RecoverServer,
@@ -186,6 +211,47 @@ func TestRecoverRejectsMalformedCheckpoint(t *testing.T) {
 				m.Ckpt.Save(storage.Checkpoint{Tuple: sound.Tuple, Epoch: sound.Epoch, State: bad.state})
 				if err := s.recover(2); err == nil {
 					t.Fatalf("%s: recovery installed a malformed checkpoint", bad.name)
+				}
+			}
+			m.Ckpt.Save(sound)
+			if err := s.recover(2); err != nil {
+				t.Fatalf("recovery from a sound checkpoint after failed attempts: %v", err)
+			}
+		})
+	}
+}
+
+// TestRecoverRejectsTruncatedSnapshot: a checkpoint whose replica
+// sections are sound but whose state-machine snapshot is cut short must
+// not be installed, not even the entries decoded before the cut.
+// StateMachine.Restore has no error return, so the replica refuses a
+// snapshot that does not re-encode to itself.
+func TestRecoverRejectsTruncatedSnapshot(t *testing.T) {
+	for _, svc := range services {
+		t.Run(svc.name, func(t *testing.T) {
+			net := netsim.New(netsim.WithUniformLatency(20 * time.Microsecond))
+			s, err := svc.deploy(func(a transport.Addr) (transport.Endpoint, error) { return net.Endpoint(a), nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() {
+				s.stop()
+				net.Close()
+			})
+			if err := s.write(4); err != nil {
+				t.Fatal(err)
+			}
+			m := s.member(2)
+			m.Replica.Checkpoint()
+			sound, ok := m.Ckpt.Load()
+			if !ok {
+				t.Fatal("replica 2 saved no checkpoint")
+			}
+			s.crash(2)
+			for _, cut := range []int{1, 3, 12} {
+				m.Ckpt.Save(storage.Checkpoint{Tuple: sound.Tuple, Epoch: sound.Epoch, State: sound.State[:len(sound.State)-cut]})
+				if err := s.recover(2); err == nil {
+					t.Fatalf("recovery installed a snapshot cut short by %d bytes", cut)
 				}
 			}
 			m.Ckpt.Save(sound)

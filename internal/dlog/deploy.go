@@ -48,10 +48,6 @@ type DeployConfig struct {
 	SkipInterval  time.Duration
 	SkipRate      int
 	RetryTimeout  time.Duration
-	MergeM        int
-
-	// CacheBytes bounds each server's per-log cache.
-	CacheBytes int
 }
 
 // ServerHandle bundles one dLog server: its cluster member (node, learner,
@@ -102,7 +98,6 @@ func Deploy(cfg DeployConfig) (*Deployment, error) {
 		SkipInterval:  cfg.SkipInterval,
 		SkipRate:      cfg.SkipRate,
 		RetryTimeout:  cfg.RetryTimeout,
-		MergeM:        cfg.MergeM,
 	}.WithDefaults()}
 
 	// All servers are members of every ring (logs + common).
@@ -177,7 +172,7 @@ func (d *Deployment) serverSpec(s int) (*ServerHandle, cluster.Spec) {
 		}
 		rings[ri] = cluster.Ring{ID: ring, Peers: peers, Log: log}
 	}
-	h.SM = NewSM(SMConfig{Disks: h.Disks, SyncWrites: cfg.SyncWrites, CacheBytes: cfg.CacheBytes})
+	h.SM = NewSM(SMConfig{Disks: h.Disks, SyncWrites: cfg.SyncWrites})
 	return h, cluster.Spec{ID: msg.NodeID(s + 1), Rings: rings, SM: h.SM, Ckpt: ckpt}
 }
 

@@ -9,10 +9,11 @@
 package dlog
 
 import (
-	"encoding/binary"
 	"errors"
+	"slices"
 	"sync"
 
+	"mrp/internal/msg"
 	"mrp/internal/storage"
 )
 
@@ -48,41 +49,30 @@ type op struct {
 }
 
 func (o op) encode() []byte {
-	b := []byte{byte(o.kind)}
-	b = binary.BigEndian.AppendUint16(b, uint16(o.log))
-	b = binary.BigEndian.AppendUint16(b, uint16(len(o.logs)))
+	w := msg.Writer{Buf: []byte{byte(o.kind)}}
+	w.U16(uint16(o.log))
+	w.U16(uint16(len(o.logs)))
 	for _, l := range o.logs {
-		b = binary.BigEndian.AppendUint16(b, uint16(l))
+		w.U16(uint16(l))
 	}
-	b = binary.BigEndian.AppendUint64(b, o.pos)
-	b = binary.BigEndian.AppendUint32(b, uint32(len(o.data)))
-	return append(b, o.data...)
+	w.U64(o.pos)
+	w.Bytes(o.data)
+	return w.Buf
 }
 
+// decodeOp parses what encode produces; data aliases b.
 func decodeOp(b []byte) (op, error) {
-	if len(b) < 5 {
-		return op{}, errBadOp
-	}
-	o := op{kind: opKind(b[0]), log: LogID(binary.BigEndian.Uint16(b[1:]))}
-	n := int(binary.BigEndian.Uint16(b[3:]))
-	b = b[5:]
-	if len(b) < n*2 {
-		return op{}, errBadOp
-	}
+	r := msg.NewReader(b)
+	o := op{kind: opKind(r.U8()), log: LogID(r.U16())}
+	n := r.Count(int(r.U16()), 2)
 	for i := 0; i < n; i++ {
-		o.logs = append(o.logs, LogID(binary.BigEndian.Uint16(b[i*2:])))
+		o.logs = append(o.logs, LogID(r.U16()))
 	}
-	b = b[n*2:]
-	if len(b) < 12 {
+	o.pos = r.U64()
+	o.data = r.Bytes()
+	if r.Done() != nil {
 		return op{}, errBadOp
 	}
-	o.pos = binary.BigEndian.Uint64(b)
-	dn := int(binary.BigEndian.Uint32(b[8:]))
-	b = b[12:]
-	if len(b) < dn {
-		return op{}, errBadOp
-	}
-	o.data = b[:dn]
 	switch o.kind {
 	case opAppend, opMultiAppend, opRead, opTrim:
 		return o, nil
@@ -113,44 +103,30 @@ type logPos struct {
 	pos uint64
 }
 
-func (r result) encode() []byte {
-	b := []byte{r.status}
-	b = binary.BigEndian.AppendUint16(b, uint16(len(r.positions)))
-	for _, lp := range r.positions {
-		b = binary.BigEndian.AppendUint16(b, uint16(lp.log))
-		b = binary.BigEndian.AppendUint64(b, lp.pos)
+func (res result) encode() []byte {
+	w := msg.Writer{Buf: []byte{res.status}}
+	w.U16(uint16(len(res.positions)))
+	for _, lp := range res.positions {
+		w.U16(uint16(lp.log))
+		w.U64(lp.pos)
 	}
-	b = binary.BigEndian.AppendUint32(b, uint32(len(r.data)))
-	return append(b, r.data...)
+	w.Bytes(res.data)
+	return w.Buf
 }
 
+// decodeResult parses what encode produces; data aliases b.
 func decodeResult(b []byte) (result, error) {
-	if len(b) < 3 {
-		return result{}, errBadOp
-	}
-	r := result{status: b[0]}
-	n := int(binary.BigEndian.Uint16(b[1:]))
-	b = b[3:]
-	if len(b) < n*10 {
-		return result{}, errBadOp
-	}
+	r := msg.NewReader(b)
+	res := result{status: r.U8()}
+	n := r.Count(int(r.U16()), 10)
 	for i := 0; i < n; i++ {
-		r.positions = append(r.positions, logPos{
-			log: LogID(binary.BigEndian.Uint16(b[i*10:])),
-			pos: binary.BigEndian.Uint64(b[i*10+2:]),
-		})
+		res.positions = append(res.positions, logPos{log: LogID(r.U16()), pos: r.U64()})
 	}
-	b = b[n*10:]
-	if len(b) < 4 {
+	res.data = r.Bytes()
+	if r.Done() != nil {
 		return result{}, errBadOp
 	}
-	dn := int(binary.BigEndian.Uint32(b))
-	b = b[4:]
-	if len(b) < dn {
-		return result{}, errBadOp
-	}
-	r.data = b[:dn]
-	return r, nil
+	return res, nil
 }
 
 // logState is one log's in-memory representation at a server: entries
@@ -170,10 +146,11 @@ type SMConfig struct {
 	// returning (the Figure 5 configuration); otherwise data is cached in
 	// memory and written back asynchronously (Section 7.3).
 	SyncWrites bool
-	// CacheBytes bounds the in-memory cache per log (default 200 MB as in
-	// the paper; exceeding it forces a synchronous-style flush wait).
-	CacheBytes int
 }
+
+// cacheBytes bounds the in-memory cache per log (200 MB, as in the paper);
+// exceeding it forces a synchronous-style flush wait.
+const cacheBytes = 200 << 20
 
 // SM is the dLog server state machine. Execute runs on the replica loop;
 // Snapshot/Restore may be called concurrently (checkpoints, state
@@ -187,9 +164,6 @@ type SM struct {
 
 // NewSM creates a dLog state machine.
 func NewSM(cfg SMConfig) *SM {
-	if cfg.CacheBytes <= 0 {
-		cfg.CacheBytes = 200 << 20
-	}
 	return &SM{cfg: cfg, logs: make(map[LogID]*logState)}
 }
 
@@ -249,7 +223,7 @@ func (s *SM) append(id LogID, data []byte) uint64 {
 		disk.SyncWrite(len(data))
 	} else {
 		disk.AsyncWrite(len(data))
-		if l.cacheBytes > s.cfg.CacheBytes {
+		if l.cacheBytes > cacheBytes {
 			// Cache full: block as if waiting for write-back (the paper's
 			// 200 MB cache bounds memory the same way).
 			l.cacheBytes = 0
@@ -292,65 +266,60 @@ func (s *SM) Tail(id LogID) uint64 {
 
 // Snapshot implements smr.StateMachine. Logs are serialized in ascending
 // ID order so snapshots of converged replicas are byte-identical.
+//
+//mrp:deterministic
 func (s *SM) Snapshot() []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ids := make([]int, 0, len(s.logs))
+	ids := make([]LogID, 0, len(s.logs))
 	for id := range s.logs {
-		ids = append(ids, int(id))
+		ids = append(ids, id)
 	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j-1] > ids[j]; j-- {
-			ids[j-1], ids[j] = ids[j], ids[j-1]
-		}
-	}
-	var b []byte
-	b = binary.BigEndian.AppendUint16(b, uint16(len(ids)))
-	for _, idi := range ids {
-		l := s.logs[LogID(idi)]
-		b = binary.BigEndian.AppendUint16(b, uint16(idi))
-		b = binary.BigEndian.AppendUint64(b, l.base)
-		b = binary.BigEndian.AppendUint32(b, uint32(len(l.entries)))
+	slices.Sort(ids)
+	var w msg.Writer
+	w.U16(uint16(len(ids)))
+	for _, id := range ids {
+		l := s.logs[id]
+		w.U16(uint16(id))
+		w.U64(l.base)
+		w.U32(uint32(len(l.entries)))
 		for _, e := range l.entries {
-			b = binary.BigEndian.AppendUint32(b, uint32(len(e)))
-			b = append(b, e...)
+			w.Bytes(e)
 		}
 	}
-	return b
+	return w.Buf
 }
 
-// Restore implements smr.StateMachine.
+// Restore implements smr.StateMachine. It accepts exactly what Snapshot
+// produces — logs in strictly ascending ID order, no trailing bytes — and
+// installs nothing unless all of b decodes, so a truncated snapshot
+// leaves the machine as it was.
+//
+//mrp:deterministic
 func (s *SM) Restore(b []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.logs = make(map[LogID]*logState)
-	if len(b) < 2 {
+	r := msg.NewReader(b)
+	logs := make(map[LogID]*logState)
+	n := r.Count(int(r.U16()), 14)
+	var prev LogID
+	for i := 0; i < n; i++ {
+		id := LogID(r.U16())
+		if i > 0 && id <= prev {
+			r.Fail()
+		}
+		prev = id
+		l := &logState{base: r.U64()}
+		cnt := r.Count(int(r.U32()), 4)
+		for k := 0; k < cnt; k++ {
+			e := append([]byte(nil), r.Bytes()...)
+			l.entries = append(l.entries, e)
+			l.cacheBytes += len(e)
+		}
+		logs[id] = l
+	}
+	if r.Done() != nil {
 		return
 	}
-	n := int(binary.BigEndian.Uint16(b))
-	b = b[2:]
-	for i := 0; i < n; i++ {
-		if len(b) < 14 {
-			return
-		}
-		id := LogID(binary.BigEndian.Uint16(b))
-		base := binary.BigEndian.Uint64(b[2:])
-		cnt := int(binary.BigEndian.Uint32(b[10:]))
-		b = b[14:]
-		l := &logState{base: base}
-		for k := 0; k < cnt; k++ {
-			if len(b) < 4 {
-				return
-			}
-			en := int(binary.BigEndian.Uint32(b))
-			b = b[4:]
-			if len(b) < en {
-				return
-			}
-			l.entries = append(l.entries, append([]byte(nil), b[:en]...))
-			l.cacheBytes += en
-			b = b[en:]
-		}
-		s.logs[id] = l
-	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.logs = logs
 }

@@ -70,7 +70,7 @@ func testSM(sync bool) *SM {
 	})
 }
 
-func exec(t *testing.T, sm *SM, o op) result {
+func exec(t testing.TB, sm *SM, o op) result {
 	t.Helper()
 	res, err := decodeResult(sm.Execute(o.encode()))
 	if err != nil {

@@ -19,9 +19,11 @@
 //   - lockorder reports lock-order cycles across the module and blocking
 //     operations (channel operations, select without default, time.Sleep,
 //     WaitGroup.Wait) made while a sync.Mutex/RWMutex is held.
-//   - snapcodec checks the checkpoint codecs: encoders emit sorted output,
-//     decoders keep an arm for every version and bound every wire-sourced
-//     length before it sizes an allocation.
+//
+// Checkpoint and wire codecs need no analyzer of their own: they all
+// decode through msg.Reader, which bounds every wire-sourced length, and
+// the snapshot encoders are deterministic roots, so detmap requires their
+// map ranges to be sorted.
 //
 // Deterministic scope is declared with a "//mrp:deterministic" marker on
 // functions or package doc comments and propagated through the call graph
@@ -79,15 +81,14 @@ func (p *Pass) Report(pos token.Pos, format string, args ...any) {
 
 // Analyzers returns the full suite in a stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{DetMap, WallClock, OrderedResult, LockOrder, SnapCodec}
+	return []*Analyzer{DetMap, WallClock, OrderedResult, LockOrder}
 }
 
 // Run executes the given analyzers over a loaded module and returns the
-// findings sorted by position. Malformed markers (suppressions without a
-// reason or naming unknown analyzers, bad //mrp:codec shapes) are
-// reported under the "nolint" pseudo-analyzer regardless of which
-// analyzers were selected — a suppression that doesn't parse is a hole
-// in the gate, not a style nit.
+// findings sorted by position. Malformed suppression markers (without a
+// reason, or naming unknown analyzers) are reported under the "nolint"
+// pseudo-analyzer regardless of which analyzers were selected — a
+// suppression that doesn't parse is a hole in the gate, not a style nit.
 func Run(m *Module, analyzers []*Analyzer) []Diagnostic {
 	markers := CollectMarkers(m)
 	scope := BuildScope(m, markers)

@@ -192,20 +192,12 @@ func TestLockIfaceFixture(t *testing.T) {
 	runFixture(t, []*Analyzer{LockOrder}, "lockifacea", "lockifaceb")
 }
 
-// TestSnapCodecFixture covers the codec contracts: unsorted map ranges
-// reaching an encoder, version-tag groups missing decode arms, guard
-// position sensitivity, closure propagation through static helper
-// calls, and one-sided pairs.
-func TestSnapCodecFixture(t *testing.T) {
-	runFixture(t, []*Analyzer{SnapCodec}, "snapcodeca")
-}
-
 // TestNolintValidation pins suppression validation over the nolinta
 // fixture with direct assertions (a `// want` comment cannot share a
 // line with the marker it would re-parse): missing or empty reasons,
-// unknown analyzer names, nameless nolints, and malformed codec markers
-// are findings — and a failed-validation suppression still mutes, so
-// silence stays silenced but never silent about itself.
+// unknown analyzer names and nameless nolints are findings — and a
+// failed-validation suppression still mutes, so silence stays silenced
+// but never silent about itself.
 func TestNolintValidation(t *testing.T) {
 	m := loadFixture(t, "nolinta")
 	file := ""
@@ -258,7 +250,6 @@ func TestNolintValidation(t *testing.T) {
 		{lineOf("the analyzer name is a typo"), `unknown analyzer "wallcheck"`},
 		{lineOf("the analyzer name is a typo"), "time.Now reads the wall clock"},
 		{lineOf("a dangling reason with nothing to suppress"), "names no analyzer"},
-		{lineOf("//mrp:codec broken"), "malformed //mrp:codec marker"},
 	} {
 		if !has(f) {
 			t.Errorf("missing finding at %s:%d containing %q; got %v", file, f.line, f.sub, diags)
@@ -290,5 +281,4 @@ func ExampleAnalyzers() {
 	// wallclock
 	// orderedresult
 	// lockorder
-	// snapcodec
 }

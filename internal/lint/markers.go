@@ -36,13 +36,6 @@ import (
 //	    its body — nothing else, nowhere else — and flags every site
 //	    beyond the first.
 //
-//	//mrp:codec name encode|decode
-//	    On a function's doc comment: the function is one side of the
-//	    named checkpoint/snapshot codec pair. snapcodec checks encoders
-//	    for unsorted map-sourced output and decoders (plus their static
-//	    helpers) for unguarded wire-length reads and missing version
-//	    arms.
-//
 //	//mrp:nolint analyzer[,analyzer] — reason
 //	    On the offending line, or alone on the line above: suppress the
 //	    named analyzers' findings there. A non-empty reason after the
@@ -68,8 +61,6 @@ type Markers struct {
 	leaseClock []*types.Func
 	// pkgDet marks packages whose package doc declares //mrp:deterministic.
 	pkgDet map[*types.Package]bool
-	// codec maps //mrp:codec-marked functions to their codec name/role.
-	codec map[*types.Func]codecMark
 	// eligible marks packages containing at least one mrp marker: the
 	// deterministic call graph only descends into eligible packages, so
 	// unmarked layers (transport, registry) are propagation boundaries.
@@ -77,16 +68,8 @@ type Markers struct {
 	// suppress maps analyzer name -> "file:line" keys where findings are
 	// muted by //mrp:nolint (or its sugar forms).
 	suppress map[string]map[string]bool
-	// marks records every suppression marker for validation, and bad
-	// collects malformed non-suppression markers found during parsing.
+	// marks records every suppression marker for validation.
 	marks []suppressionMark
-	bad   []markerProblem
-}
-
-// codecMark is one side of a named checkpoint codec pair.
-type codecMark struct {
-	name string
-	role string // "encode" or "decode"
 }
 
 // suppressionMark is one //mrp:nolint or //mrp:orderinsensitive comment,
@@ -99,12 +82,6 @@ type suppressionMark struct {
 	pos    token.Position
 }
 
-// markerProblem is a malformed marker detected at parse time.
-type markerProblem struct {
-	pos token.Position
-	msg string
-}
-
 // CollectMarkers parses every marker comment of the module.
 func CollectMarkers(m *Module) *Markers {
 	mk := &Markers{
@@ -112,7 +89,6 @@ func CollectMarkers(m *Module) *Markers {
 		nondet:   make(map[*types.Func]bool),
 		ordered:  make(map[*types.Func]string),
 		pkgDet:   make(map[*types.Package]bool),
-		codec:    make(map[*types.Func]codecMark),
 		eligible: make(map[*types.Package]bool),
 		suppress: make(map[string]map[string]bool),
 	}
@@ -147,26 +123,11 @@ func CollectMarkers(m *Module) *Markers {
 					mk.leaseClock = append(mk.leaseClock, fn)
 					mk.eligible[pkg.Types] = true
 				}
-				if hasMarker(fd.Doc, "codec") {
-					mk.collectCodec(m, pkg, fd, fn)
-				}
 			}
 			mk.collectSuppressions(m, file)
 		}
 	}
 	return mk
-}
-
-// collectCodec records a //mrp:codec marker, validating its shape.
-func (mk *Markers) collectCodec(m *Module, pkg *Package, fd *ast.FuncDecl, fn *types.Func) {
-	args, pos := markerArgs(m, fd.Doc, "codec")
-	if len(args) != 2 || (args[1] != "encode" && args[1] != "decode") {
-		mk.bad = append(mk.bad, markerProblem{pos,
-			`malformed //mrp:codec marker: want "//mrp:codec name encode|decode"`})
-		return
-	}
-	mk.codec[fn] = codecMark{name: args[0], role: args[1]}
-	mk.eligible[pkg.Types] = true
 }
 
 // reasonSep separates a suppression's analyzer list from its mandatory
@@ -241,12 +202,9 @@ func (mk *Markers) collectSuppressions(m *Module, file *ast.File) {
 // empty reason (an empty reason after the separator — e.g. a comment
 // ending in "— " — counts as missing), suppressions naming analyzers
 // that don't exist (which would otherwise silently suppress nothing),
-// nolint markers naming no analyzer at all, and malformed //mrp:codec
-// markers. known holds the full analyzer registry.
+// and nolint markers naming no analyzer at all. known holds the full
+// analyzer registry.
 func (mk *Markers) validate(known map[string]bool, report func(pos token.Position, format string, args ...any)) {
-	for _, b := range mk.bad {
-		report(b.pos, "%s", b.msg)
-	}
 	for _, s := range mk.marks {
 		if s.verb == "nolint" && len(s.names) == 0 {
 			report(s.pos, `//mrp:nolint names no analyzer: want "//mrp:nolint analyzer[,analyzer] — reason"`)
@@ -317,23 +275,6 @@ func markerArg(doc *ast.CommentGroup, verb string) (string, bool) {
 	return "", false
 }
 
-// markerArgs returns every whitespace-separated argument of a marker
-// comment within a doc comment group, plus the comment's position.
-func markerArgs(m *Module, doc *ast.CommentGroup, verb string) ([]string, token.Position) {
-	for _, c := range doc.List {
-		text, ok := strings.CutPrefix(c.Text, markerPrefix)
-		if !ok {
-			continue
-		}
-		v, rest, _ := strings.Cut(text, " ")
-		if v != verb {
-			continue
-		}
-		return strings.Fields(rest), m.Fset.Position(c.Pos())
-	}
-	return nil, token.Position{}
-}
-
 // LeaseClockSites returns the //mrp:leaseclock-marked functions in
 // collection order.
 func (mk *Markers) LeaseClockSites() []*types.Func {
@@ -345,10 +286,4 @@ func (mk *Markers) LeaseClockSites() []*types.Func {
 func (mk *Markers) OrderedArg(fn *types.Func) (string, bool) {
 	arg, ok := mk.ordered[fn]
 	return arg, ok
-}
-
-// Codec returns the //mrp:codec marker of fn, if any.
-func (mk *Markers) Codec(fn *types.Func) (name, role string, ok bool) {
-	c, ok := mk.codec[fn]
-	return c.name, c.role, ok
 }

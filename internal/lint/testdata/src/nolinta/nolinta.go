@@ -1,6 +1,6 @@
 // Package nolinta exercises suppression-marker validation: the reason
-// after the — separator is mandatory, analyzer names must exist, a
-// nolint must name at least one analyzer, and codec markers must parse.
+// after the — separator is mandatory, analyzer names must exist, and a
+// nolint must name at least one analyzer.
 // The markers below are deliberately malformed; TestNolintValidation in
 // lint_test.go asserts the exact findings directly, because a `// want`
 // comment cannot share a line with the marker it would re-parse.
@@ -47,8 +47,3 @@ func unknownName() int64 {
 func noNames() int64 {
 	return 0 //mrp:nolint — a dangling reason with nothing to suppress
 }
-
-// badCodec carries a codec marker missing its role argument.
-//
-//mrp:codec broken
-func badCodec() {}

@@ -90,8 +90,8 @@ type Message interface {
 	Type() Type
 	// Size returns the exact encoded size in bytes, including the tag.
 	Size() int
-	marshal(w *writer)
-	unmarshal(r *reader)
+	marshal(w *Writer)
+	unmarshal(r *Reader)
 }
 
 // ErrBadMessage reports a malformed or truncated encoding.
@@ -113,18 +113,18 @@ func (*Proposal) Type() Type { return TProposal }
 // Size implements Message.
 func (m *Proposal) Size() int { return 1 + 2 + 4 + 8 + 4 + len(m.Payload) }
 
-func (m *Proposal) marshal(w *writer) {
-	w.u16(uint16(m.Ring))
-	w.u32(uint32(m.ProposerID))
-	w.u64(m.Seq)
-	w.bytes(m.Payload)
+func (m *Proposal) marshal(w *Writer) {
+	w.U16(uint16(m.Ring))
+	w.U32(uint32(m.ProposerID))
+	w.U64(m.Seq)
+	w.Bytes(m.Payload)
 }
 
-func (m *Proposal) unmarshal(r *reader) {
-	m.Ring = RingID(r.u16())
-	m.ProposerID = NodeID(r.u32())
-	m.Seq = r.u64()
-	m.Payload = r.bytes()
+func (m *Proposal) unmarshal(r *Reader) {
+	m.Ring = RingID(r.U16())
+	m.ProposerID = NodeID(r.U32())
+	m.Seq = r.U64()
+	m.Payload = r.Bytes()
 }
 
 // VotedValue reports, inside a Phase1B, the highest-ballot value an acceptor
@@ -159,29 +159,29 @@ func (m *Phase1B) Size() int {
 	return n
 }
 
-func (m *Phase1B) marshal(w *writer) {
-	w.u16(uint16(m.Ring))
-	w.u32(uint32(m.Ballot))
-	w.u64(uint64(m.From))
-	w.u64(uint64(m.To))
-	w.u8(m.Promises)
-	w.u32(uint32(len(m.Voted)))
+func (m *Phase1B) marshal(w *Writer) {
+	w.U16(uint16(m.Ring))
+	w.U32(uint32(m.Ballot))
+	w.U64(uint64(m.From))
+	w.U64(uint64(m.To))
+	w.U8(m.Promises)
+	w.U32(uint32(len(m.Voted)))
 	for i := range m.Voted {
-		w.u64(uint64(m.Voted[i].Instance))
-		w.u32(uint32(m.Voted[i].VRnd))
+		w.U64(uint64(m.Voted[i].Instance))
+		w.U32(uint32(m.Voted[i].VRnd))
 		m.Voted[i].Value.marshal(w)
 	}
 }
 
-func (m *Phase1B) unmarshal(r *reader) {
-	m.Ring = RingID(r.u16())
-	m.Ballot = Ballot(r.u32())
-	m.From = Instance(r.u64())
-	m.To = Instance(r.u64())
-	m.Promises = r.u8()
-	n := int(r.u32())
-	if n > r.remaining() {
-		r.fail()
+func (m *Phase1B) unmarshal(r *Reader) {
+	m.Ring = RingID(r.U16())
+	m.Ballot = Ballot(r.U32())
+	m.From = Instance(r.U64())
+	m.To = Instance(r.U64())
+	m.Promises = r.U8()
+	n := int(r.U32())
+	if n > r.Remaining() {
+		r.Fail()
 		return
 	}
 	if n == 0 {
@@ -189,8 +189,8 @@ func (m *Phase1B) unmarshal(r *reader) {
 	}
 	m.Voted = make([]VotedValue, n)
 	for i := 0; i < n && r.err == nil; i++ {
-		m.Voted[i].Instance = Instance(r.u64())
-		m.Voted[i].VRnd = Ballot(r.u32())
+		m.Voted[i].Instance = Instance(r.U64())
+		m.Voted[i].VRnd = Ballot(r.U32())
 		m.Voted[i].Value.unmarshal(r)
 	}
 }
@@ -235,23 +235,23 @@ func (v *Value) size() int {
 	return n
 }
 
-func (v *Value) marshal(w *writer) {
-	w.bool(v.Skip)
-	w.u64(uint64(v.SkipTo))
-	w.u32(uint32(len(v.Batch)))
+func (v *Value) marshal(w *Writer) {
+	w.Bool(v.Skip)
+	w.U64(uint64(v.SkipTo))
+	w.U32(uint32(len(v.Batch)))
 	for i := range v.Batch {
-		w.u32(uint32(v.Batch[i].Proposer))
-		w.u64(v.Batch[i].Seq)
-		w.bytes(v.Batch[i].Data)
+		w.U32(uint32(v.Batch[i].Proposer))
+		w.U64(v.Batch[i].Seq)
+		w.Bytes(v.Batch[i].Data)
 	}
 }
 
-func (v *Value) unmarshal(r *reader) {
-	v.Skip = r.bool()
-	v.SkipTo = Instance(r.u64())
-	n := int(r.u32())
-	if n > r.remaining() {
-		r.fail()
+func (v *Value) unmarshal(r *Reader) {
+	v.Skip = r.Bool()
+	v.SkipTo = Instance(r.U64())
+	n := int(r.U32())
+	if n > r.Remaining() {
+		r.Fail()
 		return
 	}
 	if n == 0 {
@@ -259,9 +259,9 @@ func (v *Value) unmarshal(r *reader) {
 	}
 	v.Batch = make([]Entry, n)
 	for i := 0; i < n && r.err == nil; i++ {
-		v.Batch[i].Proposer = NodeID(r.u32())
-		v.Batch[i].Seq = r.u64()
-		v.Batch[i].Data = r.bytes()
+		v.Batch[i].Proposer = NodeID(r.U32())
+		v.Batch[i].Seq = r.U64()
+		v.Batch[i].Data = r.Bytes()
 	}
 }
 
@@ -283,19 +283,19 @@ func (*Phase2) Type() Type { return TPhase2 }
 // Size implements Message.
 func (m *Phase2) Size() int { return 1 + 2 + 4 + 8 + 1 + m.Value.size() }
 
-func (m *Phase2) marshal(w *writer) {
-	w.u16(uint16(m.Ring))
-	w.u32(uint32(m.Ballot))
-	w.u64(uint64(m.Instance))
-	w.u8(m.Votes)
+func (m *Phase2) marshal(w *Writer) {
+	w.U16(uint16(m.Ring))
+	w.U32(uint32(m.Ballot))
+	w.U64(uint64(m.Instance))
+	w.U8(m.Votes)
 	m.Value.marshal(w)
 }
 
-func (m *Phase2) unmarshal(r *reader) {
-	m.Ring = RingID(r.u16())
-	m.Ballot = Ballot(r.u32())
-	m.Instance = Instance(r.u64())
-	m.Votes = r.u8()
+func (m *Phase2) unmarshal(r *Reader) {
+	m.Ring = RingID(r.U16())
+	m.Ballot = Ballot(r.U32())
+	m.Instance = Instance(r.U64())
+	m.Votes = r.U8()
 	m.Value.unmarshal(r)
 }
 
@@ -315,17 +315,17 @@ func (*Decision) Type() Type { return TDecision }
 // Size implements Message.
 func (m *Decision) Size() int { return 1 + 2 + 8 + 4 + m.Value.size() }
 
-func (m *Decision) marshal(w *writer) {
-	w.u16(uint16(m.Ring))
-	w.u64(uint64(m.Instance))
-	w.u32(uint32(m.Origin))
+func (m *Decision) marshal(w *Writer) {
+	w.U16(uint16(m.Ring))
+	w.U64(uint64(m.Instance))
+	w.U32(uint32(m.Origin))
 	m.Value.marshal(w)
 }
 
-func (m *Decision) unmarshal(r *reader) {
-	m.Ring = RingID(r.u16())
-	m.Instance = Instance(r.u64())
-	m.Origin = NodeID(r.u32())
+func (m *Decision) unmarshal(r *Reader) {
+	m.Ring = RingID(r.U16())
+	m.Instance = Instance(r.U64())
+	m.Origin = NodeID(r.U32())
 	m.Value.unmarshal(r)
 }
 
@@ -343,16 +343,16 @@ func (*LearnReq) Type() Type { return TLearnReq }
 // Size implements Message.
 func (m *LearnReq) Size() int { return 1 + 2 + 8 + 8 }
 
-func (m *LearnReq) marshal(w *writer) {
-	w.u16(uint16(m.Ring))
-	w.u64(uint64(m.From))
-	w.u64(uint64(m.To))
+func (m *LearnReq) marshal(w *Writer) {
+	w.U16(uint16(m.Ring))
+	w.U64(uint64(m.From))
+	w.U64(uint64(m.To))
 }
 
-func (m *LearnReq) unmarshal(r *reader) {
-	m.Ring = RingID(r.u16())
-	m.From = Instance(r.u64())
-	m.To = Instance(r.u64())
+func (m *LearnReq) unmarshal(r *Reader) {
+	m.Ring = RingID(r.U16())
+	m.From = Instance(r.U64())
+	m.To = Instance(r.U64())
 }
 
 // DecidedItem is one retransmitted decided instance.
@@ -382,22 +382,22 @@ func (m *LearnResp) Size() int {
 	return n
 }
 
-func (m *LearnResp) marshal(w *writer) {
-	w.u16(uint16(m.Ring))
-	w.u64(uint64(m.Trimmed))
-	w.u32(uint32(len(m.Items)))
+func (m *LearnResp) marshal(w *Writer) {
+	w.U16(uint16(m.Ring))
+	w.U64(uint64(m.Trimmed))
+	w.U32(uint32(len(m.Items)))
 	for i := range m.Items {
-		w.u64(uint64(m.Items[i].Instance))
+		w.U64(uint64(m.Items[i].Instance))
 		m.Items[i].Value.marshal(w)
 	}
 }
 
-func (m *LearnResp) unmarshal(r *reader) {
-	m.Ring = RingID(r.u16())
-	m.Trimmed = Instance(r.u64())
-	n := int(r.u32())
-	if n > r.remaining() {
-		r.fail()
+func (m *LearnResp) unmarshal(r *Reader) {
+	m.Ring = RingID(r.U16())
+	m.Trimmed = Instance(r.U64())
+	n := int(r.U32())
+	if n > r.Remaining() {
+		r.Fail()
 		return
 	}
 	if n == 0 {
@@ -405,7 +405,7 @@ func (m *LearnResp) unmarshal(r *reader) {
 	}
 	m.Items = make([]DecidedItem, n)
 	for i := 0; i < n && r.err == nil; i++ {
-		m.Items[i].Instance = Instance(r.u64())
+		m.Items[i].Instance = Instance(r.U64())
 		m.Items[i].Value.unmarshal(r)
 	}
 }
@@ -424,14 +424,14 @@ func (*TrimQuery) Type() Type { return TTrimQuery }
 // Size implements Message.
 func (m *TrimQuery) Size() int { return 1 + 2 + 8 }
 
-func (m *TrimQuery) marshal(w *writer) {
-	w.u16(uint16(m.Ring))
-	w.u64(m.Seq)
+func (m *TrimQuery) marshal(w *Writer) {
+	w.U16(uint16(m.Ring))
+	w.U64(m.Seq)
 }
 
-func (m *TrimQuery) unmarshal(r *reader) {
-	m.Ring = RingID(r.u16())
-	m.Seq = r.u64()
+func (m *TrimQuery) unmarshal(r *Reader) {
+	m.Ring = RingID(r.U16())
+	m.Seq = r.U64()
 }
 
 // TrimReply reports replica Replica's highest safe instance k[x]p for ring
@@ -450,18 +450,18 @@ func (*TrimReply) Type() Type { return TTrimReply }
 // Size implements Message.
 func (m *TrimReply) Size() int { return 1 + 2 + 8 + 4 + 8 }
 
-func (m *TrimReply) marshal(w *writer) {
-	w.u16(uint16(m.Ring))
-	w.u64(m.Seq)
-	w.u32(uint32(m.Replica))
-	w.u64(uint64(m.SafeInstance))
+func (m *TrimReply) marshal(w *Writer) {
+	w.U16(uint16(m.Ring))
+	w.U64(m.Seq)
+	w.U32(uint32(m.Replica))
+	w.U64(uint64(m.SafeInstance))
 }
 
-func (m *TrimReply) unmarshal(r *reader) {
-	m.Ring = RingID(r.u16())
-	m.Seq = r.u64()
-	m.Replica = NodeID(r.u32())
-	m.SafeInstance = Instance(r.u64())
+func (m *TrimReply) unmarshal(r *Reader) {
+	m.Ring = RingID(r.U16())
+	m.Seq = r.U64()
+	m.Replica = NodeID(r.U32())
+	m.SafeInstance = Instance(r.U64())
 }
 
 // TrimCmd instructs the acceptors of Ring to delete data about all consensus
@@ -477,14 +477,14 @@ func (*TrimCmd) Type() Type { return TTrimCmd }
 // Size implements Message.
 func (m *TrimCmd) Size() int { return 1 + 2 + 8 }
 
-func (m *TrimCmd) marshal(w *writer) {
-	w.u16(uint16(m.Ring))
-	w.u64(uint64(m.UpTo))
+func (m *TrimCmd) marshal(w *Writer) {
+	w.U16(uint16(m.Ring))
+	w.U64(uint64(m.UpTo))
 }
 
-func (m *TrimCmd) unmarshal(r *reader) {
-	m.Ring = RingID(r.u16())
-	m.UpTo = Instance(r.u64())
+func (m *TrimCmd) unmarshal(r *Reader) {
+	m.Ring = RingID(r.U16())
+	m.UpTo = Instance(r.U64())
 }
 
 // SkipReq asks the coordinator of Ring for a skip instance that brings the
@@ -507,16 +507,16 @@ func (*SkipReq) Type() Type { return TSkipReq }
 // Size implements Message.
 func (m *SkipReq) Size() int { return 1 + 2 + 8 + 1 }
 
-func (m *SkipReq) marshal(w *writer) {
-	w.u16(uint16(m.Ring))
-	w.u64(uint64(m.To))
-	w.u8(m.Hops)
+func (m *SkipReq) marshal(w *Writer) {
+	w.U16(uint16(m.Ring))
+	w.U64(uint64(m.To))
+	w.U8(m.Hops)
 }
 
-func (m *SkipReq) unmarshal(r *reader) {
-	m.Ring = RingID(r.u16())
-	m.To = Instance(r.u64())
-	m.Hops = r.u8()
+func (m *SkipReq) unmarshal(r *Reader) {
+	m.Ring = RingID(r.U16())
+	m.To = Instance(r.U64())
+	m.Hops = r.U8()
 }
 
 // RingInstance is one entry of a checkpoint tuple k_p: the highest applied
@@ -538,9 +538,9 @@ func (*CkptQuery) Type() Type { return TCkptQuery }
 // Size implements Message.
 func (m *CkptQuery) Size() int { return 1 + 8 }
 
-func (m *CkptQuery) marshal(w *writer) { w.u64(m.Seq) }
+func (m *CkptQuery) marshal(w *Writer) { w.U64(m.Seq) }
 
-func (m *CkptQuery) unmarshal(r *reader) { m.Seq = r.u64() }
+func (m *CkptQuery) unmarshal(r *Reader) { m.Seq = r.U64() }
 
 // CkptReply reports the identifier (tuple k_q) of the replying replica's
 // most up-to-date checkpoint. Epoch is the schema epoch that checkpoint
@@ -562,32 +562,32 @@ func (*CkptReply) Type() Type { return TCkptReply }
 // Size implements Message.
 func (m *CkptReply) Size() int { return 1 + 8 + 4 + 8 + 4 + len(m.Tuple)*(2+8) }
 
-func (m *CkptReply) marshal(w *writer) {
-	w.u64(m.Seq)
-	w.u32(uint32(m.Replica))
-	w.u64(m.Epoch)
-	w.u32(uint32(len(m.Tuple)))
+func (m *CkptReply) marshal(w *Writer) {
+	w.U64(m.Seq)
+	w.U32(uint32(m.Replica))
+	w.U64(m.Epoch)
+	w.U32(uint32(len(m.Tuple)))
 	for _, t := range m.Tuple {
-		w.u16(uint16(t.Ring))
-		w.u64(uint64(t.Instance))
+		w.U16(uint16(t.Ring))
+		w.U64(uint64(t.Instance))
 	}
 }
 
-func (m *CkptReply) unmarshal(r *reader) {
-	m.Seq = r.u64()
-	m.Replica = NodeID(r.u32())
-	m.Epoch = r.u64()
-	n := int(r.u32())
-	if n > r.remaining() {
-		r.fail()
+func (m *CkptReply) unmarshal(r *Reader) {
+	m.Seq = r.U64()
+	m.Replica = NodeID(r.U32())
+	m.Epoch = r.U64()
+	n := int(r.U32())
+	if n > r.Remaining() {
+		r.Fail()
 		return
 	}
 	if n > 0 {
 		m.Tuple = make([]RingInstance, n)
 	}
 	for i := 0; i < n && r.err == nil; i++ {
-		m.Tuple[i].Ring = RingID(r.u16())
-		m.Tuple[i].Instance = Instance(r.u64())
+		m.Tuple[i].Ring = RingID(r.U16())
+		m.Tuple[i].Instance = Instance(r.U64())
 	}
 }
 
@@ -602,9 +602,9 @@ func (*CkptFetch) Type() Type { return TCkptFetch }
 // Size implements Message.
 func (m *CkptFetch) Size() int { return 1 + 8 }
 
-func (m *CkptFetch) marshal(w *writer) { w.u64(m.Seq) }
+func (m *CkptFetch) marshal(w *Writer) { w.U64(m.Seq) }
 
-func (m *CkptFetch) unmarshal(r *reader) { m.Seq = r.u64() }
+func (m *CkptFetch) unmarshal(r *Reader) { m.Seq = r.U64() }
 
 // CkptData transfers a full checkpoint: the tuple identifying it, the
 // schema epoch it was taken under (0 for unversioned services), and the
@@ -624,33 +624,33 @@ func (m *CkptData) Size() int {
 	return 1 + 8 + 8 + 4 + len(m.Tuple)*(2+8) + 4 + len(m.State)
 }
 
-func (m *CkptData) marshal(w *writer) {
-	w.u64(m.Seq)
-	w.u64(m.Epoch)
-	w.u32(uint32(len(m.Tuple)))
+func (m *CkptData) marshal(w *Writer) {
+	w.U64(m.Seq)
+	w.U64(m.Epoch)
+	w.U32(uint32(len(m.Tuple)))
 	for _, t := range m.Tuple {
-		w.u16(uint16(t.Ring))
-		w.u64(uint64(t.Instance))
+		w.U16(uint16(t.Ring))
+		w.U64(uint64(t.Instance))
 	}
-	w.bytes(m.State)
+	w.Bytes(m.State)
 }
 
-func (m *CkptData) unmarshal(r *reader) {
-	m.Seq = r.u64()
-	m.Epoch = r.u64()
-	n := int(r.u32())
-	if n > r.remaining() {
-		r.fail()
+func (m *CkptData) unmarshal(r *Reader) {
+	m.Seq = r.U64()
+	m.Epoch = r.U64()
+	n := int(r.U32())
+	if n > r.Remaining() {
+		r.Fail()
 		return
 	}
 	if n > 0 {
 		m.Tuple = make([]RingInstance, n)
 	}
 	for i := 0; i < n && r.err == nil; i++ {
-		m.Tuple[i].Ring = RingID(r.u16())
-		m.Tuple[i].Instance = Instance(r.u64())
+		m.Tuple[i].Ring = RingID(r.U16())
+		m.Tuple[i].Instance = Instance(r.U64())
 	}
-	m.State = r.bytes()
+	m.State = r.Bytes()
 }
 
 // Response carries a service reply from a replica back to a client.
@@ -668,16 +668,16 @@ func (*Response) Type() Type { return TResponse }
 // Size implements Message.
 func (m *Response) Size() int { return 1 + 8 + 8 + 4 + len(m.Result) }
 
-func (m *Response) marshal(w *writer) {
-	w.u64(m.ClientID)
-	w.u64(m.Seq)
-	w.bytes(m.Result)
+func (m *Response) marshal(w *Writer) {
+	w.U64(m.ClientID)
+	w.U64(m.Seq)
+	w.Bytes(m.Result)
 }
 
-func (m *Response) unmarshal(r *reader) {
-	m.ClientID = r.u64()
-	m.Seq = r.u64()
-	m.Result = r.bytes()
+func (m *Response) unmarshal(r *Reader) {
+	m.ClientID = r.U64()
+	m.Seq = r.U64()
+	m.Result = r.Bytes()
 }
 
 // TxnVote carries one participant partition's vote on a conditional
@@ -701,20 +701,20 @@ func (*TxnVote) Type() Type { return TTxnVote }
 // Size implements Message.
 func (m *TxnVote) Size() int { return 1 + 8 + 8 + 2 + 1 + 1 }
 
-func (m *TxnVote) marshal(w *writer) {
-	w.u64(m.ClientID)
-	w.u64(m.Seq)
-	w.u16(m.Part)
-	w.u8(m.Vote)
-	w.bool(m.Want)
+func (m *TxnVote) marshal(w *Writer) {
+	w.U64(m.ClientID)
+	w.U64(m.Seq)
+	w.U16(m.Part)
+	w.U8(m.Vote)
+	w.Bool(m.Want)
 }
 
-func (m *TxnVote) unmarshal(r *reader) {
-	m.ClientID = r.u64()
-	m.Seq = r.u64()
-	m.Part = r.u16()
-	m.Vote = r.u8()
-	m.Want = r.bool()
+func (m *TxnVote) unmarshal(r *Reader) {
+	m.ClientID = r.U64()
+	m.Seq = r.U64()
+	m.Part = r.U16()
+	m.Vote = r.U8()
+	m.Want = r.Bool()
 }
 
 // LeaseRead asks a lease-holding replica to serve a read-only operation
@@ -735,16 +735,16 @@ func (*LeaseRead) Type() Type { return TLeaseRead }
 // Size implements Message.
 func (m *LeaseRead) Size() int { return 1 + 8 + 8 + 4 + len(m.Op) }
 
-func (m *LeaseRead) marshal(w *writer) {
-	w.u64(m.ClientID)
-	w.u64(m.Seq)
-	w.bytes(m.Op)
+func (m *LeaseRead) marshal(w *Writer) {
+	w.U64(m.ClientID)
+	w.U64(m.Seq)
+	w.Bytes(m.Op)
 }
 
-func (m *LeaseRead) unmarshal(r *reader) {
-	m.ClientID = r.u64()
-	m.Seq = r.u64()
-	m.Op = r.bytes()
+func (m *LeaseRead) unmarshal(r *Reader) {
+	m.ClientID = r.U64()
+	m.Seq = r.U64()
+	m.Op = r.Bytes()
 }
 
 // LeaseReply answers a LeaseRead. OK=false means the replica declined to
@@ -766,18 +766,18 @@ func (*LeaseReply) Type() Type { return TLeaseReply }
 // Size implements Message.
 func (m *LeaseReply) Size() int { return 1 + 8 + 8 + 1 + 4 + len(m.Result) }
 
-func (m *LeaseReply) marshal(w *writer) {
-	w.u64(m.ClientID)
-	w.u64(m.Seq)
-	w.bool(m.OK)
-	w.bytes(m.Result)
+func (m *LeaseReply) marshal(w *Writer) {
+	w.U64(m.ClientID)
+	w.U64(m.Seq)
+	w.Bool(m.OK)
+	w.Bytes(m.Result)
 }
 
-func (m *LeaseReply) unmarshal(r *reader) {
-	m.ClientID = r.u64()
-	m.Seq = r.u64()
-	m.OK = r.bool()
-	m.Result = r.bytes()
+func (m *LeaseReply) unmarshal(r *Reader) {
+	m.ClientID = r.U64()
+	m.Seq = r.U64()
+	m.OK = r.Bool()
+	m.Result = r.Bytes()
 }
 
 // Batch packs several messages into one packet to amortize per-message
@@ -799,19 +799,19 @@ func (m *Batch) Size() int {
 	return n
 }
 
-func (m *Batch) marshal(w *writer) {
-	w.u32(uint32(len(m.Msgs)))
+func (m *Batch) marshal(w *Writer) {
+	w.U32(uint32(len(m.Msgs)))
 	for _, sub := range m.Msgs {
-		w.u32(uint32(sub.Size()))
-		w.u8(uint8(sub.Type()))
+		w.U32(uint32(sub.Size()))
+		w.U8(uint8(sub.Type()))
 		sub.marshal(w)
 	}
 }
 
-func (m *Batch) unmarshal(r *reader) {
-	n := int(r.u32())
-	if n > r.remaining() {
-		r.fail()
+func (m *Batch) unmarshal(r *Reader) {
+	n := int(r.U32())
+	if n > r.Remaining() {
+		r.Fail()
 		return
 	}
 	if n == 0 {
@@ -819,14 +819,14 @@ func (m *Batch) unmarshal(r *reader) {
 	}
 	m.Msgs = make([]Message, 0, n)
 	for i := 0; i < n && r.err == nil; i++ {
-		size := int(r.u32())
-		if size < 1 || size > r.remaining() {
-			r.fail()
+		size := int(r.U32())
+		if size < 1 || size > r.Remaining() {
+			r.Fail()
 			return
 		}
-		sub, err := Unmarshal(r.raw(size))
+		sub, err := Unmarshal(r.Raw(size))
 		if err != nil {
-			r.fail()
+			r.Fail()
 			return
 		}
 		m.Msgs = append(m.Msgs, sub)
@@ -889,25 +889,25 @@ func Marshal(m Message) []byte {
 // no allocation; pair it with GetBuffer/PutBuffer to reuse encode buffers
 // across messages on a transport's hot send path.
 func MarshalTo(dst []byte, m Message) []byte {
-	w := writer{buf: dst}
-	w.u8(uint8(m.Type()))
+	w := Writer{Buf: dst}
+	w.U8(uint8(m.Type()))
 	m.marshal(&w)
-	return w.buf
+	return w.Buf
 }
 
 // AppendBatch appends the encoding of a Batch containing msgs to dst without
 // constructing a Batch value, and returns the extended slice. The result is
 // byte-identical to MarshalTo(dst, &Batch{Msgs: msgs}).
 func AppendBatch(dst []byte, msgs []Message) []byte {
-	w := writer{buf: dst}
-	w.u8(uint8(TBatch))
-	w.u32(uint32(len(msgs)))
+	w := Writer{Buf: dst}
+	w.U8(uint8(TBatch))
+	w.U32(uint32(len(msgs)))
 	for _, sub := range msgs {
-		w.u32(uint32(sub.Size()))
-		w.u8(uint8(sub.Type()))
+		w.U32(uint32(sub.Size()))
+		w.U8(uint8(sub.Type()))
 		sub.marshal(&w)
 	}
-	return w.buf
+	return w.Buf
 }
 
 // BatchSize returns the encoded size of a Batch containing msgs, i.e. what
@@ -959,7 +959,7 @@ func Unmarshal(b []byte) (Message, error) {
 	if m == nil {
 		return nil, fmt.Errorf("msg: unknown type %d: %w", t, ErrBadMessage)
 	}
-	r := reader{buf: b, off: 1}
+	r := Reader{buf: b, off: 1}
 	m.unmarshal(&r)
 	if r.err != nil {
 		return nil, r.err

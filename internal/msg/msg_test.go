@@ -125,12 +125,12 @@ func TestTrailingBytesRejected(t *testing.T) {
 
 func TestUnmarshalHugeLengthPrefix(t *testing.T) {
 	// A LearnResp claiming 2^31 items must not allocate or panic.
-	w := writer{}
-	w.u8(uint8(TLearnResp))
-	w.u16(1)
-	w.u64(0)
-	w.u32(1 << 31)
-	if _, err := Unmarshal(w.buf); err == nil {
+	w := Writer{}
+	w.U8(uint8(TLearnResp))
+	w.U16(1)
+	w.U64(0)
+	w.U32(1 << 31)
+	if _, err := Unmarshal(w.Buf); err == nil {
 		t.Error("huge length prefix should fail")
 	}
 }

@@ -182,10 +182,6 @@ type Config struct {
 	// the deployment's live topology only and crashed plans can only be
 	// resolved by the same process.
 	Registry *registry.Registry
-	// ChunkEntries bounds how many entries one migration command carries
-	// (default 256 — the paper's clients batch commands the same way,
-	// Section 7.2).
-	ChunkEntries int
 	// ChunkInterval, when > 0, pauses between consecutive migrate chunks —
 	// the migration budget's rate limit: a large range copy trickles onto
 	// the destination ring instead of saturating it, so client commands
@@ -246,9 +242,6 @@ func (c *Coordinator) CrashAfter(step string) {
 func New(cfg Config) (*Coordinator, error) {
 	if cfg.Store == nil {
 		return nil, errors.New("rebalance: nil store deployment")
-	}
-	if cfg.ChunkEntries <= 0 {
-		cfg.ChunkEntries = 256
 	}
 	return &Coordinator{cfg: cfg, client: cfg.Store.NewClient()}, nil
 }
@@ -626,14 +619,18 @@ func (c *Coordinator) publish(plan *Plan) error {
 	return nil
 }
 
+// chunkEntries bounds how many entries one migration command carries (the
+// paper's clients batch commands the same way, Section 7.2).
+const chunkEntries = 256
+
 // copyChunks streams the frozen entries to the destination ring, pacing
 // consecutive chunks by the configured migration budget.
 func (c *Coordinator) copyChunks(ring msg.RingID, dest int, epoch uint64, moved []store.Entry) error {
-	for lo := 0; lo < len(moved); lo += c.cfg.ChunkEntries {
+	for lo := 0; lo < len(moved); lo += chunkEntries {
 		if lo > 0 && c.cfg.ChunkInterval > 0 {
 			time.Sleep(c.cfg.ChunkInterval)
 		}
-		hi := lo + c.cfg.ChunkEntries
+		hi := lo + chunkEntries
 		if hi > len(moved) {
 			hi = len(moved)
 		}

@@ -95,9 +95,10 @@ type Config struct {
 	// BatchDelay is how long the coordinator waits to fill a batch.
 	BatchDelay time.Duration
 
-	// Phase1Window is how many consensus instances each pre-executed
-	// Phase 1 covers.
-	Phase1Window int
+	// phase1Window is how many consensus instances each pre-executed
+	// Phase 1 covers (default 1<<20). Tests shrink it to force window
+	// extensions.
+	phase1Window int
 
 	// SkipInterval is the rate-leveling interval Δ: every Δ the
 	// coordinator compares the number of instances started in the interval
@@ -183,8 +184,8 @@ func (c *Config) validate() (selfIdx int, err error) {
 
 // withDefaults fills zero fields with defaults.
 func (c *Config) withDefaults() {
-	if c.Phase1Window <= 0 {
-		c.Phase1Window = 1 << 20
+	if c.phase1Window <= 0 {
+		c.phase1Window = 1 << 20
 	}
 	if c.RetryTimeout <= 0 {
 		c.RetryTimeout = 200 * time.Millisecond

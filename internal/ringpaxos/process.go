@@ -469,9 +469,9 @@ func (p *Process) ensureWindow() bool {
 	if p.winTo == 0 { // not yet coordinator-initialized
 		return false
 	}
-	low := p.winTo - msg.Instance(p.cfg.Phase1Window/4)
+	low := p.winTo - msg.Instance(p.cfg.phase1Window/4)
 	if p.next >= low && !p.winPending {
-		p.sendPhase1(p.winTo, p.winTo+msg.Instance(p.cfg.Phase1Window))
+		p.sendPhase1(p.winTo, p.winTo+msg.Instance(p.cfg.phase1Window))
 	}
 	return p.next < p.winTo
 }
@@ -550,7 +550,7 @@ func (p *Process) becomeCoordinator() {
 		p.next = from
 	}
 	p.winTo = 0
-	p.sendPhase1(p.next, p.next+msg.Instance(p.cfg.Phase1Window))
+	p.sendPhase1(p.next, p.next+msg.Instance(p.cfg.phase1Window))
 }
 
 // sendPhase1 emits the circulating combined Phase 1A/1B message for

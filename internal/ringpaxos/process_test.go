@@ -550,7 +550,7 @@ func TestStatsCounters(t *testing.T) {
 // promised window without stalling the ring.
 func TestPhase1WindowExtensionUnderLoad(t *testing.T) {
 	tr := newTestRing(t, 3, func(_ int, c *Config) {
-		c.Phase1Window = 64 // force frequent extensions
+		c.phase1Window = 64 // force frequent extensions
 		c.RetryTimeout = 50 * time.Millisecond
 	})
 	const total = 500
@@ -567,7 +567,7 @@ func TestPhase1WindowExtensionUnderLoad(t *testing.T) {
 // (rate leveling consumes instance space much faster than proposals).
 func TestPhase1WindowExtensionWithSkips(t *testing.T) {
 	tr := newTestRing(t, 3, func(_ int, c *Config) {
-		c.Phase1Window = 256
+		c.phase1Window = 256
 		c.SkipInterval = 2 * time.Millisecond
 		c.SkipRate = 20000 // ~40+ skips per tick: a window lasts a few ticks
 		c.RetryTimeout = 50 * time.Millisecond

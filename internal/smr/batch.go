@@ -1,9 +1,9 @@
 package smr
 
 import (
-	"encoding/binary"
 	"errors"
 
+	"mrp/internal/msg"
 	"mrp/internal/transport"
 )
 
@@ -43,21 +43,21 @@ func EncodeBatch(payloads [][]byte) []byte {
 	for _, p := range payloads {
 		n += 4 + len(p)
 	}
-	buf := make([]byte, 0, n)
-	buf = binary.BigEndian.AppendUint64(buf, batchMagic)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(payloads)))
+	w := msg.Writer{Buf: make([]byte, 0, n)}
+	w.U64(batchMagic)
+	w.U16(uint16(len(payloads)))
 	for _, p := range payloads {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(p)))
-		buf = append(buf, p...)
+		w.Bytes(p)
 	}
-	return buf
+	return w.Buf
 }
 
 // IsBatch reports whether b carries the batch magic. A replica checks this
 // before DecodeCommand; everything else is a single command (or a foreign
 // payload on a shared ring).
 func IsBatch(b []byte) bool {
-	return len(b) >= 8 && binary.BigEndian.Uint64(b) == batchMagic
+	r := msg.NewReader(b)
+	return r.U64() == batchMagic
 }
 
 // DecodeBatch parses a batch payload. The decode is strict: the count must
@@ -78,34 +78,26 @@ func DecodeBatch(b []byte) ([]Command, error) {
 //
 //mrp:deterministic
 func decodeBatchInto(dst []Command, b []byte, intern func([]byte) transport.Addr) ([]Command, error) {
-	if len(b) < batchHeaderLen || binary.BigEndian.Uint64(b) != batchMagic {
+	r := msg.NewReader(b)
+	if r.U64() != batchMagic {
 		return nil, ErrBadBatch
 	}
-	count := int(binary.BigEndian.Uint16(b[8:]))
+	// Every command carries at least its 4-byte length prefix.
+	count := r.Count(int(r.U16()), 4)
 	if count == 0 {
 		return nil, ErrBadBatch
 	}
 	if dst == nil {
 		dst = make([]Command, 0, count)
 	}
-	off := batchHeaderLen
 	for i := 0; i < count; i++ {
-		if len(b)-off < 4 {
-			return nil, ErrBadBatch
-		}
-		clen := int(binary.BigEndian.Uint32(b[off:]))
-		off += 4
-		if len(b)-off < clen {
-			return nil, ErrBadBatch
-		}
-		cmd, err := decodeCommandWith(b[off:off+clen], intern)
+		cmd, err := decodeCommandWith(r.Bytes(), intern)
 		if err != nil {
 			return nil, ErrBadBatch
 		}
 		dst = append(dst, cmd)
-		off += clen
 	}
-	if off != len(b) {
+	if r.Done() != nil {
 		return nil, ErrBadBatch
 	}
 	return dst, nil

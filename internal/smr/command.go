@@ -7,9 +7,9 @@
 package smr
 
 import (
-	"encoding/binary"
 	"errors"
 
+	"mrp/internal/msg"
 	"mrp/internal/transport"
 )
 
@@ -27,15 +27,15 @@ type Command struct {
 // ErrBadCommand reports a malformed command encoding.
 var ErrBadCommand = errors.New("smr: bad command encoding")
 
-// Encode serializes the command into an atomic multicast payload.
+// Encode serializes the command into an atomic multicast payload: u64
+// client ID, u64 seq, u16-prefixed reply address, then the op to the end.
 func (c Command) Encode() []byte {
-	buf := make([]byte, 0, 8+8+2+len(c.ReplyTo)+len(c.Op))
-	buf = binary.BigEndian.AppendUint64(buf, c.ClientID)
-	buf = binary.BigEndian.AppendUint64(buf, c.Seq)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(c.ReplyTo)))
-	buf = append(buf, c.ReplyTo...)
-	buf = append(buf, c.Op...)
-	return buf
+	w := msg.Writer{Buf: make([]byte, 0, 8+8+2+len(c.ReplyTo)+len(c.Op))}
+	w.U64(c.ClientID)
+	w.U64(c.Seq)
+	w.Str(string(c.ReplyTo))
+	w.Buf = append(w.Buf, c.Op...)
+	return w.Buf
 }
 
 // DecodeCommand parses a payload produced by Encode.
@@ -47,25 +47,20 @@ func DecodeCommand(b []byte) (Command, error) {
 // through intern when non-nil. Every delivered command pays a []byte →
 // string conversion for its reply address otherwise; the replica's hot
 // path passes its address cache so steady-state decoding allocates
-// nothing (clients reuse one address across their whole session).
+// nothing (clients reuse one address across their whole session). Op
+// aliases b.
 func decodeCommandWith(b []byte, intern func([]byte) transport.Addr) (Command, error) {
-	if len(b) < 18 {
+	r := msg.NewReader(b)
+	c := Command{ClientID: r.U64(), Seq: r.U64()}
+	raw := r.Raw(int(r.U16()))
+	if r.Err() != nil {
 		return Command{}, ErrBadCommand
 	}
-	c := Command{
-		ClientID: binary.BigEndian.Uint64(b),
-		Seq:      binary.BigEndian.Uint64(b[8:]),
-	}
-	alen := int(binary.BigEndian.Uint16(b[16:]))
-	if len(b) < 18+alen {
-		return Command{}, ErrBadCommand
-	}
-	raw := b[18 : 18+alen]
 	if intern != nil {
 		c.ReplyTo = intern(raw)
 	} else {
 		c.ReplyTo = transport.Addr(raw)
 	}
-	c.Op = b[18+alen:]
+	c.Op = r.Raw(r.Remaining())
 	return c, nil
 }

@@ -3,6 +3,8 @@ package smr
 import (
 	"bytes"
 	"testing"
+
+	"mrp/internal/msg"
 )
 
 // FuzzSMRBatchDecode fuzzes the SMR batch codec with the same canonical
@@ -38,6 +40,44 @@ func FuzzSMRBatchDecode(f *testing.F) {
 		}
 		if re := EncodeBatch(payloads); !bytes.Equal(re, b) {
 			t.Fatalf("accepted batch is not canonical:\n in  %x\n out %x", b, re)
+		}
+	})
+}
+
+// FuzzCheckpointDecode fuzzes what a recovering replica decodes from a
+// peer's checkpoint before installing anything: the frame, the dedup
+// table and the lease table. No input may panic, and anything all three
+// decoders accept must re-encode to the identical bytes — the replica
+// sections are canonical, which is what lets replicas compare
+// checkpoints by content.
+func FuzzCheckpointDecode(f *testing.F) {
+	dedup := encodeDedup(map[uint64]clientEntry{
+		7: {seq: 3, bits: 5, result: []byte("r")},
+		2: {seq: 1, bits: 1},
+	})
+	lease := encodeLeaseTable(leaseTable{holder: 4, seq: 6, active: true, durMs: 1500,
+		grant: []msg.RingInstance{{Ring: 1, Instance: 10}, {Ring: 3, Instance: 2}}})
+	sound := encodeReplicaState(dedup, lease, []byte("sm"))
+	f.Add(sound)
+	f.Add(encodeReplicaState(nil, encodeLeaseTable(leaseTable{}), nil))
+	f.Add(sound[:20])
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		dRaw, lRaw, sm, err := decodeReplicaState(b)
+		if err != nil {
+			return
+		}
+		d, err := decodeDedup(dRaw)
+		if err != nil {
+			return
+		}
+		l, ok := decodeLeaseTable(lRaw)
+		if !ok {
+			return
+		}
+		if re := encodeReplicaState(encodeDedup(d), encodeLeaseTable(l), sm); !bytes.Equal(re, b) {
+			t.Fatalf("accepted checkpoint is not canonical:\n in %x\nout %x", b, re)
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package smr
 
 import (
-	"encoding/binary"
 	"time"
 
 	"mrp/internal/msg"
@@ -70,12 +69,12 @@ const leaseRevokeLen = 9
 // rides in the command so every replica arms its silence window from the
 // same D, whoever proposed it.
 func EncodeLeaseClaim(holder msg.NodeID, d time.Duration) []byte {
-	buf := make([]byte, 0, leaseClaimLen)
-	buf = binary.BigEndian.AppendUint64(buf, leaseMagic)
-	buf = append(buf, leaseOpClaim)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(holder))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(d.Milliseconds()))
-	return buf
+	w := msg.Writer{Buf: make([]byte, 0, leaseClaimLen)}
+	w.U64(leaseMagic)
+	w.U8(leaseOpClaim)
+	w.U32(uint32(holder))
+	w.U64(uint64(d.Milliseconds()))
+	return w.Buf
 }
 
 // EncodeLeaseRevoke builds the ordered command op that deactivates the
@@ -83,15 +82,16 @@ func EncodeLeaseClaim(holder msg.NodeID, d time.Duration) []byte {
 // delivery position; reconfiguration orders one before each prepare so
 // frozen ranges never depend on lease expiry for progress.
 func EncodeLeaseRevoke() []byte {
-	buf := make([]byte, 0, leaseRevokeLen)
-	buf = binary.BigEndian.AppendUint64(buf, leaseMagic)
-	buf = append(buf, leaseOpRevoke)
-	return buf
+	w := msg.Writer{Buf: make([]byte, 0, leaseRevokeLen)}
+	w.U64(leaseMagic)
+	w.U8(leaseOpRevoke)
+	return w.Buf
 }
 
 // isLeaseOp reports whether an op payload carries the lease magic.
 func isLeaseOp(b []byte) bool {
-	return len(b) >= leaseRevokeLen && binary.BigEndian.Uint64(b) == leaseMagic
+	r := msg.NewReader(b)
+	return r.U64() == leaseMagic && r.Remaining() > 0
 }
 
 // LeaseAck is the decoded reply of a lease claim or revoke command: the
@@ -104,24 +104,17 @@ type LeaseAck struct {
 
 // DecodeLeaseAck parses a lease command's response payload.
 func DecodeLeaseAck(b []byte) (LeaseAck, bool) {
-	if len(b) != 13 {
-		return LeaseAck{}, false
-	}
-	return LeaseAck{
-		Holder: msg.NodeID(binary.BigEndian.Uint32(b)),
-		Seq:    binary.BigEndian.Uint64(b[4:]),
-		Active: b[12] != 0,
-	}, true
+	r := msg.NewReader(b)
+	a := LeaseAck{Holder: msg.NodeID(r.U32()), Seq: r.U64(), Active: r.Bool()}
+	return a, r.Done() == nil
 }
 
 func encodeLeaseAck(a LeaseAck) []byte {
-	buf := make([]byte, 13)
-	binary.BigEndian.PutUint32(buf, uint32(a.Holder))
-	binary.BigEndian.PutUint64(buf[4:], a.Seq)
-	if a.Active {
-		buf[12] = 1
-	}
-	return buf
+	w := msg.Writer{Buf: make([]byte, 0, 13)}
+	w.U32(uint32(a.Holder))
+	w.U64(a.Seq)
+	w.Bool(a.Active)
+	return w.Buf
 }
 
 // leaseTable is the REPLICATED half of the lease: a pure function of the
@@ -199,16 +192,17 @@ func (r *Replica) RegisterLeaseClaim(clientID, seq uint64, deadline time.Time) {
 // silence window are process-local liveness state and deliberately are
 // not — see the package comment.
 func (r *Replica) applyLease(cmd Command) []byte {
-	op := cmd.Op
+	op := msg.NewReader(cmd.Op)
+	op.U64() // the magic isLeaseOp matched
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	switch op[8] {
+	switch op.U8() {
 	case leaseOpClaim:
-		if len(op) != leaseClaimLen {
+		holder := msg.NodeID(op.U32())
+		durMs := op.U64()
+		if op.Done() != nil {
 			break
 		}
-		holder := msg.NodeID(binary.BigEndian.Uint32(op[9:]))
-		durMs := binary.BigEndian.Uint64(op[13:])
 		r.lease.seq++
 		r.lease.active = true
 		r.lease.holder = holder
@@ -233,6 +227,9 @@ func (r *Replica) applyLease(cmd Command) []byte {
 			}
 		}
 	case leaseOpRevoke:
+		if op.Done() != nil {
+			break
+		}
 		r.lease.seq++
 		r.lease.active = false
 		r.lease.holder = 0
@@ -390,45 +387,29 @@ func frontierCovers(applied map[msg.RingID]msg.Instance, grant []msg.RingInstanc
 // The grant tuple is already sorted by ring ID (tupleOf), so the encoding
 // is content-deterministic like the rest of the checkpoint.
 
-//mrp:codec lease encode
 func encodeLeaseTable(l leaseTable) []byte {
-	out := make([]byte, 0, 4+8+1+8+2+len(l.grant)*10)
-	out = binary.BigEndian.AppendUint32(out, uint32(l.holder))
-	out = binary.BigEndian.AppendUint64(out, l.seq)
-	if l.active {
-		out = append(out, 1)
-	} else {
-		out = append(out, 0)
-	}
-	out = binary.BigEndian.AppendUint64(out, l.durMs)
-	out = binary.BigEndian.AppendUint16(out, uint16(len(l.grant)))
+	w := msg.Writer{Buf: make([]byte, 0, 4+8+1+8+2+len(l.grant)*10)}
+	w.U32(uint32(l.holder))
+	w.U64(l.seq)
+	w.Bool(l.active)
+	w.U64(l.durMs)
+	w.U16(uint16(len(l.grant)))
 	for _, g := range l.grant {
-		out = binary.BigEndian.AppendUint16(out, uint16(g.Ring))
-		out = binary.BigEndian.AppendUint64(out, uint64(g.Instance))
+		w.U16(uint16(g.Ring))
+		w.U64(uint64(g.Instance))
 	}
-	return out
+	return w.Buf
 }
 
-//mrp:codec lease decode
 func decodeLeaseTable(b []byte) (leaseTable, bool) {
-	var l leaseTable
-	if len(b) < 23 {
-		return l, len(b) == 0 // absent lease section: zero table
-	}
-	l.holder = msg.NodeID(binary.BigEndian.Uint32(b))
-	l.seq = binary.BigEndian.Uint64(b[4:])
-	l.active = b[12] != 0
-	l.durMs = binary.BigEndian.Uint64(b[13:])
-	n := int(binary.BigEndian.Uint16(b[21:]))
-	b = b[23:]
-	if len(b) != n*10 {
-		return leaseTable{}, false
-	}
+	r := msg.NewReader(b)
+	l := leaseTable{holder: msg.NodeID(r.U32()), seq: r.U64(), active: r.Bool(), durMs: r.U64()}
+	n := r.Count(int(r.U16()), 10)
 	for i := 0; i < n; i++ {
-		l.grant = append(l.grant, msg.RingInstance{
-			Ring:     msg.RingID(binary.BigEndian.Uint16(b[i*10:])),
-			Instance: msg.Instance(binary.BigEndian.Uint64(b[i*10+2:])),
-		})
+		l.grant = append(l.grant, msg.RingInstance{Ring: msg.RingID(r.U16()), Instance: msg.Instance(r.U64())})
+	}
+	if r.Done() != nil {
+		return leaseTable{}, false
 	}
 	return l, true
 }

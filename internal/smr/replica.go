@@ -1,6 +1,7 @@
 package smr
 
 import (
+	"bytes"
 	"sort"
 	"sync"
 	"time"
@@ -14,7 +15,10 @@ import (
 // StateMachine is the replicated application. Execute must be
 // deterministic: replicas apply the same commands in the same order and
 // must reach the same state. Snapshot/Restore serialize the full state for
-// checkpointing and state transfer (Section 5.2).
+// checkpointing and state transfer (Section 5.2). Snapshots must be
+// canonical — Snapshot right after Restore(b) returns b — and Restore
+// must install nothing from input it cannot decode in full: a recovering
+// replica refuses a checkpoint whose snapshot does not round-trip.
 type StateMachine interface {
 	Execute(op []byte) []byte
 	Snapshot() []byte
@@ -353,7 +357,12 @@ func (r *Replica) SafeTuple() []msg.RingInstance {
 // the lease table and the tuples from a recovered checkpoint. Must be
 // called before Start. The replica's own sections are decoded in full
 // before anything is installed: malformed ones return ErrBadCheckpoint
-// and leave the replica untouched.
+// and leave the replica untouched. StateMachine.Restore reports no error,
+// so the state-machine section is checked by re-encoding: snapshots are
+// canonical, and a Restore that refused its input (a truncated or corrupt
+// section) leaves a state whose Snapshot differs from it. Such a
+// checkpoint also returns ErrBadCheckpoint, before the dedup and lease
+// tables are installed.
 func (r *Replica) InstallCheckpoint(ck storage.Checkpoint) error {
 	dedupRaw, leaseRaw, smState, err := decodeReplicaState(ck.State)
 	if err != nil {
@@ -368,6 +377,9 @@ func (r *Replica) InstallCheckpoint(ck storage.Checkpoint) error {
 		return ErrBadCheckpoint
 	}
 	r.cfg.SM.Restore(smState)
+	if !bytes.Equal(r.cfg.SM.Snapshot(), smState) {
+		return ErrBadCheckpoint
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.dedup = dedup

@@ -1,9 +1,10 @@
 package smr
 
 import (
-	"encoding/binary"
 	"errors"
-	"sort"
+	"slices"
+
+	"mrp/internal/msg"
 )
 
 // ErrBadCheckpoint reports checkpoint bytes that do not decode. They come
@@ -23,74 +24,60 @@ var ErrBadCheckpoint = errors.New("smr: malformed checkpoint")
 // replicated half of the ring lease, which recovers identically on every
 // replica; the process-local serve/silence windows deliberately do not.
 
-//mrp:codec replicastate encode
 func encodeReplicaState(dedup, lease, smState []byte) []byte {
-	out := make([]byte, 0, 4+len(dedup)+4+len(lease)+len(smState))
-	out = binary.BigEndian.AppendUint32(out, uint32(len(dedup)))
-	out = append(out, dedup...)
-	out = binary.BigEndian.AppendUint32(out, uint32(len(lease)))
-	out = append(out, lease...)
-	out = append(out, smState...)
-	return out
+	w := msg.Writer{Buf: make([]byte, 0, 4+len(dedup)+4+len(lease)+len(smState))}
+	w.Bytes(dedup)
+	w.Bytes(lease)
+	w.Buf = append(w.Buf, smState...)
+	return w.Buf
 }
 
-//mrp:codec replicastate decode
 func decodeReplicaState(b []byte) (dedup, lease, smState []byte, err error) {
-	if len(b) < 4 {
+	r := msg.NewReader(b)
+	dedup, lease = r.Bytes(), r.Bytes()
+	smState = r.Raw(r.Remaining())
+	if r.Err() != nil {
 		return nil, nil, nil, ErrBadCheckpoint
 	}
-	n := int(binary.BigEndian.Uint32(b))
-	if len(b) < 4+n+4 {
-		return nil, nil, nil, ErrBadCheckpoint
-	}
-	dedup = b[4 : 4+n]
-	b = b[4+n:]
-	ln := int(binary.BigEndian.Uint32(b))
-	if len(b) < 4+ln {
-		return nil, nil, nil, ErrBadCheckpoint
-	}
-	return dedup, b[4 : 4+ln], b[4+ln:], nil
+	return dedup, lease, smState, nil
 }
 
 // encodeDedup serializes the dedup table in ascending client-ID order:
 // the bytes land in the checkpoint, and replicas compare checkpoints by
 // content, so map iteration order must not leak into the encoding.
-//
-//mrp:codec dedup encode
 func encodeDedup(m map[uint64]clientEntry) []byte {
 	ids := make([]uint64, 0, len(m))
 	for id := range m {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	var out []byte
+	slices.Sort(ids)
+	var w msg.Writer
 	for _, id := range ids {
 		e := m[id]
-		out = binary.BigEndian.AppendUint64(out, id)
-		out = binary.BigEndian.AppendUint64(out, e.seq)
-		out = binary.BigEndian.AppendUint64(out, e.bits)
-		out = binary.BigEndian.AppendUint32(out, uint32(len(e.result)))
-		out = append(out, e.result...)
+		w.U64(id)
+		w.U64(e.seq)
+		w.U64(e.bits)
+		w.Bytes(e.result)
 	}
-	return out
+	return w.Buf
 }
 
-//mrp:codec dedup decode
+// decodeDedup reads what encodeDedup writes: entries up to the end of b,
+// in strictly ascending client-ID order. Results are copies.
 func decodeDedup(b []byte) (map[uint64]clientEntry, error) {
 	m := make(map[uint64]clientEntry)
-	for len(b) > 0 {
-		if len(b) < 28 {
-			return nil, ErrBadCheckpoint
+	r := msg.NewReader(b)
+	var prev uint64
+	for i := 0; r.Remaining() > 0 && r.Err() == nil; i++ {
+		id := r.U64()
+		if i > 0 && id <= prev {
+			r.Fail()
 		}
-		id := binary.BigEndian.Uint64(b)
-		seq := binary.BigEndian.Uint64(b[8:])
-		bits := binary.BigEndian.Uint64(b[16:])
-		n := int(binary.BigEndian.Uint32(b[24:]))
-		if len(b) < 28+n {
-			return nil, ErrBadCheckpoint
-		}
-		m[id] = clientEntry{seq: seq, bits: bits, result: append([]byte(nil), b[28:28+n]...)}
-		b = b[28+n:]
+		prev = id
+		m[id] = clientEntry{seq: r.U64(), bits: r.U64(), result: append([]byte(nil), r.Bytes()...)}
+	}
+	if r.Done() != nil {
+		return nil, ErrBadCheckpoint
 	}
 	return m, nil
 }

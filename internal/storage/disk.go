@@ -86,6 +86,12 @@ func (d *Disk) Model() DiskModel { return d.model }
 
 // SyncWrite persists n bytes synchronously: the caller blocks for the
 // device queue, the commit latency, and the transfer time.
+//
+// Like CheckpointStore.Save it is a persistence sink: it models device
+// time only, never what state machines compute, so it is free to read
+// real clocks.
+//
+//mrp:nondeterministic
 func (d *Disk) SyncWrite(n int) {
 	if d == nil || d.model.SyncLatency == 0 && d.model.Bandwidth == 0 {
 		return
@@ -113,7 +119,9 @@ func (d *Disk) SyncWrite(n int) {
 // AsyncWrite buffers n bytes for background write-back. It returns
 // immediately unless the write-back buffer is full, in which case it blocks
 // until the device has drained enough backlog (fluid model at the device
-// bandwidth).
+// bandwidth). A persistence sink, like SyncWrite.
+//
+//mrp:nondeterministic
 func (d *Disk) AsyncWrite(n int) {
 	if d == nil || d.model.Bandwidth == 0 {
 		return

@@ -3,6 +3,8 @@ package store
 import (
 	"hash/fnv"
 	"testing"
+
+	"mrp/internal/msg"
 )
 
 // TestHashPartitionerMatchesFNV pins the inlined FNV-1a hash against
@@ -24,12 +26,12 @@ func TestHashPartitionerMatchesFNV(t *testing.T) {
 	}
 }
 
-// TestTakePartitionerMalformed pins the wire-count guard mrp-lint's
-// snapcodec analyzer demanded: a snapshot-encoded range partitioner whose
-// partition count is zero used to panic (make with capacity n-1 = -1) and
-// a huge count used to pre-allocate before any bounds check. Snapshots
-// arrive over the network (CkptData), so both are one corrupt checkpoint
-// away; the decoder must reject them instead.
+// TestTakePartitionerMalformed pins the wire-count guard of the
+// snapshot-encoded range partitioner: a zero partition count must not
+// size a slice of n-1 = -1 bounds, and a huge count must not
+// pre-allocate before the input is known to hold it. Snapshots arrive
+// over the network (CkptData), so both are one corrupt checkpoint away;
+// the decoder must reject them.
 func TestTakePartitionerMalformed(t *testing.T) {
 	cases := map[string][]byte{
 		"zero count":       {1, 0, 0, 0, 0},
@@ -38,7 +40,8 @@ func TestTakePartitionerMalformed(t *testing.T) {
 		"truncated":        {1, 0, 0, 0},
 	}
 	for name, b := range cases {
-		if _, _, ok := takePartitioner(b); ok {
+		r := msg.NewReader(b)
+		if takePartitioner(&r); r.Done() == nil {
 			t.Errorf("%s: takePartitioner accepted malformed input %v", name, b)
 		}
 	}
@@ -46,10 +49,12 @@ func TestTakePartitionerMalformed(t *testing.T) {
 	// The guard must not reject a valid encoding: round-trip a real
 	// partitioner through the snapshot codec.
 	rp := NewRangePartitioner([]string{"m"})
-	enc := appendPartitioner(nil, rp)
-	got, rest, ok := takePartitioner(enc)
-	if !ok || len(rest) != 0 {
-		t.Fatalf("round-trip failed: ok=%v rest=%d", ok, len(rest))
+	var w msg.Writer
+	appendPartitioner(&w, rp)
+	r := msg.NewReader(w.Buf)
+	got := takePartitioner(&r)
+	if err := r.Done(); err != nil {
+		t.Fatalf("round-trip failed: %v", err)
 	}
 	if got.N() != rp.N() || got.PartitionOf("a") != rp.PartitionOf("a") || got.PartitionOf("z") != rp.PartitionOf("z") {
 		t.Errorf("round-tripped partitioner differs: %+v vs %+v", got, rp)

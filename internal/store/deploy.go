@@ -57,7 +57,6 @@ type DeployConfig struct {
 	SkipInterval  time.Duration // Δ
 	SkipRate      int           // λ
 	RetryTimeout  time.Duration
-	MergeM        int // deterministic merge constant M (default 1)
 
 	// CheckpointEvery enables periodic replica checkpoints.
 	CheckpointEvery time.Duration
@@ -230,7 +229,6 @@ func (c *DeployConfig) clusterConfig() cluster.Config {
 		SkipInterval:    c.SkipInterval,
 		SkipRate:        c.SkipRate,
 		RetryTimeout:    c.RetryTimeout,
-		MergeM:          c.MergeM,
 		CheckpointEvery: c.CheckpointEvery,
 	}.WithDefaults()
 }

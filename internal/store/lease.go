@@ -19,29 +19,33 @@ type LeasePolicy struct {
 	// Disabled routes every read through consensus (the pre-lease
 	// behavior) and starts no lease managers.
 	Disabled bool
-	// Duration is the lease duration D carried in every claim: the
+
+	// The lease timing is fixed outside tests, which shorten it to cross
+	// expiry boundaries often.
+	//
+	// duration is the lease duration D carried in every claim: the
 	// holder's serve window and the other replicas' silence window are
 	// both bounded by it (default 1.5 s).
-	Duration time.Duration
-	// Margin is subtracted from the holder's serve window
-	// (T_send + Duration − Margin) to absorb clock-RATE drift between
-	// processes over one Duration; absolute clock offsets cancel out of
-	// the protocol entirely (default Duration/5).
-	Margin time.Duration
-	// RenewEvery is the claim cadence; well under Duration so a healthy
-	// holder's window never lapses between renewals (default Duration/3).
-	RenewEvery time.Duration
+	duration time.Duration
+	// margin is subtracted from the holder's serve window
+	// (T_send + duration − margin) to absorb clock-RATE drift between
+	// processes over one duration; absolute clock offsets cancel out of
+	// the protocol entirely (default duration/5).
+	margin time.Duration
+	// renewEvery is the claim cadence; well under duration so a healthy
+	// holder's window never lapses between renewals (default duration/3).
+	renewEvery time.Duration
 }
 
 func (p LeasePolicy) withDefaults() LeasePolicy {
-	if p.Duration <= 0 {
-		p.Duration = 1500 * time.Millisecond
+	if p.duration <= 0 {
+		p.duration = 1500 * time.Millisecond
 	}
-	if p.Margin <= 0 || p.Margin >= p.Duration {
-		p.Margin = p.Duration / 5
+	if p.margin <= 0 || p.margin >= p.duration {
+		p.margin = p.duration / 5
 	}
-	if p.RenewEvery <= 0 {
-		p.RenewEvery = p.Duration / 3
+	if p.renewEvery <= 0 {
+		p.renewEvery = p.duration / 3
 	}
 	return p
 }
@@ -125,7 +129,7 @@ func (d *Deployment) startLeaseManager(p int) error {
 		cl: smr.NewClient(smr.ClientConfig{
 			ID:       id,
 			Endpoint: ep,
-			Timeout:  d.cfg.Lease.Duration,
+			Timeout:  d.cfg.Lease.duration,
 		}),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
@@ -197,7 +201,7 @@ func (m *leaseManager) Stop() {
 func (m *leaseManager) run() {
 	defer close(m.done)
 	defer m.unadvertise()
-	t := time.NewTicker(m.pol.RenewEvery)
+	t := time.NewTicker(m.pol.renewEvery)
 	defer t.Stop()
 	for {
 		m.renew()
@@ -242,9 +246,9 @@ func (m *leaseManager) renew() {
 	// T_send is read BEFORE the claim is proposed: the serve window must
 	// be anchored no later than any replica's apply of this claim for the
 	// no-overlap bound to hold (see internal/smr's lease.go).
-	deadline := time.Now().Add(m.pol.Duration - m.pol.Margin)
+	deadline := time.Now().Add(m.pol.duration - m.pol.margin)
 	h.Replica.RegisterLeaseClaim(m.cl.ID(), seq, deadline)
-	claim := smr.EncodeLeaseClaim(nodeIDFor(m.p, hIdx), m.pol.Duration)
+	claim := smr.EncodeLeaseClaim(nodeIDFor(m.p, hIdx), m.pol.duration)
 	if _, err := m.cl.ExecuteGatherAt(seq, []msg.RingID{meta.ring}, claim, 1, nil); err != nil {
 		return
 	}

@@ -198,9 +198,9 @@ func leaseLinRun(t *testing.T, d *Deployment, cfg leaseLinConfig, scenario func(
 func TestLeaseReadsLinearizableUnderExpiry(t *testing.T) {
 	const keys = 64
 	d := deployLeaseStore(t, keys, LeasePolicy{
-		Duration:   60 * time.Millisecond,
-		Margin:     20 * time.Millisecond,
-		RenewEvery: 45 * time.Millisecond,
+		duration:   60 * time.Millisecond,
+		margin:     20 * time.Millisecond,
+		renewEvery: 45 * time.Millisecond,
 	})
 	hits := leaseLinRun(t, d, leaseLinConfig{keys: keys, writers: 4, readers: 2, dur: 1500 * time.Millisecond}, nil)
 	if hits == 0 {
@@ -217,9 +217,9 @@ func TestLeaseReadsLinearizableUnderExpiry(t *testing.T) {
 func TestLeaseReadsLinearizableAcrossHolderCrash(t *testing.T) {
 	const keys = 64
 	d := deployLeaseStore(t, keys, LeasePolicy{
-		Duration:   200 * time.Millisecond,
-		Margin:     40 * time.Millisecond,
-		RenewEvery: 66 * time.Millisecond,
+		duration:   200 * time.Millisecond,
+		margin:     40 * time.Millisecond,
+		renewEvery: 66 * time.Millisecond,
 	})
 	holder := leaseHolderIdx(3)
 	hits := leaseLinRun(t, d, leaseLinConfig{keys: keys, writers: 4, readers: 2, dur: 2 * time.Second}, func() {
@@ -244,9 +244,9 @@ func TestLeaseReadsLinearizableAcrossHolderCrash(t *testing.T) {
 func TestLeaseReadsLinearizableAcrossSplitMerge(t *testing.T) {
 	const keys = 64
 	d := deployLeaseStore(t, keys, LeasePolicy{
-		Duration:   300 * time.Millisecond,
-		Margin:     60 * time.Millisecond,
-		RenewEvery: 100 * time.Millisecond,
+		duration:   300 * time.Millisecond,
+		margin:     60 * time.Millisecond,
+		renewEvery: 100 * time.Millisecond,
 	})
 	admin := d.NewClient()
 	defer admin.Close()

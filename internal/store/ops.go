@@ -1,8 +1,9 @@
 package store
 
 import (
-	"encoding/binary"
 	"errors"
+
+	"mrp/internal/msg"
 )
 
 // opKind tags the MRP-Store operations of Table 1, plus the client-side
@@ -96,174 +97,90 @@ type op struct {
 	pmap Partitioner
 }
 
-func appendString(b []byte, s string) []byte {
-	b = binary.BigEndian.AppendUint16(b, uint16(len(s)))
-	return append(b, s...)
-}
-
-func appendBytes(b, v []byte) []byte {
-	b = binary.BigEndian.AppendUint32(b, uint32(len(v)))
-	return append(b, v...)
-}
-
-func takeString(b []byte) (string, []byte, error) {
-	if len(b) < 2 {
-		return "", nil, errBadOp
-	}
-	n := int(binary.BigEndian.Uint16(b))
-	if len(b) < 2+n {
-		return "", nil, errBadOp
-	}
-	// The decoded key outlives the op — it is stored in the map or
-	// becomes part of the reply — so the copy is mandatory.
-	return string(b[2 : 2+n]), b[2+n:], nil
-}
-
-func takeBytes(b []byte) ([]byte, []byte, error) {
-	if len(b) < 4 {
-		return nil, nil, errBadOp
-	}
-	n := int(binary.BigEndian.Uint32(b))
-	if len(b) < 4+n {
-		return nil, nil, errBadOp
-	}
-	return b[4 : 4+n], b[4+n:], nil
-}
-
 func (o op) encode() []byte {
-	b := []byte{byte(o.kind)}
-	b = binary.BigEndian.AppendUint64(b, o.epoch)
+	w := msg.Writer{Buf: []byte{byte(o.kind)}}
+	w.U64(o.epoch)
 	switch o.kind {
 	case opRead, opDelete:
-		b = appendString(b, o.key)
+		w.Str(o.key)
 	case opUpdate, opInsert:
-		b = appendString(b, o.key)
-		b = appendBytes(b, o.value)
+		w.Str(o.key)
+		w.Bytes(o.value)
 	case opScan:
-		b = appendString(b, o.key)
-		b = appendString(b, o.to)
-		b = binary.BigEndian.AppendUint32(b, uint32(o.limit))
-	case opBatch:
-		b = binary.BigEndian.AppendUint32(b, uint32(len(o.batch)))
-		for _, sub := range o.batch {
-			enc := sub.encode()
-			b = appendBytes(b, enc)
-		}
-	case opMigrate:
-		b = binary.BigEndian.AppendUint16(b, o.part)
-		b = binary.BigEndian.AppendUint32(b, uint32(len(o.batch)))
-		for _, sub := range o.batch {
-			enc := sub.encode()
-			b = appendBytes(b, enc)
-		}
-	case opPrepareReconfig, opAbortReconfig, opCommitReconfig:
-		b = append(b, o.rkind)
-		b = binary.BigEndian.AppendUint16(b, o.part)
-		b = binary.BigEndian.AppendUint16(b, o.newPart)
-		b = appendString(b, o.key)
-		if o.pmap != nil {
-			b = append(b, 1)
-			b = appendPartitioner(b, o.pmap)
-		} else {
-			b = append(b, 0)
-		}
-	case opActivatePart, opStats:
-		b = binary.BigEndian.AppendUint16(b, o.part)
-	case opTxn:
-		b = appendBytes(b, o.value)
-	}
-	return b
-}
-
-func decodeOp(b []byte) (op, error) {
-	if len(b) < 9 {
-		return op{}, errBadOp
-	}
-	o := op{kind: opKind(b[0]), epoch: binary.BigEndian.Uint64(b[1:])}
-	b = b[9:]
-	var err error
-	switch o.kind {
-	case opRead, opDelete:
-		o.key, _, err = takeString(b)
-	case opUpdate, opInsert:
-		o.key, b, err = takeString(b)
-		if err == nil {
-			o.value, _, err = takeBytes(b)
-		}
-	case opScan:
-		o.key, b, err = takeString(b)
-		if err == nil {
-			o.to, b, err = takeString(b)
-		}
-		if err == nil {
-			if len(b) < 4 {
-				return op{}, errBadOp
-			}
-			o.limit = int(binary.BigEndian.Uint32(b))
-		}
+		w.Str(o.key)
+		w.Str(o.to)
+		w.U32(uint32(o.limit))
 	case opBatch, opMigrate:
 		if o.kind == opMigrate {
-			if len(b) < 2 {
-				return op{}, errBadOp
-			}
-			o.part = binary.BigEndian.Uint16(b)
-			b = b[2:]
+			w.U16(o.part)
 		}
-		if len(b) < 4 {
-			return op{}, errBadOp
+		w.U32(uint32(len(o.batch)))
+		for _, sub := range o.batch {
+			w.Bytes(sub.encode())
 		}
-		n := int(binary.BigEndian.Uint32(b))
-		b = b[4:]
-		if n > len(b) {
-			return op{}, errBadOp
+	case opPrepareReconfig, opAbortReconfig, opCommitReconfig:
+		w.U8(o.rkind)
+		w.U16(o.part)
+		w.U16(o.newPart)
+		w.Str(o.key)
+		w.Bool(o.pmap != nil)
+		if o.pmap != nil {
+			appendPartitioner(&w, o.pmap)
 		}
+	case opActivatePart, opStats:
+		w.U16(o.part)
+	case opTxn:
+		w.Bytes(o.value)
+	}
+	return w.Buf
+}
+
+// decodeOp parses an op, accepting only what encode produces. Keys are
+// copies — they outlive the op, stored in the map or returned in the
+// reply — while values alias b.
+func decodeOp(b []byte) (op, error) {
+	r := msg.NewReader(b)
+	o := op{kind: opKind(r.U8()), epoch: r.U64()}
+	switch o.kind {
+	case opRead, opDelete:
+		o.key = r.Str()
+	case opUpdate, opInsert:
+		o.key = r.Str()
+		o.value = r.Bytes()
+	case opScan:
+		o.key = r.Str()
+		o.to = r.Str()
+		o.limit = int(r.U32())
+	case opBatch, opMigrate:
+		if o.kind == opMigrate {
+			o.part = r.U16()
+		}
+		n := r.Count(int(r.U32()), 4)
 		o.batch = make([]op, 0, n)
 		for i := 0; i < n; i++ {
-			var raw []byte
-			raw, b, err = takeBytes(b)
+			sub, err := decodeOp(r.Bytes())
 			if err != nil {
-				return op{}, err
-			}
-			sub, subErr := decodeOp(raw)
-			if subErr != nil {
-				return op{}, subErr
+				return op{}, errBadOp
 			}
 			o.batch = append(o.batch, sub)
 		}
 	case opPrepareReconfig, opAbortReconfig, opCommitReconfig:
-		if len(b) < 5 {
-			return op{}, errBadOp
-		}
-		o.rkind = b[0]
-		o.part = binary.BigEndian.Uint16(b[1:])
-		o.newPart = binary.BigEndian.Uint16(b[3:])
-		o.key, b, err = takeString(b[5:])
-		if err == nil {
-			if len(b) < 1 {
-				return op{}, errBadOp
-			}
-			hasMap := b[0] != 0
-			b = b[1:]
-			if hasMap {
-				var ok bool
-				o.pmap, _, ok = takePartitioner(b)
-				if !ok {
-					return op{}, errBadOp
-				}
-			}
+		o.rkind = r.U8()
+		o.part = r.U16()
+		o.newPart = r.U16()
+		o.key = r.Str()
+		if r.Bool() {
+			o.pmap = takePartitioner(&r)
 		}
 	case opActivatePart, opStats:
-		if len(b) < 2 {
-			return op{}, errBadOp
-		}
-		o.part = binary.BigEndian.Uint16(b)
+		o.part = r.U16()
 	case opTxn:
-		o.value, _, err = takeBytes(b)
+		o.value = r.Bytes()
 	default:
 		return op{}, errBadOp
 	}
-	if err != nil {
-		return op{}, err
+	if r.Done() != nil {
+		return op{}, errBadOp
 	}
 	return o, nil
 }
@@ -293,65 +210,37 @@ type result struct {
 	count     uint32  // batch result
 }
 
-func (r result) encode() []byte {
-	n := 1 + 2 + 8 + 4 + len(r.value) + 4 + 4
-	for _, e := range r.entries {
+func (res result) encode() []byte {
+	n := 1 + 2 + 8 + 4 + len(res.value) + 4 + 4
+	for _, e := range res.entries {
 		n += 2 + len(e.Key) + 4 + len(e.Value)
 	}
-	b := make([]byte, 0, n) // sized exactly: one allocation per result
-	b = append(b, r.status)
-	b = binary.BigEndian.AppendUint16(b, r.partition)
-	b = binary.BigEndian.AppendUint64(b, r.epoch)
-	b = appendBytes(b, r.value)
-	b = binary.BigEndian.AppendUint32(b, uint32(len(r.entries)))
-	for _, e := range r.entries {
-		b = appendString(b, e.Key)
-		b = appendBytes(b, e.Value)
+	w := msg.Writer{Buf: make([]byte, 0, n)} // sized exactly: one allocation per result
+	w.U8(res.status)
+	w.U16(res.partition)
+	w.U64(res.epoch)
+	w.Bytes(res.value)
+	w.U32(uint32(len(res.entries)))
+	for _, e := range res.entries {
+		w.Str(e.Key)
+		w.Bytes(e.Value)
 	}
-	b = binary.BigEndian.AppendUint32(b, r.count)
-	return b
+	w.U32(res.count)
+	return w.Buf
 }
 
+// decodeResult parses a result; values alias b.
 func decodeResult(b []byte) (result, error) {
-	if len(b) < 11 {
-		return result{}, errBadOp
-	}
-	r := result{
-		status:    b[0],
-		partition: binary.BigEndian.Uint16(b[1:]),
-		epoch:     binary.BigEndian.Uint64(b[3:]),
-	}
-	b = b[11:]
-	var err error
-	r.value, b, err = takeBytes(b)
-	if err != nil {
-		return result{}, err
-	}
-	if len(b) < 4 {
-		return result{}, errBadOp
-	}
-	n := int(binary.BigEndian.Uint32(b))
-	b = b[4:]
-	if n > len(b) {
-		return result{}, errBadOp
-	}
-	r.entries = make([]Entry, 0, n)
+	r := msg.NewReader(b)
+	res := result{status: r.U8(), partition: r.U16(), epoch: r.U64(), value: r.Bytes()}
+	n := r.Count(int(r.U32()), 6)
+	res.entries = make([]Entry, 0, n)
 	for i := 0; i < n; i++ {
-		var k string
-		var v []byte
-		k, b, err = takeString(b)
-		if err != nil {
-			return result{}, err
-		}
-		v, b, err = takeBytes(b)
-		if err != nil {
-			return result{}, err
-		}
-		r.entries = append(r.entries, Entry{Key: k, Value: v})
+		res.entries = append(res.entries, Entry{Key: r.Str(), Value: r.Bytes()})
 	}
-	if len(b) < 4 {
+	res.count = r.U32()
+	if r.Done() != nil {
 		return result{}, errBadOp
 	}
-	r.count = binary.BigEndian.Uint32(b)
-	return r, nil
+	return res, nil
 }

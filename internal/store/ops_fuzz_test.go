@@ -34,13 +34,11 @@ func fuzzOpSeeds() [][]byte {
 	return seeds
 }
 
-// FuzzOpDecode checks the encode fixpoint of the op codec: the legacy
-// format tolerates trailing bytes on input, so full canonicality is out
-// of reach, but whatever decodeOp accepts must re-encode to a stable
-// form — decode(encode(decode(x))) reproduces encode(decode(x)) exactly.
-// For opTxn envelopes the embedded transaction payload IS canonical:
-// if it parses, it must re-encode byte-identically, or ambiguous-timeout
-// retries would not be recognized as duplicates by the dedup bitmap.
+// FuzzOpDecode checks that the op codec is canonical: whatever decodeOp
+// accepts re-encodes to the identical bytes. For opTxn envelopes the
+// embedded transaction payload is canonical too: if it parses, it must
+// re-encode byte-identically, or ambiguous-timeout retries would not be
+// recognized as duplicates by the dedup bitmap.
 func FuzzOpDecode(f *testing.F) {
 	for _, s := range fuzzOpSeeds() {
 		f.Add(s)
@@ -52,13 +50,8 @@ func FuzzOpDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		e1 := o.encode()
-		o2, err := decodeOp(e1)
-		if err != nil {
-			t.Fatalf("re-encoded op rejected: %v\n in: %x\nout: %x", err, data, e1)
-		}
-		if e2 := o2.encode(); !bytes.Equal(e1, e2) {
-			t.Fatalf("encode not a fixpoint:\n e1: %x\n e2: %x", e1, e2)
+		if re := o.encode(); !bytes.Equal(re, data) {
+			t.Fatalf("accepted op is not canonical:\n in: %x\nout: %x", data, re)
 		}
 		if o.kind == opTxn {
 			tx, err := txn.Decode(o.value)
@@ -68,6 +61,44 @@ func FuzzOpDecode(f *testing.F) {
 			if re := tx.Encode(); !bytes.Equal(re, o.value) {
 				t.Fatalf("embedded txn payload not canonical:\n in: %x\nout: %x", o.value, re)
 			}
+		}
+	})
+}
+
+// FuzzSnapshotRestore checks that Restore is all or nothing: on any input
+// it either installs exactly that snapshot (Snapshot then returns the
+// input byte for byte) or installs nothing (Snapshot returns the state
+// before). smr.Replica.InstallCheckpoint relies on this to refuse a
+// corrupt snapshot without an error from Restore.
+func FuzzSnapshotRestore(f *testing.F) {
+	rp, err := newRangePartitionerAssigned([]string{"g", "p"}, []int{0, 2, 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	sm := NewSMAt(1, rp, 7, false)
+	sm.pendingEpoch, sm.pendingKind = 8, reconfigSplit
+	sm.migrating, sm.movedFrom, sm.movedPart = true, "m", 3
+	sm.prev = NewHashPartitioner(2)
+	for _, k := range []string{"a", "b", "c", "d"} {
+		sm.data.Put(k, []byte("v-"+k))
+	}
+	sm.votes.put(5, 9, txn.VoteOK)
+	full := sm.Snapshot()
+	base := NewSM(0, NewHashPartitioner(1))
+	base.data.Put("sentinel", []byte("x"))
+	before := base.Snapshot()
+	f.Add(full)
+	f.Add(full[:len(full)-12])
+	f.Add(append(full, 0))
+	f.Add(before)
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		sm := NewSM(0, NewHashPartitioner(1))
+		sm.Restore(before)
+		sm.Restore(b)
+		got := sm.Snapshot()
+		if !bytes.Equal(got, b) && !bytes.Equal(got, before) {
+			t.Fatalf("Restore installed part of its input:\n in: %x\nout: %x", b, got)
 		}
 	})
 }

@@ -1,9 +1,9 @@
 package store
 
 import (
-	"encoding/binary"
 	"sync/atomic"
 
+	"mrp/internal/msg"
 	"mrp/internal/smr"
 )
 
@@ -569,80 +569,73 @@ func (s *SM) dropUnowned() {
 // needs to stay decodable.
 const snapshotV4 = 4
 
-// appendPartitioner encodes a partitioner for snapshots.
-func appendPartitioner(b []byte, p Partitioner) []byte {
+// appendPartitioner encodes a partitioner for snapshots and reconfig ops.
+func appendPartitioner(w *msg.Writer, p Partitioner) {
 	switch p := p.(type) {
 	case *HashPartitioner:
-		b = append(b, 0)
-		b = binary.BigEndian.AppendUint32(b, uint32(p.n))
+		w.U8(0)
+		w.U32(uint32(p.n))
 	case *RangePartitioner:
-		b = append(b, 1)
-		b = binary.BigEndian.AppendUint32(b, uint32(len(p.assign)))
+		w.U8(1)
+		w.U32(uint32(len(p.assign)))
 		for _, bound := range p.bounds {
-			b = appendString(b, bound)
+			w.Str(bound)
 		}
 		for _, a := range p.assign {
-			b = binary.BigEndian.AppendUint32(b, uint32(a))
+			w.U32(uint32(a))
 		}
 	default:
-		b = append(b, 0xFF)
+		w.U8(0xFF)
 	}
-	return b
 }
 
-// takePartitioner decodes a snapshot-encoded partitioner.
-func takePartitioner(b []byte) (Partitioner, []byte, bool) {
-	if len(b) < 1 {
-		return nil, nil, false
-	}
-	pkind := b[0]
-	b = b[1:]
-	switch pkind {
+// takePartitioner decodes what appendPartitioner encodes, failing r on
+// anything else.
+func takePartitioner(r *msg.Reader) Partitioner {
+	switch r.U8() {
 	case 0:
-		if len(b) < 4 {
-			return nil, nil, false
+		n := int(r.U32())
+		if n < 1 {
+			// NewHashPartitioner would turn it into 1, which re-encodes
+			// differently.
+			r.Fail()
+			return nil
 		}
-		return NewHashPartitioner(int(binary.BigEndian.Uint32(b))), b[4:], true
+		return NewHashPartitioner(n)
 	case 1:
-		if len(b) < 4 {
-			return nil, nil, false
+		// Each of the n slots carries at least its 4-byte assignment, so
+		// a corrupt count cannot size the slices beyond the input.
+		n := r.Count(int(r.U32()), 4)
+		if n < 1 {
+			r.Fail()
+			return nil
 		}
-		n := int(binary.BigEndian.Uint32(b))
-		b = b[4:]
-		// The wire-sourced count must be validated before it sizes any
-		// allocation: n == 0 would panic on the negative bounds capacity,
-		// and a huge n would pre-allocate gigabytes from one corrupt
-		// checkpoint. The minimum encoding of n partitions is n-1 bound
-		// strings (2-byte length prefix each) plus n 4-byte assignments.
-		if n < 1 || len(b) < 6*n-2 {
-			return nil, nil, false
-		}
-		bounds := make([]string, 0, n-1)
-		for i := 0; i < n-1; i++ {
-			var bound string
-			var err error
-			bound, b, err = takeString(b)
-			if err != nil {
-				return nil, nil, false
-			}
-			bounds = append(bounds, bound)
-		}
-		if len(b) < 4*n {
-			return nil, nil, false
+		bounds := make([]string, n-1)
+		for i := range bounds {
+			bounds[i] = r.Str()
 		}
 		assign := make([]int, n)
-		for i := 0; i < n; i++ {
-			assign[i] = int(binary.BigEndian.Uint32(b[4*i:]))
+		for i := range assign {
+			assign[i] = int(r.U32())
+		}
+		if r.Err() != nil {
+			return nil
 		}
 		rp, err := newRangePartitionerAssigned(bounds, assign)
 		if err != nil {
-			return nil, nil, false
+			r.Fail()
+			return nil
 		}
-		return rp, b[4*n:], true
+		return rp
 	default:
-		return nil, nil, false
+		r.Fail()
+		return nil
 	}
 }
+
+// snapshotFlags packs the reconfiguration booleans into the snapshot's
+// flags byte; bits above them are never set.
+const snapshotFlags = 1 | 2 | 4 | 8
 
 // Snapshot implements smr.StateMachine: the schema state (epoch, pending
 // reconfiguration, partitioners) followed by the full shard as
@@ -650,12 +643,11 @@ func takePartitioner(b []byte) (Partitioner, []byte, bool) {
 // snapshots of converged replicas remain byte-identical.
 //
 //mrp:deterministic
-//mrp:codec snapshot encode
 func (s *SM) Snapshot() []byte {
-	var b []byte
-	b = append(b, snapshotV4)
-	b = binary.BigEndian.AppendUint64(b, s.epoch)
-	b = binary.BigEndian.AppendUint64(b, s.pendingEpoch)
+	var w msg.Writer
+	w.U8(snapshotV4)
+	w.U64(s.epoch)
+	w.U64(s.pendingEpoch)
 	var flags byte
 	if s.warming {
 		flags |= 1
@@ -669,85 +661,71 @@ func (s *SM) Snapshot() []byte {
 	if s.receiving {
 		flags |= 8
 	}
-	b = append(b, flags, s.pendingKind)
-	b = binary.BigEndian.AppendUint16(b, uint16(s.movedPart))
-	b = appendString(b, s.movedFrom)
-	b = appendPartitioner(b, s.partitioner)
+	w.U8(flags)
+	w.U8(s.pendingKind)
+	w.U16(uint16(s.movedPart))
+	w.Str(s.movedFrom)
+	appendPartitioner(&w, s.partitioner)
+	w.Bool(s.prev != nil)
 	if s.prev != nil {
-		b = append(b, 1)
-		b = appendPartitioner(b, s.prev)
-	} else {
-		b = append(b, 0)
+		appendPartitioner(&w, s.prev)
 	}
-	b = binary.BigEndian.AppendUint32(b, uint32(s.data.Len()))
+	w.U32(uint32(s.data.Len()))
 	s.data.Ascend(func(e Entry) bool {
-		b = appendString(b, e.Key)
-		b = appendBytes(b, e.Value)
+		w.Str(e.Key)
+		w.Bytes(e.Value)
 		return true
 	})
-	b = s.votes.encode(b)
-	return b
+	s.votes.encode(&w)
+	return w.Buf
 }
 
-// Restore implements smr.StateMachine.
+// Restore implements smr.StateMachine. It accepts exactly what Snapshot
+// produces — the v4 header, known flag bits, strictly ascending keys, no
+// trailing bytes — and installs nothing unless all of b decodes, so a
+// truncated or corrupt snapshot leaves the machine as it was (and
+// smr.Replica.InstallCheckpoint, seeing Snapshot differ from b, refuses
+// the checkpoint).
 //
 //mrp:deterministic
-//mrp:codec snapshot decode
 func (s *SM) Restore(b []byte) {
-	s.data = NewSortedMap()
-	s.clearPending()
-	s.votes.reset()
-	if len(b) < 1 || b[0] != snapshotV4 {
+	r := msg.NewReader(b)
+	if r.U8() != snapshotV4 {
 		return
 	}
-	b = b[1:]
-	if len(b) < 20 {
+	epoch, pendingEpoch := r.U64(), r.U64()
+	flags, pendingKind := r.U8(), r.U8()
+	if flags&^snapshotFlags != 0 {
+		r.Fail()
+	}
+	movedPart, movedFrom := int(r.U16()), r.Str()
+	partitioner := takePartitioner(&r)
+	var prev Partitioner
+	if r.Bool() {
+		prev = takePartitioner(&r)
+	}
+	data := NewSortedMap()
+	n := r.Count(int(r.U32()), 6)
+	last := ""
+	for i := 0; i < n; i++ {
+		k, v := r.Str(), r.Bytes()
+		if i > 0 && k <= last {
+			r.Fail()
+		}
+		last = k
+		data.Put(k, append([]byte(nil), v...))
+	}
+	votes, order := decodeVotes(&r)
+	if r.Done() != nil {
 		return
 	}
-	s.epoch = binary.BigEndian.Uint64(b)
-	s.pendingEpoch = binary.BigEndian.Uint64(b[8:])
-	flags := b[16]
+	s.data = data
+	s.epoch, s.pendingEpoch, s.pendingKind = epoch, pendingEpoch, pendingKind
 	s.warming = flags&1 != 0
 	s.migrating = flags&2 != 0
 	s.frozen = flags&4 != 0
 	s.receiving = flags&8 != 0
-	s.pendingKind = b[17]
-	s.movedPart = int(binary.BigEndian.Uint16(b[18:]))
-	b = b[20:]
-	var err error
-	s.movedFrom, b, err = takeString(b)
-	if err != nil {
-		return
-	}
-	var ok bool
-	s.partitioner, b, ok = takePartitioner(b)
-	if !ok || len(b) < 1 {
-		return
-	}
-	hasPrev := b[0] != 0
-	b = b[1:]
-	if hasPrev {
-		s.prev, b, ok = takePartitioner(b)
-		if !ok {
-			return
-		}
-	}
-	if len(b) < 4 {
-		return
-	}
-	n := int(binary.BigEndian.Uint32(b))
-	b = b[4:]
-	for i := 0; i < n; i++ {
-		k, rest, err := takeString(b)
-		if err != nil {
-			return
-		}
-		v, rest2, err := takeBytes(rest)
-		if err != nil {
-			return
-		}
-		s.data.Put(k, append([]byte(nil), v...))
-		b = rest2
-	}
-	s.votes.decode(b)
+	s.movedPart, s.movedFrom = movedPart, movedFrom
+	s.partitioner, s.prev = partitioner, prev
+	s.votes.install(votes, order)
 }

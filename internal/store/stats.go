@@ -1,9 +1,10 @@
 package store
 
 import (
-	"encoding/binary"
 	"fmt"
 	"time"
+
+	"mrp/internal/msg"
 )
 
 // This file is the stats surface of MRP-Store: per-partition load and size
@@ -57,22 +58,20 @@ func (s *SM) applyStats(o op) result {
 
 // encodeStatsPayload packs stats into a result value.
 func encodeStatsPayload(st PartitionStats) []byte {
-	b := make([]byte, 0, 24)
-	b = binary.BigEndian.AppendUint64(b, st.Keys)
-	b = binary.BigEndian.AppendUint64(b, st.Bytes)
-	b = binary.BigEndian.AppendUint64(b, st.Ops)
-	return b
+	w := msg.Writer{Buf: make([]byte, 0, 24)}
+	w.U64(st.Keys)
+	w.U64(st.Bytes)
+	w.U64(st.Ops)
+	return w.Buf
 }
 
 func decodeStatsPayload(b []byte) (PartitionStats, error) {
-	if len(b) < 24 {
+	r := msg.NewReader(b)
+	st := PartitionStats{Keys: r.U64(), Bytes: r.U64(), Ops: r.U64()}
+	if r.Done() != nil {
 		return PartitionStats{}, errBadOp
 	}
-	return PartitionStats{
-		Keys:  binary.BigEndian.Uint64(b),
-		Bytes: binary.BigEndian.Uint64(b[8:]),
-		Ops:   binary.BigEndian.Uint64(b[16:]),
-	}, nil
+	return st, nil
 }
 
 // PartitionStats reads one committed partition's accounting from the first

@@ -2,9 +2,9 @@ package store
 
 import (
 	"bytes"
-	"encoding/binary"
 	"sync"
 
+	"mrp/internal/msg"
 	"mrp/internal/txn"
 )
 
@@ -238,52 +238,39 @@ func (vt *voteTable) get(client, seq uint64) (byte, bool) {
 	return v, ok
 }
 
-func (vt *voteTable) reset() {
-	vt.mu.Lock()
-	defer vt.mu.Unlock()
-	vt.votes = nil
-	vt.order = nil
-}
-
 // encode appends the history in FIFO order (identical across replicas:
 // appends follow delivery order), keeping snapshots byte-identical.
-//
-//mrp:codec votes encode
-func (vt *voteTable) encode(b []byte) []byte {
+func (vt *voteTable) encode(w *msg.Writer) {
 	vt.mu.Lock()
 	defer vt.mu.Unlock()
-	b = binary.BigEndian.AppendUint32(b, uint32(len(vt.order)))
+	w.U32(uint32(len(vt.order)))
 	for _, k := range vt.order {
-		b = binary.BigEndian.AppendUint64(b, k.client)
-		b = binary.BigEndian.AppendUint64(b, k.seq)
-		b = append(b, vt.votes[k])
+		w.U64(k.client)
+		w.U64(k.seq)
+		w.U8(vt.votes[k])
 	}
-	return b
 }
 
-//mrp:codec votes decode
-func (vt *voteTable) decode(b []byte) {
+// decodeVotes reads what encode writes, failing r on a repeated key (which
+// encode can never produce).
+func decodeVotes(r *msg.Reader) (map[voteKey]byte, []voteKey) {
+	n := r.Count(int(r.U32()), 17)
+	votes := make(map[voteKey]byte, n)
+	order := make([]voteKey, 0, n)
+	for i := 0; i < n; i++ {
+		k := voteKey{client: r.U64(), seq: r.U64()}
+		if _, dup := votes[k]; dup {
+			r.Fail()
+		}
+		votes[k] = r.U8()
+		order = append(order, k)
+	}
+	return votes, order
+}
+
+// install replaces the history with a decoded one.
+func (vt *voteTable) install(votes map[voteKey]byte, order []voteKey) {
 	vt.mu.Lock()
 	defer vt.mu.Unlock()
-	vt.votes = nil
-	vt.order = nil
-	if len(b) < 4 {
-		return
-	}
-	n := int(binary.BigEndian.Uint32(b))
-	b = b[4:]
-	if n > len(b)/17 {
-		return
-	}
-	vt.votes = make(map[voteKey]byte, n)
-	vt.order = make([]voteKey, 0, n)
-	for i := 0; i < n; i++ {
-		k := voteKey{
-			client: binary.BigEndian.Uint64(b),
-			seq:    binary.BigEndian.Uint64(b[8:]),
-		}
-		vt.votes[k] = b[16]
-		vt.order = append(vt.order, k)
-		b = b[17:]
-	}
+	vt.votes, vt.order = votes, order
 }

@@ -25,8 +25,11 @@
 package txn
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+
+	"mrp/internal/msg"
 )
 
 // Transaction kinds.
@@ -126,137 +129,141 @@ var ErrBadTxn = errors.New("txn: malformed transaction payload")
 // sorted unique Parts. Decode rejects everything Encode cannot produce,
 // so decode∘encode is the identity on accepted inputs (asserted by fuzz).
 func (t Txn) Encode() []byte {
-	b := make([]byte, 0, 64)
-	b = appendU64(b, t.Client)
-	b = appendU64(b, t.Seq)
-	b = append(b, t.Kind)
-	b = appendU16(b, uint16(len(t.Parts)))
+	w := msg.Writer{Buf: make([]byte, 0, 64)}
+	w.U64(t.Client)
+	w.U64(t.Seq)
+	w.U8(t.Kind)
+	w.U16(uint16(len(t.Parts)))
 	for _, p := range t.Parts {
-		b = appendU16(b, p)
+		w.U16(p)
 	}
-	b = appendU32(b, uint32(len(t.Ops)))
+	w.U32(uint32(len(t.Ops)))
 	for _, o := range t.Ops {
-		b = appendU16(b, o.Part)
-		b = appendU16(b, uint16(len(o.Key)))
-		b = append(b, o.Key...)
+		w.U16(o.Part)
+		w.Str(o.Key)
 		switch t.Kind {
 		case KindPut:
-			b = appendBytes(b, o.Value)
+			w.Bytes(o.Value)
 		case KindCAS:
-			b = appendOpt(b, o.Expect)
-			b = appendOpt(b, o.Value)
+			// A presence flag distinguishes nil (absent) from empty
+			// (present, zero length): Expect=nil means "key must not exist".
+			w.Bool(o.Expect != nil)
+			if o.Expect != nil {
+				w.Bytes(o.Expect)
+			}
+			w.Bool(o.Value != nil)
+			if o.Value != nil {
+				w.Bytes(o.Value)
+			}
 		case KindTransfer:
-			b = appendU64(b, uint64(o.Delta))
+			w.U64(uint64(o.Delta))
 		}
 	}
-	return b
+	return w.Buf
 }
 
 // Decode parses a transaction payload, enforcing canonical form: known
 // kind, sorted unique participant set, every op assigned to a listed
-// participant, and no trailing bytes.
+// participant, and no trailing bytes. Values are copies, never aliases of
+// b.
 func Decode(b []byte) (Txn, error) {
 	var t Txn
-	d := decoder{b: b}
-	t.Client = d.u64()
-	t.Seq = d.u64()
-	t.Kind = d.u8()
+	r := msg.NewReader(b)
+	t.Client = r.U64()
+	t.Seq = r.U64()
+	t.Kind = r.U8()
 	if t.Kind == 0 || t.Kind >= maxKind {
 		return Txn{}, ErrBadTxn
 	}
-	np := int(d.u16())
-	if d.err || np == 0 || np > d.remaining()/2 {
+	np := r.Count(int(r.U16()), 2)
+	if np == 0 {
 		return Txn{}, ErrBadTxn
 	}
 	t.Parts = make([]uint16, np)
 	for i := range t.Parts {
-		t.Parts[i] = d.u16()
+		t.Parts[i] = r.U16()
 		if i > 0 && t.Parts[i] <= t.Parts[i-1] {
 			return Txn{}, ErrBadTxn
 		}
 	}
-	no := int(d.u32())
-	if d.err || no == 0 || no > d.remaining()/4 {
+	no := r.Count(int(r.U32()), 4)
+	if no == 0 {
 		return Txn{}, ErrBadTxn
 	}
 	t.Ops = make([]KeyOp, no)
 	for i := range t.Ops {
 		o := &t.Ops[i]
-		o.Part = d.u16()
+		o.Part = r.U16()
 		if !containsPart(t.Parts, o.Part) {
 			return Txn{}, ErrBadTxn
 		}
-		o.Key = string(d.take(int(d.u16())))
+		o.Key = r.Str()
 		switch t.Kind {
 		case KindPut:
-			o.Value = d.bytes()
+			o.Value = bytes.Clone(r.Bytes())
 		case KindCAS:
-			o.Expect = d.opt()
-			o.Value = d.opt()
+			if r.Bool() {
+				o.Expect = bytes.Clone(r.Bytes())
+			}
+			if r.Bool() {
+				o.Value = bytes.Clone(r.Bytes())
+			}
 		case KindTransfer:
-			o.Delta = int64(d.u64())
+			o.Delta = int64(r.U64())
 		}
 	}
-	if d.err || d.remaining() != 0 {
+	if r.Done() != nil {
 		return Txn{}, ErrBadTxn
 	}
 	return t, nil
 }
 
 // EncodeResult serializes a participant reply canonically.
-func EncodeResult(r Result) []byte {
-	b := make([]byte, 0, 32)
-	b = append(b, r.Outcome)
-	b = appendU32(b, uint32(len(r.Reads)))
-	for _, kr := range r.Reads {
-		b = appendU16(b, uint16(len(kr.Key)))
-		b = append(b, kr.Key...)
+func EncodeResult(res Result) []byte {
+	w := msg.Writer{Buf: make([]byte, 0, 32)}
+	w.U8(res.Outcome)
+	w.U32(uint32(len(res.Reads)))
+	for _, kr := range res.Reads {
+		w.Str(kr.Key)
+		w.Bool(kr.Found)
 		if kr.Found {
-			b = append(b, 1)
-			b = appendBytes(b, kr.Value)
-		} else {
-			b = append(b, 0)
+			w.Bytes(kr.Value)
 		}
 	}
-	return b
+	return w.Buf
 }
 
 // DecodeResult parses a participant reply, enforcing canonical form.
+// Values are copies, never aliases of b.
 func DecodeResult(b []byte) (Result, error) {
-	var r Result
-	d := decoder{b: b}
-	r.Outcome = d.u8()
-	if r.Outcome == 0 || r.Outcome > OutcomeNotInvolved {
+	var res Result
+	r := msg.NewReader(b)
+	res.Outcome = r.U8()
+	if res.Outcome == 0 || res.Outcome > OutcomeNotInvolved {
 		return Result{}, ErrBadTxn
 	}
-	n := int(d.u32())
-	if d.err || n > d.remaining()/3 {
-		return Result{}, ErrBadTxn
-	}
-	r.Reads = make([]KeyRead, n)
-	for i := range r.Reads {
-		kr := &r.Reads[i]
-		kr.Key = string(d.take(int(d.u16())))
-		switch d.u8() {
-		case 1:
-			kr.Found = true
-			kr.Value = d.bytes()
-		case 0:
-		default:
-			return Result{}, ErrBadTxn
+	n := r.Count(int(r.U32()), 3)
+	res.Reads = make([]KeyRead, n)
+	for i := range res.Reads {
+		kr := &res.Reads[i]
+		kr.Key = r.Str()
+		if kr.Found = r.Bool(); kr.Found {
+			kr.Value = bytes.Clone(r.Bytes())
 		}
 	}
-	if d.err || d.remaining() != 0 {
+	if r.Done() != nil {
 		return Result{}, ErrBadTxn
 	}
-	return r, nil
+	return res, nil
 }
 
 // EncodeBalance renders a 64-bit signed account balance as a stored
 // value; DecodeBalance reads one back (absent or malformed values count
 // as zero, so transfers create accounts on first touch).
 func EncodeBalance(v int64) []byte {
-	return appendU64(nil, uint64(v))
+	w := msg.Writer{Buf: make([]byte, 0, 8)}
+	w.U64(uint64(v))
+	return w.Buf
 }
 
 // DecodeBalance parses a stored balance; anything but exactly 8 bytes is
@@ -302,114 +309,4 @@ func containsPart(parts []uint16, p uint16) bool {
 		}
 	}
 	return false
-}
-
-// --- minimal canonical primitive codec -------------------------------
-
-func appendU16(b []byte, v uint16) []byte {
-	return append(b, byte(v>>8), byte(v))
-}
-
-func appendU32(b []byte, v uint32) []byte {
-	return append(b, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
-func appendU64(b []byte, v uint64) []byte {
-	return append(b, byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
-		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
-// appendBytes writes a u32 length prefix then the bytes (nil encodes as
-// the empty slice).
-func appendBytes(b, v []byte) []byte {
-	b = appendU32(b, uint32(len(v)))
-	return append(b, v...)
-}
-
-// appendOpt writes a presence flag then, when present, the bytes; it
-// distinguishes nil (absent) from empty (present, zero length), which
-// KindCAS needs: Expect=nil means "key must not exist".
-func appendOpt(b, v []byte) []byte {
-	if v == nil {
-		return append(b, 0)
-	}
-	b = append(b, 1)
-	return appendBytes(b, v)
-}
-
-type decoder struct {
-	b   []byte
-	off int
-	err bool
-}
-
-func (d *decoder) remaining() int { return len(d.b) - d.off }
-
-func (d *decoder) take(n int) []byte {
-	if d.err || n < 0 || d.remaining() < n {
-		d.err = true
-		return nil
-	}
-	v := d.b[d.off : d.off+n]
-	d.off += n
-	return v
-}
-
-func (d *decoder) u8() byte {
-	v := d.take(1)
-	if v == nil {
-		return 0
-	}
-	return v[0]
-}
-
-func (d *decoder) u16() uint16 {
-	v := d.take(2)
-	if v == nil {
-		return 0
-	}
-	return uint16(v[0])<<8 | uint16(v[1])
-}
-
-func (d *decoder) u32() uint32 {
-	v := d.take(4)
-	if v == nil {
-		return 0
-	}
-	return uint32(v[0])<<24 | uint32(v[1])<<16 | uint32(v[2])<<8 | uint32(v[3])
-}
-
-func (d *decoder) u64() uint64 {
-	v := d.take(8)
-	if v == nil {
-		return 0
-	}
-	var x uint64
-	for _, c := range v {
-		x = x<<8 | uint64(c)
-	}
-	return x
-}
-
-func (d *decoder) bytes() []byte {
-	n := int(d.u32())
-	v := d.take(n)
-	if d.err {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, v)
-	return out
-}
-
-func (d *decoder) opt() []byte {
-	switch d.u8() {
-	case 0:
-		return nil
-	case 1:
-		return d.bytes()
-	default:
-		d.err = true
-		return nil
-	}
 }
