@@ -37,7 +37,7 @@ type Config struct {
 
 	// Ring tuning, applied to every ring.
 	BatchMaxBytes int
-	BatchDelay    time.Duration // default 1 ms
+	BatchDelay    time.Duration // default 1 ms; bounds a proposal's wait for its batch (ringpaxos.Config.BatchDelay)
 	SkipInterval  time.Duration
 	SkipRate      int
 	RetryTimeout  time.Duration // default 100 ms

@@ -42,7 +42,9 @@ type DeployConfig struct {
 	// DiskScale scales disk service times.
 	DiskScale float64
 
-	// Ring tuning.
+	// Ring tuning. BatchDelay bounds how long a proposal waits for its
+	// batch; with a sync-mode log the coordinator cuts batches when its log
+	// is idle (ringpaxos.Config.BatchDelay).
 	BatchMaxBytes int
 	BatchDelay    time.Duration
 	SkipInterval  time.Duration

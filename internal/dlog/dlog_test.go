@@ -420,24 +420,32 @@ func TestDLogCrashAndRecoverServer(t *testing.T) {
 	if err := d.RecoverServer(2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.MultiAppend([]LogID{0, 1}, []byte("post-recovery")); err != nil {
+	pos, err := cl.MultiAppend([]LogID{0, 1}, []byte("post-recovery"))
+	if err != nil {
 		t.Fatal(err)
 	}
+	// The reply may come from server 1 before servers 0 and 2 apply the
+	// append, so wait until both have passed its positions before
+	// comparing their states.
 	deadline := time.Now().Add(15 * time.Second)
-	for {
-		s0 := d.Servers[0].SM.Snapshot()
-		s2 := d.Servers[2].SM.Snapshot()
-		if bytes.Equal(s0, s2) {
-			break
+	for _, srv := range []int{0, 2} {
+		for _, l := range []LogID{0, 1} {
+			for d.Servers[srv].SM.Tail(l) <= pos[l] {
+				if time.Now().After(deadline) {
+					t.Fatalf("server %d log %d: tail %d never passed %d", srv, l, d.Servers[srv].SM.Tail(l), pos[l])
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("recovered server diverged")
-		}
-		time.Sleep(10 * time.Millisecond)
+	}
+	if !bytes.Equal(d.Servers[0].SM.Snapshot(), d.Servers[2].SM.Snapshot()) {
+		t.Fatal("recovered server diverged")
 	}
 	// The recovered server serves reads with correct positions.
-	if tail := d.Servers[2].SM.Tail(0); tail != d.Servers[0].SM.Tail(0) {
-		t.Fatalf("tails diverged: %d vs %d", tail, d.Servers[0].SM.Tail(0))
+	for _, l := range []LogID{0, 1} {
+		if tail := d.Servers[2].SM.Tail(l); tail != d.Servers[0].SM.Tail(l) {
+			t.Fatalf("log %d: tails diverged: %d vs %d", l, tail, d.Servers[0].SM.Tail(l))
+		}
 	}
 }
 

@@ -92,7 +92,13 @@ type Config struct {
 	// messages into one network packet and is configured on the endpoint
 	// (tcpnet.WithBatch / netsim.WithBatch), not here.
 	BatchMaxBytes int
-	// BatchDelay is how long the coordinator waits to fill a batch.
+	// BatchDelay bounds how long a pending proposal waits for its batch
+	// to be cut. On a sync-mode log the coordinator cuts a batch whenever
+	// its log writer is idle, so a batch holds exactly what arrived while
+	// the previous record committed, and BatchDelay only matters if the
+	// writer never drains. In-memory and async logs have no writer (their
+	// writes return at once), so there BatchDelay is the batching window
+	// itself.
 	BatchDelay time.Duration
 
 	// phase1Window is how many consensus instances each pre-executed

@@ -55,8 +55,12 @@ type Process struct {
 	// Ring healing: peers marked down are skipped when forwarding.
 	down map[msg.NodeID]bool
 
-	// Acceptor state (loop-owned).
+	// Acceptor state (loop-owned). writer is nil unless the log is in a
+	// sync mode; writing counts continuations pushed to it and not yet
+	// run, so zero means the log is idle.
 	promised msg.Ballot
+	writer   *logWriter
+	writing  int
 
 	// Learner state (loop-owned).
 	nextDeliver  msg.Instance
@@ -157,6 +161,9 @@ func New(cfg Config, ep transport.Endpoint) (*Process, error) {
 		nextDeliver: start,
 		decidedBuf:  make(map[msg.Instance]msg.Value),
 	}
+	if cfg.Log != nil && cfg.Log.Mode().IsSync() {
+		p.writer = newLogWriter(cfg.Log)
+	}
 	return p, nil
 }
 
@@ -179,7 +186,8 @@ func (p *Process) Start() {
 	go p.run()
 }
 
-// Stop terminates the event loop. It does not close the endpoint.
+// Stop terminates the event loop and the log writer. It does not close the
+// endpoint.
 func (p *Process) Stop() {
 	p.stopOnce.Do(func() { close(p.stop) })
 	<-p.done
@@ -302,6 +310,12 @@ func (p *Process) forward(m msg.Message) {
 // run is the event loop.
 func (p *Process) run() {
 	defer close(p.done)
+	var committed <-chan afterCommit
+	if p.writer != nil {
+		go p.writer.run(p.stop)
+		defer func() { <-p.writer.exited }() // invariant (d)
+		committed = p.writer.done
+	}
 	if p.cfg.Coordinator == p.cfg.Self {
 		// Take coordination before consuming any input so local proposals
 		// are never needlessly routed around the ring.
@@ -337,8 +351,17 @@ func (p *Process) run() {
 			p.skipTick()
 		case <-retry.C:
 			p.retryTick()
+		case c := <-committed:
+			p.writing--
+			p.complete(c)
 		case <-p.stop:
 			return
+		}
+		// Cut a batch whenever the log is idle: the batch is exactly what
+		// arrived while the previous instance's record was committing. The
+		// ticker above only bounds the wait if the writer never drains.
+		if p.writer != nil && p.writing == 0 && p.isCoord && len(p.pending) > 0 {
+			p.flush()
 		}
 	}
 }
@@ -493,21 +516,19 @@ func (p *Process) startInstance(v msg.Value) {
 	p.propose2(inst, v)
 }
 
-// propose2 persists the coordinator's vote and circulates Phase 2A/2B.
+// propose2 persists the coordinator's vote and, once it is durable,
+// circulates Phase 2A/2B at the current ballot. It tracks the instance in
+// inflight, where retryTick finds it to re-propose.
 func (p *Process) propose2(inst msg.Instance, v msg.Value) {
-	if err := p.cfg.Log.Put(inst, storage.Record{Rnd: p.ballot, VRnd: p.ballot, Value: v}); err != nil {
-		return // instance already trimmed: long decided
-	}
-	p.inflight[inst] = &flight{value: v, sentAt: time.Now()}
-	m := &msg.Phase2{Ring: p.cfg.Ring, Ballot: p.ballot, Instance: inst, Value: v, Votes: 1}
-	if p.lastAcceptorIdx(p.selfIdx) == p.selfIdx {
-		// Single-acceptor ring: the coordinator is also the last acceptor.
-		if 1 >= p.maj {
-			p.decide(inst, v)
-		}
+	n, err := p.cfg.Log.Stage(inst, storage.Record{Rnd: p.ballot, VRnd: p.ballot, Value: v})
+	if err != nil {
+		delete(p.inflight, inst) // instance already trimmed: long decided
 		return
 	}
-	p.forward(m)
+	if _, ok := p.inflight[inst]; !ok {
+		p.inflight[inst] = &flight{value: v, sentAt: time.Now()}
+	}
+	p.persist(afterCommit{n: n, m: &msg.Phase2{Ring: p.cfg.Ring, Ballot: p.ballot, Instance: inst, Value: v, Votes: 1}})
 }
 
 // stepDown stops coordinating after observing a higher ballot from another
@@ -567,12 +588,7 @@ func (p *Process) sendPhase1(from, to msg.Instance) {
 		Promises: 1, // the coordinator's own promise
 		Voted:    p.votedIn(from, to),
 	}
-	p.chargePromise()
-	if p.n == 1 {
-		p.acceptWindow(m)
-		return
-	}
-	p.forward(m)
+	p.persist(afterCommit{n: promiseBytes, m: m})
 }
 
 // votedIn collects this acceptor's voted values in [from, to) for merging
@@ -588,19 +604,6 @@ func (p *Process) votedIn(from, to msg.Instance) []msg.VotedValue {
 		}
 	})
 	return out
-}
-
-// chargePromise accounts the stable write of a promise.
-func (p *Process) chargePromise() {
-	if p.cfg.Log == nil {
-		return
-	}
-	switch p.cfg.Log.Mode() {
-	case storage.SyncHDD, storage.SyncSSD:
-		p.cfg.Log.Disk().SyncWrite(16)
-	case storage.AsyncHDD, storage.AsyncSSD:
-		p.cfg.Log.Disk().AsyncWrite(16)
-	}
 }
 
 func (p *Process) handlePhase1B(m *msg.Phase1B) {
@@ -619,11 +622,10 @@ func (p *Process) handlePhase1B(m *msg.Phase1B) {
 	}
 	if p.self().Roles.Has(RoleAcceptor) && m.Ballot >= p.promised {
 		p.promised = m.Ballot
-		p.chargePromise()
 		c := *m
 		c.Promises++
 		c.Voted = append(append([]msg.VotedValue(nil), m.Voted...), p.votedIn(m.From, m.To)...)
-		p.forward(&c)
+		p.persist(afterCommit{n: promiseBytes, m: &c})
 		return
 	}
 	p.forward(m)
@@ -675,32 +677,21 @@ func (p *Process) handlePhase2(m *msg.Phase2) {
 	// Any Phase 2 is a hint about the highest outstanding instance; it
 	// feeds gap detection so even trailing losses trigger retransmission.
 	p.noteSeen(m.Instance, m.Value)
-	isLast := p.lastAcceptorIdx(owner) == p.selfIdx
-	if isLast && int(m.Votes) >= p.maj {
+	if p.lastAcceptorIdx(owner) == p.selfIdx && int(m.Votes) >= p.maj {
 		// The majority already voted: the last acceptor converts the
 		// message into a decision without adding (and persisting) its own
 		// vote — the decision is backed by the majority's stable storage.
 		p.decide(m.Instance, m.Value)
 		return
 	}
-	votes := m.Votes
-	voted := false
 	if p.self().Roles.Has(RoleAcceptor) && m.Ballot >= p.promised {
 		rec := storage.Record{Rnd: m.Ballot, VRnd: m.Ballot, Value: m.Value}
-		if err := p.cfg.Log.Put(m.Instance, rec); err == nil {
-			votes++
-			voted = true
+		if n, err := p.cfg.Log.Stage(m.Instance, rec); err == nil {
+			c := *m
+			c.Votes++
+			p.persist(afterCommit{n: n, m: &c})
+			return
 		}
-	}
-	if isLast && int(votes) >= p.maj {
-		p.decide(m.Instance, m.Value)
-		return
-	}
-	if voted {
-		c := *m
-		c.Votes = votes
-		p.forward(&c)
-		return
 	}
 	p.forward(m)
 }
@@ -945,7 +936,7 @@ func (p *Process) retryTick() {
 			}
 			if now.Sub(f.sentAt) > p.cfg.RetryTimeout {
 				f.sentAt = now
-				p.propose2re(inst, f.value)
+				p.propose2(inst, f.value)
 			}
 		}
 		p.flush()
@@ -963,20 +954,4 @@ func (p *Process) retryTick() {
 		p.requestRetransmission()
 	}
 	p.lastProgress = p.nextDeliver
-}
-
-// propose2re re-circulates Phase 2 for an undecided inflight instance at
-// the current ballot.
-func (p *Process) propose2re(inst msg.Instance, v msg.Value) {
-	rec := storage.Record{Rnd: p.ballot, VRnd: p.ballot, Value: v}
-	if err := p.cfg.Log.Put(inst, rec); err != nil {
-		delete(p.inflight, inst)
-		return
-	}
-	m := &msg.Phase2{Ring: p.cfg.Ring, Ballot: p.ballot, Instance: inst, Value: v, Votes: 1}
-	if p.lastAcceptorIdx(p.selfIdx) == p.selfIdx && 1 >= p.maj {
-		p.decide(inst, v)
-		return
-	}
-	p.forward(m)
 }

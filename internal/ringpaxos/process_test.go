@@ -30,6 +30,13 @@ type testRing struct {
 
 func newTestRing(t *testing.T, n int, mutate func(i int, c *Config)) *testRing {
 	t.Helper()
+	return newWrappedTestRing(t, n, mutate, nil)
+}
+
+// newWrappedTestRing is newTestRing with node i's process talking through
+// wrap(i, ep) instead of its simulated endpoint, when wrap is non-nil.
+func newWrappedTestRing(t *testing.T, n int, mutate func(i int, c *Config), wrap func(i int, ep transport.Endpoint) transport.Endpoint) *testRing {
+	t.Helper()
 	net := netsim.New(netsim.WithUniformLatency(20 * time.Microsecond))
 	tr := &testRing{
 		t:         t,
@@ -46,20 +53,23 @@ func newTestRing(t *testing.T, n int, mutate func(i int, c *Config)) *testRing {
 	}
 	for i := 0; i < n; i++ {
 		ep := net.Endpoint(peers[i].Addr)
-		log := storage.NewLog(storage.InMemory)
 		cfg := Config{
 			Ring:         1,
 			Self:         peers[i].ID,
 			Peers:        peers,
 			Coordinator:  peers[0].ID,
-			Log:          log,
+			Log:          storage.NewLog(storage.InMemory),
 			BatchDelay:   time.Millisecond,
 			RetryTimeout: 50 * time.Millisecond,
 		}
 		if mutate != nil {
 			mutate(i, &cfg)
 		}
-		proc, err := New(cfg, ep)
+		var pep transport.Endpoint = ep
+		if wrap != nil {
+			pep = wrap(i, ep)
+		}
+		proc, err := New(cfg, pep)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +79,7 @@ func newTestRing(t *testing.T, n int, mutate func(i int, c *Config)) *testRing {
 		tr.procs = append(tr.procs, proc)
 		tr.routers = append(tr.routers, router)
 		tr.eps = append(tr.eps, ep)
-		tr.logs = append(tr.logs, log)
+		tr.logs = append(tr.logs, cfg.Log)
 	}
 	for i, proc := range tr.procs {
 		proc.Start()

@@ -71,6 +71,11 @@ const recordOverhead = 32
 // instance to Record with an explicit low watermark advanced by Trim. All
 // methods are safe for concurrent use.
 //
+// A write has two halves. Stage puts the record into the index, where it
+// is visible at once; Commit pays the device time. Put does both. A ring
+// process stages on its event loop and commits on a writer goroutine, so
+// the loop keeps forwarding and delivering while the device works.
+//
 // The paper's acceptors used pre-allocated in-memory buffers of 15000 slots
 // × 32 KB and Berkeley DB for disk modes; here the in-memory index is a map
 // (the slot pre-allocation was a JVM garbage-collection optimization, not
@@ -104,33 +109,51 @@ func NewLogOnDisk(mode Mode, disk *Disk) *Log {
 // Mode returns the log's storage mode.
 func (l *Log) Mode() Mode { return l.mode }
 
-// Disk returns the underlying device.
-func (l *Log) Disk() *Disk { return l.disk }
-
-// Put persists the record for an instance. In synchronous modes it blocks
-// until the device has committed the write; in asynchronous modes it blocks
-// only when the device's write-back buffer is full. Records at or below the
-// low watermark are rejected (the instance was already trimmed).
+// Put persists the record for an instance: Stage followed by Commit. In
+// synchronous modes it blocks until the device has committed the write; in
+// asynchronous modes it blocks only when the device's write-back buffer is
+// full. Records at or below the low watermark are rejected (the instance
+// was already trimmed).
 func (l *Log) Put(inst msg.Instance, rec Record) error {
+	n, err := l.Stage(inst, rec)
+	if err != nil {
+		return err
+	}
+	l.Commit(n)
+	return nil
+}
+
+// Stage inserts the record for an instance into the in-memory index and
+// returns the number of bytes Commit must persist for it. The record is
+// visible to Get and Range at once, before it is durable: an acceptor
+// stages its vote in event-loop order, so a later promise reports it, and
+// holds back every message that depends on the vote until Commit returns.
+// Records at or below the low watermark are rejected (the instance was
+// already trimmed).
+func (l *Log) Stage(inst msg.Instance, rec Record) (int, error) {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if inst <= l.low {
-		l.mu.Unlock()
-		return fmt.Errorf("storage: instance %d already trimmed (low=%d)", inst, l.low)
+		return 0, fmt.Errorf("storage: instance %d already trimmed (low=%d)", inst, l.low)
 	}
 	l.records[inst] = rec
 	if inst > l.high {
 		l.high = inst
 	}
-	l.mu.Unlock()
+	return recordOverhead + rec.Value.PayloadBytes(), nil
+}
 
-	n := recordOverhead + rec.Value.PayloadBytes()
+// Commit pays the device time for n staged bytes: a synchronous write in
+// the sync modes, a buffered one in the async modes (blocking only when the
+// write-back buffer is full), nothing in memory. It takes no lock, so
+// callers may commit off the goroutine that staged.
+func (l *Log) Commit(n int) {
 	switch l.mode {
 	case SyncHDD, SyncSSD:
 		l.disk.SyncWrite(n)
 	case AsyncHDD, AsyncSSD:
 		l.disk.AsyncWrite(n)
 	}
-	return nil
 }
 
 // Get returns the record for an instance, if present.

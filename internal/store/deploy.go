@@ -51,7 +51,9 @@ type DeployConfig struct {
 	// to ephemeral listeners.
 	AddrFor func(partition, replica int) transport.Addr
 
-	// Ring tuning (applied to every ring).
+	// Ring tuning (applied to every ring). BatchDelay bounds how long a
+	// proposal waits for its batch; with a sync-mode log the coordinator
+	// cuts batches when its log is idle (ringpaxos.Config.BatchDelay).
 	BatchMaxBytes int
 	BatchDelay    time.Duration
 	SkipInterval  time.Duration // Δ
