@@ -96,9 +96,10 @@ type Config struct {
 	// to be cut. On a sync-mode log the coordinator cuts a batch whenever
 	// its log writer is idle, so a batch holds exactly what arrived while
 	// the previous record committed, and BatchDelay only matters if the
-	// writer never drains. In-memory and async logs have no writer (their
-	// writes return at once), so there BatchDelay is the batching window
-	// itself.
+	// writer never drains. In-memory and async logs have no writer and
+	// commit inline (an async write waits only when the device's
+	// write-back buffer is full), so there BatchDelay is the batching
+	// window itself.
 	BatchDelay time.Duration
 
 	// phase1Window is how many consensus instances each pre-executed

@@ -27,9 +27,11 @@ import (
 //
 // Only a log in a sync mode waits for the device on every write, so only
 // it gets a writer. An InMemory log never waits, and an async one only
-// when its write-back buffer is full; their continuations run inline,
-// with no goroutine hop and no allocation, and the BatchDelay ticker cuts
-// their batches.
+// when its write-back buffer is full; the loop commits their records
+// inline (nothing for InMemory, a buffered write that may block for an
+// async log, as Put did) and then runs the continuation, with no
+// goroutine hop and no allocation, and the BatchDelay ticker cuts their
+// batches.
 
 // afterCommit is a message held back until a staged record is durable:
 // the coordinator's own Phase 2, an acceptor's vote (a Phase 2 with its
@@ -107,11 +109,14 @@ func (w *logWriter) run(stop <-chan struct{}) {
 	}
 }
 
-// persist runs c once its record is durable: at once when the process has
-// no writer (in-memory and async logs), otherwise when the writer hands it
-// back.
+// persist runs c once its record is durable: after an inline Commit when
+// the process has no writer (in-memory and async logs), otherwise when the
+// writer hands it back.
 func (p *Process) persist(c afterCommit) {
 	if p.writer == nil {
+		if p.cfg.Log != nil {
+			p.cfg.Log.Commit(c.n)
+		}
 		p.complete(c)
 		return
 	}

@@ -2,7 +2,6 @@ package ringpaxos
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -15,7 +14,12 @@ import (
 
 // slowLog is a sync log whose every commit takes at least d.
 func slowLog(d time.Duration) *storage.Log {
-	return storage.NewLogOnDisk(storage.SyncSSD, storage.NewDisk(storage.DiskModel{SyncLatency: d}))
+	return storage.NewLogOnDisk(storage.SyncSSD, slowDisk(d))
+}
+
+// slowDisk is a device whose every sync write takes at least d.
+func slowDisk(d time.Duration) *storage.Disk {
+	return storage.NewDisk(storage.DiskModel{SyncLatency: d})
 }
 
 // sentMsg is one message a recordingEndpoint saw leave.
@@ -72,10 +76,9 @@ func (e *recordingEndpoint) waitSent(t *testing.T, n int, keep func(msg.Message)
 }
 
 // newBareProcess starts node self of a three-member ring coordinated by
-// node 1, on a log whose commits take commit, with no network: the test
-// feeds its In() channel and reads what it sends from the returned
-// endpoint.
-func newBareProcess(t *testing.T, self msg.NodeID, commit time.Duration) (*Process, *recordingEndpoint) {
+// node 1, on log, with no network: the test feeds its In() channel and
+// reads what it sends from the returned endpoint.
+func newBareProcess(t *testing.T, self msg.NodeID, log *storage.Log) (*Process, *recordingEndpoint) {
 	t.Helper()
 	peers := make([]Peer, 3)
 	for i := range peers {
@@ -91,7 +94,7 @@ func newBareProcess(t *testing.T, self msg.NodeID, commit time.Duration) (*Proce
 		Self:         self,
 		Peers:        peers,
 		Coordinator:  1,
-		Log:          slowLog(commit),
+		Log:          log,
 		RetryTimeout: time.Hour,
 	}, ep)
 	if err != nil {
@@ -210,7 +213,7 @@ func TestBatchCutWhenLogIdle(t *testing.T) {
 // arrives while this acceptor's vote is still committing reports the vote,
 // and leaves after it.
 func TestPromiseCarriesCommittingVote(t *testing.T) {
-	p, ep := newBareProcess(t, 2, 50*time.Millisecond)
+	p, ep := newBareProcess(t, 2, slowLog(50*time.Millisecond))
 	b1 := ballotFor(1, 0, 3) // node 1's ballot
 	b2 := ballotFor(1, 2, 3) // node 3 takes over
 	v := valueOf("x")
@@ -239,7 +242,7 @@ func TestPromiseCarriesCommittingVote(t *testing.T) {
 // still forwards a decision and delivers the instance it decides; the vote
 // leaves afterwards.
 func TestDecisionFlowsWhileCommitting(t *testing.T) {
-	p, ep := newBareProcess(t, 2, 300*time.Millisecond)
+	p, ep := newBareProcess(t, 2, slowLog(300*time.Millisecond))
 	b1 := ballotFor(1, 0, 3)
 	p.In() <- transport.Envelope{Msg: &msg.Phase2{Ring: 1, Ballot: b1, Instance: 2, Value: valueOf("slow"), Votes: 1}}
 	p.In() <- transport.Envelope{Msg: &msg.Decision{Ring: 1, Instance: 1, Origin: 1, Value: valueOf("decided")}}
@@ -264,7 +267,7 @@ func TestDecisionFlowsWhileCommitting(t *testing.T) {
 // TestSupersededPhase2NotSent: a coordinator that sees a higher ballot
 // while its own Phase 2 commits does not send that Phase 2.
 func TestSupersededPhase2NotSent(t *testing.T) {
-	p, ep := newBareProcess(t, 1, 300*time.Millisecond)
+	p, ep := newBareProcess(t, 1, slowLog(300*time.Millisecond))
 	// Complete Phase 1 by hand: return the coordinator's Phase 1B with a
 	// majority of promises.
 	p1 := ep.waitSent(t, 1, func(m msg.Message) bool { _, ok := m.(*msg.Phase1B); return ok })[0].m.(*msg.Phase1B)
@@ -296,32 +299,52 @@ func TestSupersededPhase2NotSent(t *testing.T) {
 	}
 }
 
-// writerGoroutines counts live goroutines running a log writer.
-func writerGoroutines() int {
-	buf := make([]byte, 1<<20)
-	for {
-		n := runtime.Stack(buf, true)
-		if n < len(buf) {
-			return strings.Count(string(buf[:n]), "ringpaxos.(*logWriter).run(")
-		}
-		buf = make([]byte, 2*len(buf))
-	}
-}
-
 // TestStopWaitsForWriter: Stop returns only after the log writer, caught
 // in the middle of a commit, has exited.
 func TestStopWaitsForWriter(t *testing.T) {
-	p, _ := newBareProcess(t, 2, 50*time.Millisecond)
+	disk := slowDisk(50 * time.Millisecond)
+	p, _ := newBareProcess(t, 2, storage.NewLogOnDisk(storage.SyncSSD, disk))
 	p.In() <- transport.Envelope{Msg: &msg.Phase2{Ring: 1, Ballot: ballotFor(1, 0, 3), Instance: 1, Value: valueOf("x"), Votes: 1}}
+	// The device counts a sync write when it starts it, so from then on
+	// the writer is inside the 50 ms commit.
 	deadline := time.Now().Add(30 * time.Second)
-	for writerGoroutines() == 0 {
+	for {
+		if syncOps, _, _ := disk.Stats(); syncOps == 1 {
+			break
+		}
 		if time.Now().After(deadline) {
-			t.Fatal("log writer never started")
+			t.Fatal("the vote never reached the log writer")
 		}
 		time.Sleep(time.Millisecond)
 	}
 	p.Stop()
-	if n := writerGoroutines(); n != 0 {
-		t.Fatalf("%d log writer goroutine(s) still running after Stop", n)
+	select {
+	case <-p.writer.exited:
+	default:
+		t.Fatal("log writer still running after Stop")
+	}
+}
+
+// TestAsyncLogChargesDisk: a ring on async-mode logs has no writer, and
+// still charges its device for every vote and promise, inline.
+func TestAsyncLogChargesDisk(t *testing.T) {
+	disks := make([]*storage.Disk, 3)
+	tr := newTestRing(t, 3, func(i int, c *Config) {
+		disks[i] = storage.NewDisk(storage.SSD)
+		c.Log = storage.NewLogOnDisk(storage.AsyncSSD, disks[i])
+	})
+	for _, v := range []string{"a", "b", "c"} {
+		if err := tr.procs[0].Propose([]byte(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr.waitDelivered([]int{0, 1, 2}, 3, 30*time.Second)
+	for i, proc := range tr.procs {
+		if proc.writer != nil {
+			t.Fatalf("process %d on an async log has a log writer", i)
+		}
+		if _, async, _ := disks[i].Stats(); async == 0 {
+			t.Fatalf("process %d: %d async writes on its device, want > 0", i, async)
+		}
 	}
 }
