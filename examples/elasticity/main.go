@@ -1,10 +1,10 @@
 // Elasticity: the full bidirectional round trip — split a live MRP-Store
-// partition onto a freshly subscribed ring, then merge it back and retire
-// the ring — while a client keeps reading and writing throughout. The
-// shrink path is the inverse of the paper's growth story: processes
-// unsubscribe from rings they no longer need, and the partitioning schema
-// in the coordination service drops the partition without renumbering the
-// survivors.
+// partition onto a new ring served by fresh replicas, then merge it back
+// and retire the ring — while a client keeps reading and writing
+// throughout. The shrink path is the inverse of the paper's growth story:
+// the replicas of a ring no longer needed stop, and the partitioning
+// schema in the coordination service drops the partition without
+// renumbering the survivors.
 //
 //	go run ./examples/elasticity
 package main
@@ -62,8 +62,7 @@ func main() {
 	// Shrink: merge the split-born partition back into its neighbor. Its
 	// whole range is frozen, streamed onto the survivor's ring, the schema
 	// drops the partition index (CAS), and the drained ring is retired —
-	// every donor replica unsubscribes and stops, and the ring ID returns
-	// to the allocator.
+	// every donor replica stops, and the ring ID returns to the allocator.
 	fmt.Printf("merge partition %d back into partition 1:\n", newPart)
 	must(rb.MergePartitions(1, newPart))
 	schema, err := mrp.LoadStoreSchema(reg)

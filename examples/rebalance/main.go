@@ -1,7 +1,6 @@
-// Rebalance: split a live MRP-Store partition onto a freshly subscribed
-// ring with zero downtime — the elastic growth path of the paper's
-// scalability story (processes subscribe to additional rings, services
-// repartition across them).
+// Rebalance: split a live MRP-Store partition onto a new ring with zero
+// downtime — the elastic growth path of the paper's scalability story
+// (new replicas join new rings, services repartition across them).
 //
 //	go run ./examples/rebalance
 package main
@@ -45,8 +44,9 @@ func main() {
 	fmt.Printf("epoch %d: %d partitions\n", cl.Epoch(), st.Partitions())
 
 	// Split the upper partition at "s" while the store keeps serving: the
-	// new partition's replicas subscribe to a brand-new ring at runtime,
-	// the moved range is streamed over, and ownership flips atomically.
+	// new partition gets fresh replicas that join a brand-new ring before
+	// they start, the moved range is streamed over, and ownership flips
+	// atomically.
 	rb, err := mrp.NewRebalancer(mrp.RebalanceConfig{
 		Store:    st,
 		Registry: reg,

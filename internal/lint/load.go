@@ -43,9 +43,6 @@ type Module struct {
 	byPath map[string]*Package
 }
 
-// PackageAt returns the loaded package with the given import path.
-func (m *Module) PackageAt(path string) *Package { return m.byPath[path] }
-
 // loader type-checks a set of directories into one Module, resolving
 // module-internal imports from its own set and everything else (stdlib)
 // from source via go/importer. It needs no network and no go/packages.

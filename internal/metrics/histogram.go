@@ -10,7 +10,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"time"
 )
@@ -231,20 +230,4 @@ func (h *Histogram) Merge(other *Histogram) {
 func (h *Histogram) String() string {
 	return fmt.Sprintf("n=%d mean=%v p50=%v p99=%v max=%v",
 		h.Count(), h.Mean(), h.Quantile(0.50), h.Quantile(0.99), h.Max())
-}
-
-// Percentiles is a convenience that reports a standard set of quantiles.
-func (h *Histogram) Percentiles() map[string]time.Duration {
-	return map[string]time.Duration{
-		"p50":  h.Quantile(0.50),
-		"p90":  h.Quantile(0.90),
-		"p95":  h.Quantile(0.95),
-		"p99":  h.Quantile(0.99),
-		"p999": h.Quantile(0.999),
-	}
-}
-
-// SortDurations sorts a slice of durations ascending (helper for tests).
-func SortDurations(ds []time.Duration) {
-	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
 }

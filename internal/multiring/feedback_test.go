@@ -114,3 +114,58 @@ func TestLearnerFeedbackRequestsSkip(t *testing.T) {
 	b.decide(ringpaxos.Decided{Ring: 2, Instance: 2, Value: msg.Value{Skip: true, SkipTo: 12}})
 	ask(a, 12)
 }
+
+// TestLearnerFeedbackSkipsUnconsumedRing: when the merge first waits, a
+// ring it has not consumed from yet has no frontier, so the instances it
+// already decided must not drive a skip request — a recovered learner's
+// rings start mid-stream, and their decided count says nothing about the
+// merge's lag. Once the merge has consumed from that ring, its backlog
+// counts.
+func TestLearnerFeedbackSkipsUnconsumedRing(t *testing.T) {
+	a, b, c := newFeedbackSource(1), newFeedbackSource(2), newFeedbackSource(3)
+	l := NewLearner(1, a, b, c)
+	a.decide(value(1, 1, "a1"))
+	c.decide(value(3, 1, "c1"))
+	c.decide(value(3, 2, "c2"))
+	l.Start()
+	defer l.Stop()
+
+	next := func(want string) {
+		t.Helper()
+		select {
+		case d := <-l.Deliveries():
+			if string(d.Entry.Data) != want {
+				t.Fatalf("got %+v, want %s", d, want)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("no delivery, want %s", want)
+		}
+	}
+	next("a1")
+	// The merge waits on B while C holds two decided instances it has
+	// never consumed from: no request.
+	select {
+	case to := <-b.asks:
+		t.Fatalf("merge asked ring 2 to skip to %d before consuming ring 3", to)
+	case <-time.After(50 * time.Millisecond):
+	}
+
+	// After one turn over C, C is one instance ahead of its frontier, so
+	// the wait on A asks A for a skip to 3.
+	b.decide(value(2, 1, "b1"))
+	next("b1")
+	next("c1")
+	select {
+	case to := <-a.asks:
+		if to != 3 {
+			t.Fatalf("ring 1 asked to skip to %d, want 3", to)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("ring 1 was never asked to skip")
+	}
+	select {
+	case to := <-b.asks:
+		t.Fatalf("ring 2 asked to skip to %d", to)
+	default:
+	}
+}

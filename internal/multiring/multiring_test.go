@@ -398,10 +398,13 @@ func TestNodeJoinErrors(t *testing.T) {
 		t.Fatal("duplicate join should fail")
 	}
 	node.Start()
-	// Joining after start is allowed (recovery flow) and starts the process.
+	// A node's rings are fixed once it starts.
 	cfg.Ring = 2
-	if _, err := node.Join(cfg); err != nil {
-		t.Fatalf("join after start: %v", err)
+	if _, err := node.Join(cfg); err == nil {
+		t.Fatal("join after start should fail")
+	}
+	if rings := node.Rings(); len(rings) != 1 || rings[0] != 1 {
+		t.Fatalf("rings after refused join = %v", rings)
 	}
 	node.Stop()
 	cfg.Ring = 3

@@ -62,15 +62,13 @@ func (n *Node) Endpoint() transport.Endpoint { return n.ep }
 // Join makes the node a member of a ring with the given configuration —
 // the paper's inverted group addressing (Section 3: processes subscribe to
 // any groups they are interested in). cfg.Self is forced to the node's ID.
-// Joining after Start is allowed: the ring process then starts at once and
-// the router begins feeding it ring-scoped traffic right away. Wire the
-// returned process into the node's Learner (Learner.Subscribe) to splice a
-// ring joined at runtime into the deterministic merge.
+// A node's rings are fixed when it starts: Join fails after Start or Stop.
+// Pass the returned processes to NewLearner to merge the rings.
 func (n *Node) Join(cfg ringpaxos.Config) (*ringpaxos.Process, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.stopped {
-		return nil, fmt.Errorf("multiring: node %d stopped", n.id)
+	if n.started || n.stopped {
+		return nil, fmt.Errorf("multiring: node %d joins rings only before Start", n.id)
 	}
 	if _, dup := n.procs[cfg.Ring]; dup {
 		return nil, fmt.Errorf("multiring: node %d already joined ring %d", n.id, cfg.Ring)
@@ -87,33 +85,7 @@ func (n *Node) Join(cfg ringpaxos.Config) (*ringpaxos.Process, error) {
 	}
 	n.peersByRing[cfg.Ring] = ids
 	n.router.Ring(cfg.Ring, proc.In())
-	if n.started {
-		proc.Start()
-	}
 	return proc, nil
-}
-
-// Unsubscribe leaves a ring at runtime: the ring process is stopped and
-// the router stops feeding it. The overlay heals around this node when the
-// remaining members mark it down (ring manager / SetPeerDown), exactly as
-// for a crashed member. Pair it with Learner.Unsubscribe so the merge
-// stops expecting the ring.
-func (n *Node) Unsubscribe(ring msg.RingID) error {
-	n.mu.Lock()
-	proc, ok := n.procs[ring]
-	if !ok {
-		n.mu.Unlock()
-		return fmt.Errorf("multiring: node %d is not subscribed to ring %d", n.id, ring)
-	}
-	delete(n.procs, ring)
-	delete(n.peersByRing, ring)
-	started := n.started
-	n.mu.Unlock()
-	n.router.Unring(ring)
-	if started {
-		proc.Stop()
-	}
-	return nil
 }
 
 // Service registers the handler for non-ring messages. It runs on the

@@ -9,8 +9,8 @@ import (
 // (store.RecoverReplica): a learner rebuilt from a checkpoint tuple and
 // fed each ring's decided suffix from the recovered frontier delivers
 // exactly the suffix a continuously running learner delivers after that
-// frontier — including when the ring was subscribed at runtime and the
-// frontier is the edge of a rate-leveling skip range.
+// frontier — including when the frontier is the edge of a rate-leveling
+// skip range.
 
 // TestLearnerRejoinAtFrontierDeterministic replays a two-ring stream into
 // a continuous learner A, then rebuilds a learner B the way a recovered
@@ -56,10 +56,10 @@ func TestLearnerRejoinAtFrontierDeterministic(t *testing.T) {
 }
 
 // TestLearnerResubscribeRuntimeRingAtFrontier models a recovered replica
-// of a split partition: its ring was joined at runtime (empty learner +
-// Subscribe), its checkpoint frontier sits at the edge of a skip range,
-// and the resubscribed source replays only the instances after it. The
-// deliveries must equal the continuous learner's data suffix.
+// of a split partition: its ring was created while the deployment ran, its
+// checkpoint frontier sits at the edge of a skip range, and the rebuilt
+// learner's source replays only the instances after it. The deliveries
+// must equal the continuous learner's data suffix.
 func TestLearnerResubscribeRuntimeRingAtFrontier(t *testing.T) {
 	script := []feed{
 		{ring: 7, inst: 1, payload: "c1"},
@@ -68,8 +68,7 @@ func TestLearnerResubscribeRuntimeRingAtFrontier(t *testing.T) {
 		{ring: 7, inst: 6, payload: "c6"},
 	}
 	srcA := replay(t, script, 7)
-	la := NewLearner(1)
-	la.Subscribe(srcA[7], Activation{})
+	la := NewLearner(1, srcA[7])
 	la.Start()
 	defer la.Stop()
 	full := collectData(t, la, 3)
@@ -83,17 +82,13 @@ func TestLearnerResubscribeRuntimeRingAtFrontier(t *testing.T) {
 		}
 	}
 	srcB := replay(t, suffix, 7)
-	lb := NewLearner(1)
+	lb := NewLearner(1, srcB[7])
 	lb.Start()
 	defer lb.Stop()
-	lb.Subscribe(srcB[7], Activation{})
 	got := collectData(t, lb, 2)
 
 	want := full[1:]
 	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("resubscribed merge diverged:\n got: %v\nwant: %v", got, want)
-	}
-	if rings := lb.Rings(); len(rings) != 1 || rings[0] != 7 {
-		t.Fatalf("rings after runtime resubscribe = %v", rings)
+		t.Fatalf("recovered merge diverged:\n got: %v\nwant: %v", got, want)
 	}
 }

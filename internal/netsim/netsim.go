@@ -160,12 +160,6 @@ func (n *Network) BlockLink(from, to transport.Addr, blocked bool) {
 	}
 }
 
-// PartitionBoth blocks both directions between two addresses.
-func (n *Network) PartitionBoth(a, b transport.Addr, blocked bool) {
-	n.BlockLink(a, b, blocked)
-	n.BlockLink(b, a, blocked)
-}
-
 // SetLoss sets the drop probability for the directed link from→to.
 func (n *Network) SetLoss(from, to transport.Addr, p float64) {
 	n.mu.Lock()

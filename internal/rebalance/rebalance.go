@@ -1,9 +1,12 @@
 // Package rebalance implements bidirectional elasticity for MRP-Store: an
 // ordered reconfiguration engine that repartitions a live deployment with
 // zero downtime and no consistency loss — the growth and shrink paths
-// behind the paper's scalability claim (Sections 5 and 7.2: processes
-// subscribe to additional rings, and services are repartitioned across
-// them, while the partitioning schema lives in the coordination service).
+// behind the paper's scalability claim (Sections 5 and 7.2: the system
+// grows onto additional rings, and services are repartitioned across them,
+// while the partitioning schema lives in the coordination service). Here
+// growth means new replicas on new rings: a replica's rings are fixed
+// when it starts, so a split provisions fresh replicas for its new ring
+// and a merge stops the donor's replicas.
 //
 // # The reconfiguration engine
 //

@@ -88,9 +88,6 @@ func NewDisk(model DiskModel) *Disk {
 	return &Disk{model: model, lastDrain: time.Now()}
 }
 
-// Model returns the device's service-time model.
-func (d *Disk) Model() DiskModel { return d.model }
-
 // SyncWrite persists n bytes synchronously: the caller blocks for the
 // device queue, the commit latency, and the transfer time.
 //

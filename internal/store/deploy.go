@@ -117,7 +117,7 @@ type splitBirth struct {
 
 // Deployment is a running MRP-Store cluster. The partition topology is
 // dynamic: an online split (internal/rebalance) appends a partition with
-// its own freshly subscribed ring and flips the committed partitioner and
+// fresh replicas on a new ring and flips the committed partitioner and
 // epoch once the moved range has been migrated.
 type Deployment struct {
 	cfg      DeployConfig

@@ -16,7 +16,8 @@ import (
 type Router struct {
 	ep Endpoint
 
-	mu      sync.RWMutex
+	// rings and service are written only before Start; the go statement
+	// in Start orders those writes before every read in dispatch.
 	rings   map[msg.RingID]chan<- Envelope
 	service func(Envelope)
 
@@ -33,29 +34,16 @@ func NewRouter(ep Endpoint) *Router {
 	}
 }
 
-// Ring registers the input channel of the process handling one ring. It
-// may be called while the router is running (a node subscribing to a ring
-// at runtime).
+// Ring registers the input channel of the process handling one ring. Must
+// be called before Start.
 func (r *Router) Ring(ring msg.RingID, ch chan<- Envelope) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.rings[ring] = ch
-}
-
-// Unring removes a ring's route; subsequent messages for it are dropped.
-// Used when a node unsubscribes from a ring at runtime.
-func (r *Router) Unring(ring msg.RingID) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.rings, ring)
 }
 
 // Service registers the handler for non-ring messages (checkpoint RPCs,
 // client responses). The handler runs on the router goroutine and must not
 // block. Must be called before Start.
 func (r *Router) Service(fn func(Envelope)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.service = fn
 }
 
@@ -92,10 +80,7 @@ func (r *Router) dispatch(env Envelope) {
 		return
 	}
 	if ring, ok := msg.RingOf(env.Msg); ok {
-		r.mu.RLock()
-		ch := r.rings[ring]
-		r.mu.RUnlock()
-		if ch != nil {
+		if ch := r.rings[ring]; ch != nil {
 			select {
 			case ch <- env:
 			case <-r.done:
@@ -103,11 +88,8 @@ func (r *Router) dispatch(env Envelope) {
 		}
 		return
 	}
-	r.mu.RLock()
-	fn := r.service
-	r.mu.RUnlock()
-	if fn != nil {
-		fn(env)
+	if r.service != nil {
+		r.service(env)
 	}
 }
 

@@ -6,8 +6,10 @@
 //
 //   - Atomic multicast (Multi-Ring Paxos): multicast groups map to Ring
 //     Paxos rings; learners subscribe to any set of groups and deliver the
-//     deterministic merge of their decision streams. See NewNode,
-//     (*Node).Join, (*Node).Multicast, NewLearner.
+//     deterministic merge of their decision streams. A node joins its
+//     rings before it starts, and a deployment grows by starting new
+//     replicas on new rings. See NewNode, (*Node).Join, (*Node).Multicast,
+//     NewLearner.
 //   - State-machine replication on top of atomic multicast: replicas,
 //     retrying clients, checkpointing, coordinated log trimming, and
 //     crash recovery. See NewReplica, NewClient, Recover.
@@ -95,14 +97,9 @@ var (
 type (
 	// Node is a Multi-Ring Paxos process: one endpoint, many rings.
 	Node = multiring.Node
-	// Learner delivers the deterministic merge of subscribed rings.
-	// Subscriptions are dynamic: Learner.Subscribe/Unsubscribe splice
-	// rings in and out of the merge at an agreed Activation point.
+	// Learner delivers the deterministic merge of subscribed rings. The
+	// rings are fixed when it is built.
 	Learner = multiring.Learner
-	// Activation names the logical point at which a dynamic subscription
-	// change takes effect (see multiring.Activation for the determinism
-	// contract).
-	Activation = multiring.Activation
 	// Delivery is one delivered message (or skip marker).
 	Delivery = multiring.Delivery
 	// Manager wires a node to the coordination service for election and

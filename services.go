@@ -74,8 +74,8 @@ var (
 )
 
 // Elastic rebalancing: online repartitioning of a running MRP-Store
-// deployment (split a partition onto a freshly subscribed ring with zero
-// downtime; see internal/rebalance for the protocol).
+// deployment (split a partition onto a new ring served by fresh replicas,
+// with zero downtime; see internal/rebalance for the protocol).
 type (
 	// Rebalancer coordinates online splits.
 	Rebalancer = rebalance.Coordinator
