@@ -48,7 +48,10 @@ type Process struct {
 	seen         map[propKey]struct{} // proposal dedup (bounded FIFO)
 	seenQ        []propKey
 
-	// Proposer state (loop-owned).
+	// Proposer state (loop-owned). proposeSeq starts at the wall clock's
+	// nanoseconds, so a restarted process never reuses a (proposer, seq)
+	// pair of its previous incarnation, which the coordinator's dedup
+	// would swallow.
 	proposeSeq  uint64
 	outstanding map[uint64]*outProp
 
@@ -155,6 +158,7 @@ func New(cfg Config, ep transport.Endpoint) (*Process, error) {
 		reserved:    make(map[msg.Instance]bool),
 		inflight:    make(map[msg.Instance]*flight),
 		seen:        make(map[propKey]struct{}),
+		proposeSeq:  uint64(time.Now().UnixNano()),
 		outstanding: make(map[uint64]*outProp),
 		down:        make(map[msg.NodeID]bool),
 		next:        1,

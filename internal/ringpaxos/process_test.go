@@ -305,6 +305,38 @@ func TestLossyLinksEventuallyDeliver(t *testing.T) {
 	tr.assertPrefixAgreement([]int{0, 1, 2})
 }
 
+// TestRestartedProposerIsDelivered restarts a proposer and checks that its
+// new proposals are delivered: a restarted process must not reuse the
+// (proposer, seq) pairs the coordinator's dedup has already seen.
+func TestRestartedProposerIsDelivered(t *testing.T) {
+	tr := newTestRing(t, 3, nil)
+	for k := 0; k < 5; k++ {
+		if err := tr.procs[2].Propose([]byte(fmt.Sprintf("before-%d", k))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr.waitDelivered([]int{0}, 5, 5*time.Second)
+
+	tr.crash(2)
+	ep := tr.net.Endpoint(tr.procs[2].cfg.Peers[2].Addr)
+	proc, err := New(tr.procs[2].cfg, ep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	router := transport.NewRouter(ep)
+	router.Ring(proc.Ring(), proc.In())
+	router.Start()
+	proc.Start()
+	tr.procs[2], tr.routers[2], tr.eps[2] = proc, router, ep
+	tr.collect(2, proc)
+	for k := 0; k < 5; k++ {
+		if err := proc.Propose([]byte(fmt.Sprintf("after-%d", k))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr.waitDelivered([]int{0}, 10, 5*time.Second)
+}
+
 func TestCoordinatorFailover(t *testing.T) {
 	tr := newTestRing(t, 3, func(_ int, c *Config) {
 		c.RetryTimeout = 30 * time.Millisecond

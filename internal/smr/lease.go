@@ -162,7 +162,7 @@ type leaseRead struct {
 
 // RegisterLeaseClaim arms this replica to serve local reads once the
 // claim identified by (clientID, seq) is applied: deadline is
-// T_send + D − margin, computed by the lease manager from its own clock
+// T_send + D − margin, computed by the holder from its own clock
 // BEFORE proposing, which is what makes the serve window provably shorter
 // than every other replica's silence window. Claims applied without a
 // registration (replayed after recovery, proposed for someone else) grant

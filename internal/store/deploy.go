@@ -45,10 +45,10 @@ type DeployConfig struct {
 	// region-prefixed names ("us-west-2/...") for WAN deployments.
 	//
 	// EndpointFor is also asked for auxiliary endpoints under symbolic
-	// names outside AddrFor's scheme ("store-lease-p<p>-<n>" for lease
-	// managers, "<replica>-recovery" for recovery conversations);
-	// real-socket factories should map names that are not host:port pairs
-	// to ephemeral listeners.
+	// names outside AddrFor's scheme ("store-client-<n>" for NewClient,
+	// "<replica>-recovery" for recovery conversations); real-socket
+	// factories should map names that are not host:port pairs to
+	// ephemeral listeners.
 	AddrFor func(partition, replica int) transport.Addr
 
 	// Ring tuning (applied to every ring). BatchDelay bounds how long a
@@ -85,6 +85,8 @@ type ReplicaHandle struct {
 	// other participant partitions (internal/txn). Closed before the
 	// replica stops so an in-flight exchange cannot deadlock teardown.
 	Ex *txn.Exchanger
+
+	renewer *leaseRenewer // nil unless this replica holds its partition's lease
 }
 
 // partMeta is one partition's live topology entry: the ring ordering its
@@ -145,11 +147,12 @@ type Deployment struct {
 	// reuses them (most recently retired first) before minting new IDs.
 	freeRings []msg.RingID
 
-	// leaseMu guards the lease managers and the advertisement registry; it
-	// is never held together with mu (managers take mu on their own).
-	leaseMu   sync.Mutex
-	leaseMgrs map[int]*leaseManager
-	leaseReg  *registry.Registry
+	// leaseReg is the coordination service lease holders advertise
+	// themselves in. Publishing the schema is the moment a registry becomes
+	// part of a deployment, so every Publish* variant stores it.
+	leaseReg atomic.Pointer[registry.Registry]
+	// renewing counts running lease renewers; Stop waits for them.
+	renewing sync.WaitGroup
 }
 
 // PartitionRing returns the ring (= multicast group) of a partition.
@@ -284,14 +287,6 @@ func Deploy(cfg DeployConfig) (*Deployment, error) {
 	if cfg.TrimInterval > 0 {
 		d.startTrimming()
 	}
-	if !cfg.Lease.Disabled {
-		for p := 0; p < cfg.Partitions; p++ {
-			if err := d.startLeaseManager(p); err != nil {
-				d.Stop()
-				return nil, err
-			}
-		}
-	}
 	return d, nil
 }
 
@@ -310,7 +305,8 @@ type replicaPlan struct {
 }
 
 // startReplicas starts one replica per plan through the shared cluster
-// path, which binds every plan's endpoint before any replica starts.
+// path, which binds every plan's endpoint before any replica starts. A
+// lease holder's renewer starts once every replica runs.
 func (d *Deployment) startReplicas(plans []replicaPlan) ([]*ReplicaHandle, error) {
 	addrs := make([]transport.Addr, len(plans))
 	for i, pl := range plans {
@@ -327,13 +323,17 @@ func (d *Deployment) startReplicas(plans []replicaPlan) ([]*ReplicaHandle, error
 	}
 	for i, m := range ms {
 		hs[i].Member = m
+		if hs[i].renewer != nil {
+			hs[i].renewer.start(m)
+		}
 	}
 	return hs, nil
 }
 
 // replicaSpec prepares the store's parts of one replica on its endpoint:
 // the stable storage a crash leaves behind (disk, checkpoints, acceptor
-// logs), the state machine, and the transaction vote exchanger.
+// logs), the state machine, the transaction vote exchanger and, on a lease
+// holder, the lease renewer.
 func (d *Deployment) replicaSpec(pl replicaPlan, ep transport.Endpoint) (*ReplicaHandle, cluster.Spec) {
 	h := &ReplicaHandle{Partition: pl.p, Index: pl.r}
 	var ckpt *storage.CheckpointStore
@@ -367,6 +367,7 @@ func (d *Deployment) replicaSpec(pl replicaPlan, ep transport.Endpoint) (*Replic
 	})
 	h.SM.SetTxnExchanger(ex)
 	h.Ex = ex
+	h.renewer = d.newLeaseRenewer(pl)
 	return h, cluster.Spec{
 		ID:      nodeIDFor(pl.p, pl.r),
 		Rings:   rings,
@@ -381,7 +382,12 @@ func (d *Deployment) replicaSpec(pl replicaPlan, ep transport.Endpoint) (*Replic
 			ex.Handle(env)
 			return true
 		},
-		OnStop: ex.Close,
+		OnStop: func() {
+			ex.Close()
+			if h.renewer != nil {
+				h.renewer.stop()
+			}
+		},
 	}
 }
 
@@ -551,10 +557,9 @@ func (d *Deployment) members() []*cluster.Member {
 	return ms
 }
 
-// Stop shuts the whole deployment down. Lease managers go first so no
-// claim is proposed against rings mid-teardown.
+// Stop shuts the whole deployment down. Each lease renewer stops with its
+// holder; Stop returns once every renewer has exited.
 func (d *Deployment) Stop() {
-	d.stopLeaseManagers()
 	for _, tc := range d.trims {
 		tc.Stop()
 	}
@@ -562,6 +567,7 @@ func (d *Deployment) Stop() {
 	for _, m := range d.members() {
 		m.Stop()
 	}
+	d.renewing.Wait()
 }
 
 // AddPartition builds and starts the replicas of partition index part on a
@@ -624,12 +630,6 @@ func (d *Deployment) AddPartition(partitioner Partitioner, part int, epoch uint6
 		d.parts[part] = meta
 	}
 	d.mu.Unlock()
-	if !cfg.Lease.Disabled {
-		// Best effort: the new partition's reads pay for ordering until a
-		// manager claims its ring, so a manager that fails to start must
-		// not fail the split itself.
-		_ = d.startLeaseManager(part)
-	}
 	return ring, addrs, nil
 }
 
@@ -639,7 +639,6 @@ func (d *Deployment) AddPartition(partitioner Partitioner, part int, epoch uint6
 // its ring ID returns to the allocator and the index can be reused by the
 // next split.
 func (d *Deployment) RemovePartition(part int) error {
-	d.stopLeaseManager(part)
 	d.mu.Lock()
 	if part < 0 || part >= len(d.parts) || part < d.partitioner.N() || d.parts[part].retired {
 		n := len(d.parts)
@@ -669,7 +668,6 @@ func (d *Deployment) RemovePartition(part int) error {
 // no longer assign any range to the partition (i.e. the merge was
 // committed first).
 func (d *Deployment) RetirePartition(part int) error {
-	d.stopLeaseManager(part)
 	d.mu.Lock()
 	if part < 0 || part >= len(d.parts) || part >= len(d.Replicas) {
 		d.mu.Unlock()

@@ -5,8 +5,9 @@ import (
 	"sync"
 	"time"
 
+	"mrp/internal/cluster"
 	"mrp/internal/msg"
-	"mrp/internal/registry"
+	"mrp/internal/ringpaxos"
 	"mrp/internal/smr"
 	"mrp/internal/transport"
 )
@@ -17,7 +18,7 @@ import (
 // for — so deployments opt out with Disabled rather than opting in.
 type LeasePolicy struct {
 	// Disabled routes every read through consensus (the pre-lease
-	// behavior) and starts no lease managers.
+	// behavior) and starts no lease renewers.
 	Disabled bool
 
 	// The lease timing is fixed outside tests, which shorten it to cross
@@ -65,9 +66,9 @@ func LeaseHolderPath(p int) string { return fmt.Sprintf("/mrp-store/leases/p%d",
 // anyone else could outrun the holder's applied state). The rebalance
 // coordinator orders one on the same ring as each reconfiguration
 // prepare, immediately before it, so no lease granted against the
-// pre-freeze state spans the freeze (the partition's lease manager
-// re-establishes a lease afterwards, and that claim's grant frontier
-// covers the prepare). On a deployment whose ordering ring is shared (the
+// pre-freeze state spans the freeze (the holder's renewer re-establishes
+// a lease afterwards, and that claim's grant frontier covers the
+// prepare). On a deployment whose ordering ring is shared (the
 // global ring), the revocation reaches every subscribed partition; the
 // cost is one renewal interval of ordered reads there, not a correctness
 // concern.
@@ -97,172 +98,106 @@ func leaseHolderIdx(replicas int) int {
 	return 0
 }
 
-// leaseManager keeps one partition's read lease claimed for its designated
-// holder (see leaseHolderIdx): every RenewEvery it fixes the serve deadline
-// from its own clock, registers it at the holder, and proposes an ordered
-// claim on the partition's ring. It is deployment-side plumbing, not
-// protocol — all safety lives in the replicas' lease state machine.
-type leaseManager struct {
-	d   *Deployment
-	p   int
-	pol LeasePolicy
-	ep  transport.Endpoint
-	cl  *smr.Client
+// leaseRenewer keeps a partition's read lease claimed for the designated
+// holder it runs beside (see leaseHolderIdx). Every renewEvery it fixes the
+// serve deadline from the holder's clock, registers it with the holder's
+// replica and proposes the claim through the holder's own ring process. It
+// starts with the holder and stops with it, so a crashed holder claims
+// nothing: the outstanding lease lapses and the survivors resume
+// answering. All safety lives in the replicas' lease state machine.
+type leaseRenewer struct {
+	d    *Deployment
+	p    int
+	ring msg.RingID
+	addr transport.Addr
+	// id is the ClientID of this holder incarnation's claims. A recovered
+	// holder starts its claim sequence over, so a reused ID would have its
+	// claims swallowed by the replicas' dedup window.
+	id uint64
 
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
+	// mu orders a tick's advertisement against stop, so a tick already
+	// running cannot re-advertise a holder that has stopped.
+	mu      sync.Mutex
+	stopped bool
+	quit    chan struct{}
 }
 
-// startLeaseManager launches the lease manager of partition p.
-func (d *Deployment) startLeaseManager(p int) error {
-	id := 2_000_000 + d.nextID.Add(1)
-	ep, err := d.cl.EndpointFor(transport.Addr(fmt.Sprintf("store-lease-p%d-%d", p, id)))
-	if err != nil {
-		return err
+// newLeaseRenewer returns the renewer of the replica planned by pl, or nil
+// when leases are off or the replica is not its partition's holder. A
+// plan's first ring is its partition's ring.
+func (d *Deployment) newLeaseRenewer(pl replicaPlan) *leaseRenewer {
+	ring := pl.members[0]
+	if d.cfg.Lease.Disabled || pl.r != leaseHolderIdx(len(ring.Peers)) {
+		return nil
 	}
-	m := &leaseManager{
-		d:   d,
-		p:   p,
-		pol: d.cfg.Lease,
-		ep:  ep,
-		cl: smr.NewClient(smr.ClientConfig{
-			ID:       id,
-			Endpoint: ep,
-			Timeout:  d.cfg.Lease.duration,
-		}),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-	d.leaseMu.Lock()
-	if d.leaseMgrs == nil {
-		d.leaseMgrs = make(map[int]*leaseManager)
-	}
-	old := d.leaseMgrs[p]
-	d.leaseMgrs[p] = m
-	d.leaseMu.Unlock()
-	if old != nil {
-		old.Stop()
-	}
-	go m.run()
-	return nil
-}
-
-// stopLeaseManager stops (and forgets) partition p's lease manager, if any.
-func (d *Deployment) stopLeaseManager(p int) {
-	d.leaseMu.Lock()
-	m := d.leaseMgrs[p]
-	delete(d.leaseMgrs, p)
-	d.leaseMu.Unlock()
-	if m != nil {
-		m.Stop()
+	return &leaseRenewer{
+		d:    d,
+		p:    pl.p,
+		ring: ring.ID,
+		addr: d.cfg.AddrFor(pl.p, pl.r),
+		id:   2_000_000 + d.nextID.Add(1),
+		quit: make(chan struct{}),
 	}
 }
 
-// stopLeaseManagers stops every lease manager (deployment teardown).
-func (d *Deployment) stopLeaseManagers() {
-	d.leaseMu.Lock()
-	ms := make([]*leaseManager, 0, len(d.leaseMgrs))
-	for _, m := range d.leaseMgrs {
-		ms = append(ms, m)
-	}
-	d.leaseMgrs = nil
-	d.leaseMu.Unlock()
-	for _, m := range ms {
-		m.Stop()
-	}
+// start runs the renewer beside its started holder m. Deployment.Stop
+// waits for it after every node has stopped, when no Propose can block.
+func (r *leaseRenewer) start(m *cluster.Member) {
+	proc, _ := m.Node.Process(r.ring)
+	r.d.renewing.Add(1)
+	go r.run(m.Node.ID(), m.Replica, proc)
 }
 
-// setLeaseRegistry records the coordination service lease managers
-// advertise holders in. Publishing the schema is the moment a registry
-// becomes part of a deployment, so every Publish* variant calls this.
-func (d *Deployment) setLeaseRegistry(reg *registry.Registry) {
-	d.leaseMu.Lock()
-	d.leaseReg = reg
-	d.leaseMu.Unlock()
-}
-
-func (d *Deployment) leaseRegistry() *registry.Registry {
-	d.leaseMu.Lock()
-	defer d.leaseMu.Unlock()
-	return d.leaseReg
-}
-
-// Stop halts the manager. Closing the client first unblocks a claim in
-// flight, so Stop never waits out a proposal timeout against a ring that
-// is being torn down.
-func (m *leaseManager) Stop() {
-	m.stopOnce.Do(func() { close(m.stop) })
-	m.cl.Close()
-	<-m.done
-	_ = m.ep.Close()
-}
-
-func (m *leaseManager) run() {
-	defer close(m.done)
-	defer m.unadvertise()
-	t := time.NewTicker(m.pol.renewEvery)
+// run proposes one claim per tick until the holder stops. A claim that is
+// lost is superseded by the next one; the worst outcome of a missed
+// renewal is reads paying for ordering again until a claim lands.
+func (r *leaseRenewer) run(self msg.NodeID, rep *smr.Replica, proc *ringpaxos.Process) {
+	defer r.d.renewing.Done()
+	pol := r.d.cfg.Lease
+	t := time.NewTicker(pol.renewEvery)
 	defer t.Stop()
-	for {
-		m.renew()
+	for seq := uint64(1); ; seq++ {
+		// T_send is read BEFORE the claim is proposed: the serve window must
+		// be anchored no later than any replica's apply of this claim for the
+		// no-overlap bound to hold (see internal/smr's lease.go).
+		rep.RegisterLeaseClaim(r.id, seq, time.Now().Add(pol.duration-pol.margin))
+		// No ReplyTo: nobody waits for the ack, and the ring process
+		// retransmits its own proposal until it is learned.
+		claim := smr.Command{ClientID: r.id, Seq: seq, Op: smr.EncodeLeaseClaim(self, pol.duration)}
+		if proc.Propose(claim.Encode()) != nil {
+			return // the holder's node stopped
+		}
+		r.advertise(rep)
 		select {
 		case <-t.C:
-		case <-m.stop:
+		case <-r.quit:
 			return
 		}
 	}
 }
 
-// renew proposes one ordered claim for the partition's designated holder
-// and refreshes the advertisement. Failures are left to the next tick —
-// the worst outcome of a missed renewal is reads temporarily paying for
-// ordering again.
-func (m *leaseManager) renew() {
-	d := m.d
-	d.mu.RLock()
-	ok := m.p < len(d.parts) && !d.parts[m.p].retired
-	var meta partMeta
-	if ok {
-		meta = d.parts[m.p]
-		meta.addrs = append([]transport.Addr(nil), meta.addrs...)
-	}
-	d.mu.RUnlock()
-	if !ok {
-		m.unadvertise()
-		return
-	}
-	hIdx := leaseHolderIdx(len(meta.addrs))
-	h := d.ReplicaAt(m.p, hIdx)
-	if h == nil || h.Stopped() {
-		// The holder is down. Claiming now would re-arm every survivor's
-		// silence window while nobody serves: let the outstanding lease
-		// lapse so the survivors resume acknowledging writes, and withdraw
-		// the advertisement so clients stop probing a dead holder.
-		m.unadvertise()
-		return
-	}
-	m.cl.SetProposers(meta.ring, meta.addrs)
-	seq := m.cl.Reserve()
-	// T_send is read BEFORE the claim is proposed: the serve window must
-	// be anchored no later than any replica's apply of this claim for the
-	// no-overlap bound to hold (see internal/smr's lease.go).
-	deadline := time.Now().Add(m.pol.duration - m.pol.margin)
-	h.Replica.RegisterLeaseClaim(m.cl.ID(), seq, deadline)
-	claim := smr.EncodeLeaseClaim(nodeIDFor(m.p, hIdx), m.pol.duration)
-	if _, err := m.cl.ExecuteGatherAt(seq, []msg.RingID{meta.ring}, claim, 1, nil); err != nil {
-		return
-	}
-	m.advertise(meta.addrs[hIdx])
-}
-
-func (m *leaseManager) advertise(addr transport.Addr) {
-	if reg := m.d.leaseRegistry(); reg != nil {
-		reg.SetIfChanged(LeaseHolderPath(m.p), []byte(addr))
+// advertise names the holder in the coordination service once it serves.
+func (r *leaseRenewer) advertise(rep *smr.Replica) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if reg := r.d.leaseReg.Load(); reg != nil && !r.stopped && rep.ServingLease() {
+		reg.SetIfChanged(LeaseHolderPath(r.p), []byte(r.addr))
 	}
 }
 
-func (m *leaseManager) unadvertise() {
-	if reg := m.d.leaseRegistry(); reg != nil {
-		reg.Delete(LeaseHolderPath(m.p))
+// stop ends the renewer and withdraws the advertisement, so clients stop
+// probing a dead holder. It runs first when the holder stops, before its
+// node does, so it does not wait for a tick that may be blocked in
+// Propose.
+func (r *leaseRenewer) stop() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.stopped {
+		return
+	}
+	r.stopped = true
+	close(r.quit)
+	if reg := r.d.leaseReg.Load(); reg != nil {
+		reg.Delete(LeaseHolderPath(r.p))
 	}
 }

@@ -2,14 +2,18 @@ package store
 
 import (
 	"fmt"
+	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"mrp/internal/netsim"
+	"mrp/internal/registry"
 	"mrp/internal/storage"
+	"mrp/internal/transport"
 	"mrp/internal/ycsb"
 )
 
@@ -209,11 +213,11 @@ func TestLeaseReadsLinearizableUnderExpiry(t *testing.T) {
 }
 
 // TestLeaseReadsLinearizableAcrossHolderCrash crashes partition 1's lease
-// holder mid-traffic and recovers it: the manager stops claiming while the
-// holder is down (so the outstanding lease lapses and the survivors resume
-// answering), then re-establishes the lease on the recovered holder —
-// whose restored lease table must re-arm silence, not resume serving on
-// the stale pre-crash window.
+// holder mid-traffic and recovers it: nothing claims while the holder is
+// down (so the outstanding lease lapses and the survivors resume
+// answering), then the recovered holder re-establishes the lease itself —
+// its restored lease table must re-arm silence, not resume serving on the
+// stale pre-crash window.
 func TestLeaseReadsLinearizableAcrossHolderCrash(t *testing.T) {
 	const keys = 64
 	d := deployLeaseStore(t, keys, LeasePolicy{
@@ -259,5 +263,127 @@ func TestLeaseReadsLinearizableAcrossSplitMerge(t *testing.T) {
 	})
 	if hits == 0 {
 		t.Fatal("lease fast path never served a read; the suite checked nothing")
+	}
+}
+
+// TestLeaseRenewedByHolder checks that each partition's lease is renewed
+// by its designated holder itself: the deployment binds no endpoint beyond
+// its replicas and their recovery conversations; the holder serves and is
+// advertised; a crashed holder is withdrawn and its lease stops being
+// renewed, so the survivors' lease sequence stands still; and a recovered
+// holder claims, serves and is advertised again. Once the deployment
+// stops, no renewer is left running.
+func TestLeaseRenewedByHolder(t *testing.T) {
+	const partitions, replicas = 2, 3
+	pol := LeasePolicy{
+		duration:   200 * time.Millisecond,
+		margin:     40 * time.Millisecond,
+		renewEvery: 50 * time.Millisecond,
+	}
+	net := netsim.New(netsim.WithUniformLatency(20 * time.Microsecond))
+	defer net.Close()
+	var mu sync.Mutex
+	var asked []transport.Addr
+	d, err := Deploy(DeployConfig{
+		EndpointFor: func(a transport.Addr) (transport.Endpoint, error) {
+			mu.Lock()
+			asked = append(asked, a)
+			mu.Unlock()
+			return net.Endpoint(a), nil
+		},
+		Partitions:   partitions,
+		Replicas:     replicas,
+		GlobalRing:   true,
+		StorageMode:  storage.InMemory,
+		Lease:        pol,
+		SkipInterval: 5 * time.Millisecond,
+		SkipRate:     9000,
+		RetryTimeout: 60 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Stop() // a no-op after the Stop the test ends with
+	reg := registry.New()
+	if err := d.PublishSchema(reg); err != nil {
+		t.Fatal(err)
+	}
+
+	replicaAddrs := make(map[transport.Addr]bool)
+	for p := 0; p < partitions; p++ {
+		for r := 0; r < replicas; r++ {
+			replicaAddrs[d.cfg.AddrFor(p, r)] = true
+		}
+	}
+	onlyReplicaEndpoints := func() {
+		t.Helper()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, a := range asked {
+			if !replicaAddrs[a] && !replicaAddrs[transport.Addr(strings.TrimSuffix(string(a), "-recovery"))] {
+				t.Fatalf("deployment asked for an endpoint outside its replicas and their recoveries: %q", a)
+			}
+		}
+	}
+	onlyReplicaEndpoints()
+
+	holder := leaseHolderIdx(replicas)
+	waitFor := func(what string, within time.Duration, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(within); !cond(); time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("not %s within %v", what, within)
+			}
+		}
+	}
+	serving := func(p int) func() bool {
+		return func() bool { return d.ReplicaAt(p, holder).Replica.ServingLease() }
+	}
+	advertised := func(p int) func() bool {
+		return func() bool {
+			data, _, _ := reg.Get(LeaseHolderPath(p))
+			return transport.Addr(data) == d.cfg.AddrFor(p, holder)
+		}
+	}
+	withdrawn := func() {
+		t.Helper()
+		if data, _, ok := reg.Get(LeaseHolderPath(1)); ok {
+			t.Fatalf("crashed holder still advertised as %q", data)
+		}
+	}
+	for p := 0; p < partitions; p++ {
+		waitFor(fmt.Sprintf("partition %d's holder serving", p), 5*time.Second, serving(p))
+		waitFor(fmt.Sprintf("partition %d's holder advertised", p), 5*time.Second, advertised(p))
+	}
+
+	// Survivors of partition 1 agree on the replicated lease table, so
+	// either one's sequence tells whether claims are still being applied.
+	// The holder makes 30 claims before it crashes; claims of the recovered
+	// holder that reused their ring-level identity would be swallowed as
+	// duplicates for as many renewals, longer than the bound below.
+	seq := func() uint64 { return d.ReplicaAt(1, 0).Replica.LeaseState().Seq }
+	waitFor("30 claims applied", 5*time.Second, func() bool { return seq() >= 30 })
+	d.CrashReplica(1, holder)
+	withdrawn()
+	time.Sleep(2 * pol.renewEvery) // let claims already in flight apply
+	before := seq()
+	time.Sleep(4 * pol.renewEvery)
+	if after := seq(); after != before {
+		t.Fatalf("lease seq moved %d -> %d with the holder down", before, after)
+	}
+	withdrawn()
+
+	if err := d.RecoverReplica(1, holder); err != nil {
+		t.Fatal(err)
+	}
+	waitFor("claiming again after recovery", 20*pol.renewEvery, func() bool { return seq() > before })
+	waitFor("the recovered holder serving", 5*time.Second, serving(1))
+	waitFor("the recovered holder advertised", 5*time.Second, advertised(1))
+	onlyReplicaEndpoints()
+
+	d.Stop()
+	buf := make([]byte, 1<<20)
+	if stacks := string(buf[:runtime.Stack(buf, true)]); strings.Contains(stacks, "leaseRenewer") {
+		t.Fatalf("a lease renewer outlived Deployment.Stop:\n%s", stacks)
 	}
 }

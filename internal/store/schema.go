@@ -145,7 +145,7 @@ func (d *Deployment) PublishSchema(reg *registry.Registry) error {
 		return err
 	}
 	reg.Set(SchemaPath, data)
-	d.setLeaseRegistry(reg)
+	d.leaseReg.Store(reg)
 	return nil
 }
 
@@ -165,7 +165,7 @@ func (d *Deployment) PublishSchemaCAS(reg *registry.Registry, expect uint64) (ui
 		return 0, false, err
 	}
 	v, ok := reg.CompareAndSet(SchemaPath, data, expect)
-	d.setLeaseRegistry(reg)
+	d.leaseReg.Store(reg)
 	return v, ok, nil
 }
 
@@ -192,7 +192,7 @@ func (d *Deployment) PublishSchemaAsCAS(reg *registry.Registry, epoch, expect ui
 		return 0, false, err
 	}
 	v, ok := reg.CompareAndSet(SchemaPath, data, expect)
-	d.setLeaseRegistry(reg)
+	d.leaseReg.Store(reg)
 	return v, ok, nil
 }
 

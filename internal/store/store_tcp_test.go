@@ -43,8 +43,9 @@ func TestStoreOverRealTCP(t *testing.T) {
 	d, err := store.Deploy(store.DeployConfig{
 		EndpointFor: func(a transport.Addr) (transport.Endpoint, error) {
 			if _, _, err := net.SplitHostPort(string(a)); err != nil {
-				// Auxiliary endpoints (lease managers) are requested under
-				// symbolic names; any ephemeral port serves them.
+				// Auxiliary endpoints (recovery conversations, clients)
+				// are requested under symbolic names; any ephemeral port
+				// serves them.
 				return tcpnet.Listen("127.0.0.1:0")
 			}
 			return tcpnet.Listen(string(a))
