@@ -35,7 +35,6 @@ func main() {
 	must(err)
 	defer st.Stop()
 	reg := mrp.NewRegistry()
-	must(st.PublishSchema(reg))
 
 	// Stock the shelves: a few cold keys below "m", plenty of hot
 	// candidates above it.

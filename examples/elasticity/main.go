@@ -3,8 +3,7 @@
 // and retire the ring — while a client keeps reading and writing
 // throughout. The shrink path is the inverse of the paper's growth story:
 // the replicas of a ring no longer needed stop, and the partitioning
-// schema in the coordination service drops the partition without
-// renumbering the survivors.
+// schema drops the partition without renumbering the survivors.
 //
 //	go run ./examples/elasticity
 package main
@@ -34,10 +33,7 @@ func main() {
 	must(err)
 	defer st.Stop()
 
-	reg := mrp.NewRegistry()
-	must(st.PublishSchema(reg))
-	cl, err := st.NewRegistryClient(reg)
-	must(err)
+	cl := st.NewClient()
 	defer cl.Close()
 	for _, k := range []string{"apple", "melon", "peach", "tomato"} {
 		must(cl.Insert(k, []byte("crate of "+k)))
@@ -45,9 +41,8 @@ func main() {
 
 	// Grow: split the upper partition at "s" onto a brand-new ring.
 	rb, err := mrp.NewRebalancer(mrp.RebalanceConfig{
-		Store:    st,
-		Registry: reg,
-		OnStep:   func(step string) { fmt.Println("  step:", step) },
+		Store:  st,
+		OnStep: func(step string) { fmt.Println("  step:", step) },
 	})
 	must(err)
 	defer rb.Close()
@@ -56,21 +51,18 @@ func main() {
 	must(err)
 	splitRing := st.PartitionRing(newPart)
 	fmt.Printf("epoch %d: %d partitions, %q served by partition %d on ring %d\n",
-		cl.Epoch(), st.Partitions(), "tomato", newPart, splitRing)
+		st.Epoch(), st.Partitions(), "tomato", newPart, splitRing)
 	must(cl.Update("tomato", []byte("fresh tomatoes")))
 
 	// Shrink: merge the split-born partition back into its neighbor. Its
 	// whole range is frozen, streamed onto the survivor's ring, the schema
-	// drops the partition index (CAS), and the drained ring is retired —
+	// drops the partition index, and the drained ring is retired —
 	// every donor replica stops, and the ring ID returns to the allocator.
 	fmt.Printf("merge partition %d back into partition 1:\n", newPart)
 	must(rb.MergePartitions(1, newPart))
-	schema, err := mrp.LoadStoreSchema(reg)
-	must(err)
-	part, err := schema.PartitionerFor()
-	must(err)
+	part := st.Partitioner()
 	fmt.Printf("epoch %d: %d partitions, %q served by partition %d again\n",
-		schema.Epoch, st.Partitions(), "tomato", part.PartitionOf("tomato"))
+		st.Epoch(), st.Partitions(), "tomato", part.PartitionOf("tomato"))
 
 	// The write survived the round trip and the donor's resources are gone.
 	v, err := cl.Read("tomato")

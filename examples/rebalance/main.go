@@ -30,43 +30,36 @@ func main() {
 	must(err)
 	defer st.Stop()
 
-	// The partitioning schema lives in the coordination service, versioned
-	// by an epoch; clients discover and watch it there.
-	reg := mrp.NewRegistry()
-	must(st.PublishSchema(reg))
-
-	cl, err := st.NewRegistryClient(reg)
-	must(err)
+	// The partitioning schema is replicated state, versioned by an epoch;
+	// clients route by the deployment's committed copy.
+	cl := st.NewClient()
 	defer cl.Close()
 	for _, k := range []string{"apple", "melon", "peach", "tomato"} {
 		must(cl.Insert(k, []byte("crate of "+k)))
 	}
-	fmt.Printf("epoch %d: %d partitions\n", cl.Epoch(), st.Partitions())
+	fmt.Printf("epoch %d: %d partitions\n", st.Epoch(), st.Partitions())
 
 	// Split the upper partition at "s" while the store keeps serving: the
 	// new partition gets fresh replicas that join a brand-new ring before
 	// they start, the moved range is streamed over, and ownership flips
 	// atomically.
 	rb, err := mrp.NewRebalancer(mrp.RebalanceConfig{
-		Store:    st,
-		Registry: reg,
-		OnStep:   func(step string) { fmt.Println("  split step:", step) },
+		Store:  st,
+		OnStep: func(step string) { fmt.Println("  split step:", step) },
 	})
 	must(err)
 	defer rb.Close()
 	newPart, err := rb.SplitPartition(1, "s")
 	must(err)
 
-	// Stale clients are redirected with a typed wrong-epoch reply, refresh
-	// the published schema, and retry — reads and writes keep succeeding.
+	// Stale clients refresh their view of the schema, or are redirected
+	// with a typed wrong-epoch reply and retry — reads and writes keep
+	// succeeding.
 	v, err := cl.Read("tomato")
 	must(err)
-	schema, err := mrp.LoadStoreSchema(reg)
-	must(err)
-	part, err := schema.PartitionerFor()
-	must(err)
+	part := st.Partitioner()
 	fmt.Printf("epoch %d: %d partitions; %q now served by partition %d (%s)\n",
-		schema.Epoch, st.Partitions(), "tomato", part.PartitionOf("tomato"), v)
+		st.Epoch(), st.Partitions(), "tomato", part.PartitionOf("tomato"), v)
 	if part.PartitionOf("tomato") != newPart {
 		panic("moved key not owned by the new partition")
 	}

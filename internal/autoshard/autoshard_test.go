@@ -45,9 +45,6 @@ func deployStore(t *testing.T) (*store.Deployment, *registry.Registry) {
 		net.Close()
 	})
 	reg := registry.New()
-	if err := d.PublishSchema(reg); err != nil {
-		t.Fatal(err)
-	}
 	var recs []store.Entry
 	for _, o := range ycsb.Load(ycsb.Config{RecordCount: records, ValueSize: 64}) {
 		recs = append(recs, store.Entry{Key: o.Key, Value: o.Value})

@@ -67,9 +67,6 @@ func Rebalance(opts Options) RebalanceResult {
 	}
 	defer d.Stop()
 	reg := registry.New()
-	if err := d.PublishSchema(reg); err != nil {
-		panic(err)
-	}
 	var recs []store.Entry
 	for _, o := range ycsb.Load(ycsb.Config{RecordCount: records, ValueSize: 100}) {
 		recs = append(recs, store.Entry{Key: o.Key, Value: o.Value})

@@ -8,7 +8,6 @@ import (
 
 	"mrp/internal/msg"
 	"mrp/internal/netsim"
-	"mrp/internal/registry"
 	"mrp/internal/ringpaxos"
 	"mrp/internal/storage"
 	"mrp/internal/transport"
@@ -20,8 +19,6 @@ type cluster struct {
 	t     *testing.T
 	net   *netsim.Network
 	nodes []*Node
-	reg   *registry.Registry
-	mgrs  []*Manager
 }
 
 func ringPeers(rings []msg.RingID, nNodes int) map[msg.RingID][]ringpaxos.Peer {
@@ -43,7 +40,7 @@ func ringPeers(rings []msg.RingID, nNodes int) map[msg.RingID][]ringpaxos.Peer {
 func newCluster(t *testing.T, nNodes int, rings []msg.RingID, mutate func(ring msg.RingID, c *ringpaxos.Config)) *cluster {
 	t.Helper()
 	net := netsim.New(netsim.WithUniformLatency(20 * time.Microsecond))
-	c := &cluster{t: t, net: net, reg: registry.New()}
+	c := &cluster{t: t, net: net}
 	peers := ringPeers(rings, nNodes)
 	for i := 0; i < nNodes; i++ {
 		ep := net.Endpoint(transport.Addr(fmt.Sprintf("node-%d", i)))
@@ -70,9 +67,6 @@ func newCluster(t *testing.T, nNodes int, rings []msg.RingID, mutate func(ring m
 		n.Start()
 	}
 	t.Cleanup(func() {
-		for _, m := range c.mgrs {
-			m.Stop()
-		}
 		for _, n := range c.nodes {
 			n.Stop()
 		}
@@ -332,57 +326,6 @@ func TestEndOfInstanceMarks(t *testing.T) {
 	if !lastEnd {
 		t.Fatal("final delivery of an instance must carry EndOfInstance")
 	}
-}
-
-// TestManagerFailover drives a coordinator crash entirely through the
-// coordination service: the session expires, survivors heal the ring and
-// the next elected node takes over coordination.
-func TestManagerFailover(t *testing.T) {
-	c := newCluster(t, 3, []msg.RingID{1}, func(_ msg.RingID, cfg *ringpaxos.Config) {
-		cfg.RetryTimeout = 30 * time.Millisecond
-	})
-	// Managers enroll in node order, so node 0 (the configured coordinator)
-	// leads the election initially.
-	for _, n := range c.nodes {
-		m := NewManager(c.reg, n)
-		m.Start()
-		c.mgrs = append(c.mgrs, m)
-	}
-	l := c.learnerFor(2, 1, 1)
-	for k := 0; k < 5; k++ {
-		if err := c.nodes[0].Multicast(1, []byte(fmt.Sprintf("pre-%d", k))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pre := collectPayloads(t, l, 5, 5*time.Second)
-
-	// Crash node 0: manager session expires first (failure detection),
-	// then the node goes down.
-	c.mgrs[0].Stop()
-	c.nodes[0].Stop()
-
-	// Survivors should elect node 1 and continue.
-	var okAfter bool
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if err := c.nodes[1].Multicast(1, []byte("post")); err != nil {
-			t.Fatal(err)
-		}
-		select {
-		case d := <-l.Deliveries():
-			if !d.Skip && string(d.Entry.Data) == "post" {
-				okAfter = true
-			}
-		case <-time.After(300 * time.Millisecond):
-		}
-		if okAfter {
-			break
-		}
-	}
-	if !okAfter {
-		t.Fatal("no delivery after coordinator failover")
-	}
-	_ = pre
 }
 
 func TestNodeJoinErrors(t *testing.T) {

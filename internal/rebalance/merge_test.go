@@ -20,7 +20,7 @@ import (
 // YCSB-A + read-your-writes workload, then merges the split-born partition
 // back while the workload keeps running. It verifies that (a) no client op
 // is lost and no stale value is read across either reconfiguration, (b)
-// the published schema drops the donor partition (CAS), and (c) the
+// the adopted schema drops the donor partition, and (c) the
 // donor's ring is fully retired — processes stopped, topology tombstoned —
 // and its ring ID recycled by a subsequent split.
 func TestLiveMergeUnderConcurrentWorkload(t *testing.T) {
@@ -45,19 +45,11 @@ func TestLiveMergeUnderConcurrentWorkload(t *testing.T) {
 		stop.Store(true)
 	}
 
-	// Read-your-writes workers on both sides of the split point, one
-	// routed via the registry watch, the rest via the live topology.
+	// Read-your-writes workers on both sides of the split point, routed
+	// by the deployment's live topology.
 	const workers = 3
 	for w := 0; w < workers; w++ {
-		var cl *store.Client
-		if w == 0 {
-			cl, err = d.NewRegistryClient(reg)
-			if err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			cl = d.NewClient()
-		}
+		cl := d.NewClient()
 		keys := []string{
 			fmt.Sprintf("%s-w%d", ycsb.Key(200), w), // partition 0, untouched
 			fmt.Sprintf("%s-w%d", ycsb.Key(600), w), // partition 1, stays
@@ -140,19 +132,11 @@ func TestLiveMergeUnderConcurrentWorkload(t *testing.T) {
 		t.Fatalf("splits=%d merges=%d", coord.Splits(), coord.Merges())
 	}
 
-	// (b) the published schema dropped the donor partition via CAS.
-	sc, err := store.LoadSchema(reg)
-	if err != nil {
-		t.Fatal(err)
+	// (b) the adopted schema dropped the donor partition.
+	if d.Epoch() != 3 || d.Partitions() != 2 {
+		t.Fatalf("adopted schema epoch=%d partitions=%d", d.Epoch(), d.Partitions())
 	}
-	if sc.Epoch != 3 || sc.Partitions != 2 {
-		t.Fatalf("published schema epoch=%d partitions=%d", sc.Epoch, sc.Partitions)
-	}
-	part, err := sc.PartitionerFor()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := part.PartitionOf(ycsb.Key(800)); p != 1 {
+	if p := d.Partitioner().PartitionOf(ycsb.Key(800)); p != 1 {
 		t.Fatalf("merged-back key routed to %d, want 1", p)
 	}
 
@@ -400,9 +384,9 @@ func TestResolvePendingAbortsCrashedCoordinator(t *testing.T) {
 }
 
 // TestResolvePendingRollsForwardPublishedPlan crashes the coordinator
-// after the schema CAS but before the commit: the successor must roll the
-// plan forward (re-order the commit, finish the merge teardown), not abort
-// a schema the world can already see.
+// after the deployment adopted the plan's schema but before the commit:
+// the successor must roll the plan forward (re-order the commit, finish
+// the merge teardown), not abort a schema clients already route by.
 func TestResolvePendingRollsForwardPublishedPlan(t *testing.T) {
 	d, reg := deploySplitStore(t, true)
 	coord, err := New(Config{Store: d, Registry: reg})
@@ -433,9 +417,8 @@ func TestResolvePendingRollsForwardPublishedPlan(t *testing.T) {
 		t.Fatalf("resolved plan = %+v", plan)
 	}
 	// The split is fully committed: schema, routing, and data movement.
-	sc, err := store.LoadSchema(reg)
-	if err != nil || sc.Epoch != 2 || sc.Partitions != 3 {
-		t.Fatalf("schema after roll-forward: %+v, %v", sc, err)
+	if d.Epoch() != 2 || d.Partitions() != 3 {
+		t.Fatalf("schema after roll-forward: epoch=%d partitions=%d", d.Epoch(), d.Partitions())
 	}
 	cl := d.NewClient()
 	defer cl.Close()
@@ -472,24 +455,24 @@ func TestResolvePendingRollsForwardPublishedPlan(t *testing.T) {
 	}
 }
 
-// TestSchemaVersionErrorSurfaced: a corrupt schema node in the registry
-// must fail the reconfiguration up front instead of silently zeroing the
-// CAS token and producing a confusing publish failure later.
-func TestSchemaVersionErrorSurfaced(t *testing.T) {
+// TestCorruptIntentRecordSurfaced: a corrupt intent record in the registry
+// must fail the reconfiguration up front instead of being overwritten,
+// which would strand whatever plan it recorded.
+func TestCorruptIntentRecordSurfaced(t *testing.T) {
 	d, reg := deploySplitStore(t, true)
 	coord, err := New(Config{Store: d, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	reg.Set(store.SchemaPath, []byte("not json"))
-	if _, err := coord.SplitPartition(1, ycsb.Key(750)); err == nil || !strings.Contains(err.Error(), "schema") {
-		t.Fatalf("corrupt schema node: err = %v", err)
+	reg.Set(reconfigPath, []byte("not json"))
+	if _, err := coord.SplitPartition(1, ycsb.Key(750)); err == nil || !strings.Contains(err.Error(), "intent record") {
+		t.Fatalf("corrupt intent record: err = %v", err)
 	}
 	if err := coord.MergePartitions(0, 1); err == nil {
-		t.Fatal("merge with corrupt schema node succeeded")
+		t.Fatal("merge with corrupt intent record succeeded")
 	}
-	// An absent schema, by contrast, is a legitimate zero token.
+	// An absent record, by contrast, means nothing is pending.
 	reg2 := registry.New()
 	coord2, err := New(Config{Store: d, Registry: reg2})
 	if err != nil {
@@ -497,6 +480,6 @@ func TestSchemaVersionErrorSurfaced(t *testing.T) {
 	}
 	defer coord2.Close()
 	if _, err := coord2.SplitPartition(1, ycsb.Key(750)); err != nil {
-		t.Fatalf("split with unpublished schema: %v", err)
+		t.Fatalf("split with no intent record: %v", err)
 	}
 }

@@ -2,8 +2,9 @@
 // ordered reconfiguration engine that repartitions a live deployment with
 // zero downtime and no consistency loss — the growth and shrink paths
 // behind the paper's scalability claim (Sections 5 and 7.2: the system
-// grows onto additional rings, and services are repartitioned across them,
-// while the partitioning schema lives in the coordination service). Here
+// grows onto additional rings, and services are repartitioned across them;
+// the paper keeps the partitioning schema in Zookeeper, here it is
+// replicated state that every replica carries in its snapshots). Here
 // growth means new replicas on new rings: a replica's rings are fixed
 // when it starts, so a split provisions fresh replicas for its new ring
 // and a merge stops the donor's replicas.
@@ -31,10 +32,11 @@
 //     ordered after every chunk, ends warming: any replica that serves a
 //     client command has installed the complete range first. A merge's
 //     activation is its commit (below), ordered the same way.
-//  5. Publish — the deployment adopts the new partitioner/epoch and the
-//     schema is republished to the registry with compare-and-set, so a
-//     concurrent publisher is detected instead of overwritten. Watching
-//     clients refresh; stale clients keep self-correcting via redirects.
+//  5. Publish — the deployment adopts the new partitioner/epoch, but only
+//     over the epoch the plan started from, so a concurrent publisher is
+//     detected instead of overwritten (store.Deployment.AdoptReconfig).
+//     Clients refresh from the deployment before their next attempt;
+//     stale ones keep self-correcting via redirects.
 //  6. Commit — an ordered opCommitReconfig flips ownership: a split's
 //     source drops the moved range; a merge's survivor adopts the merged
 //     mapping — the donor's partition index falls out of the assignment
@@ -113,8 +115,9 @@ const (
 	// phasePrepared: ordered prepares may have happened, the commit has
 	// not; resolving this plan means aborting it.
 	phasePrepared = "prepared"
-	// phasePublished: the schema CAS succeeded; resolving this plan means
-	// rolling it forward (commit, and for merges the donor teardown).
+	// phasePublished: the deployment adopted the plan's schema; resolving
+	// this plan means rolling it forward (commit, and for merges the donor
+	// teardown).
 	phasePublished = "published"
 )
 
@@ -141,12 +144,10 @@ type Plan struct {
 	// DestRing is the destination's ring: migrate chunks, activation, and
 	// (merges) the commit are ordered on it.
 	DestRing uint16 `json:"destRing"`
-	// SchemaVersion is the registry CAS token the publish supersedes.
-	SchemaVersion uint64 `json:"schemaVersion"`
 	// Provisioned records that the plan created Dest (aborts remove it).
 	Provisioned bool `json:"provisioned"`
-	// Phase is the recovery watermark: phasePrepared until the schema CAS,
-	// phasePublished after.
+	// Phase is the recovery watermark: phasePrepared until the deployment
+	// adopts the plan's schema, phasePublished after.
 	Phase string `json:"phase"`
 	// PrevBounds/PrevAssign record the pre-reconfiguration mapping, so an
 	// abort can revert the deployment even from a successor process.
@@ -180,10 +181,10 @@ func (p *Plan) nextPartitioner() (store.Partitioner, error) {
 type Config struct {
 	// Store is the deployment to rebalance.
 	Store *store.Deployment
-	// Registry is the coordination service the schema and the intent
-	// record are published to. Optional: without it, clients refresh from
-	// the deployment's live topology only and crashed plans can only be
-	// resolved by the same process.
+	// Registry is the coordination service the intent record is written
+	// to, so that a successor coordinator can resolve a crashed plan.
+	// Optional: without it, crashed plans can only be resolved by the same
+	// process.
 	Registry *registry.Registry
 	// ChunkInterval, when > 0, pauses between consecutive migrate chunks —
 	// the migration budget's rate limit: a large range copy trickles onto
@@ -198,8 +199,8 @@ type Config struct {
 }
 
 // Coordinator orders online repartitioning commands for one deployment.
-// At most one plan runs at a time (CAS on the published schema would
-// reject a concurrent coordinator on another process).
+// At most one plan runs at a time (the deployment's adopt fence rejects a
+// concurrent coordinator's publish).
 type Coordinator struct {
 	cfg Config
 
@@ -286,21 +287,6 @@ func (c *Coordinator) step(s string) error {
 		return c.failpoint(s)
 	}
 	return nil
-}
-
-// schemaVersion captures the CAS token for the next publish. A registry
-// without a published schema is a legitimate zero token; every other load
-// failure (corrupt node) is surfaced — swallowing it here used to turn a
-// registry hiccup into a confusing publish failure much later.
-func (c *Coordinator) schemaVersion() (uint64, error) {
-	if c.cfg.Registry == nil {
-		return 0, nil
-	}
-	_, v, err := store.LoadSchemaAt(c.cfg.Registry)
-	if err != nil && !errors.Is(err, store.ErrNoSchema) {
-		return 0, fmt.Errorf("rebalance: reading schema version: %w", err)
-	}
-	return v, nil
 }
 
 // orderingRing returns the ring that orders a partition's reconfiguration
@@ -403,14 +389,10 @@ func (c *Coordinator) SplitPartition(src int, splitKey string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	version, err := c.schemaVersion()
-	if err != nil {
-		return 0, err
-	}
 	plan := &Plan{
 		Kind: PlanSplit, Epoch: epoch, Donor: src, Dest: newPart,
 		SplitKey: splitKey, DonorVia: uint16(c.orderingRing(src)),
-		SchemaVersion: version, Phase: phasePrepared,
+		Phase:      phasePrepared,
 		PrevBounds: cur.Bounds(), PrevAssign: cur.Assignments(),
 	}
 
@@ -437,7 +419,6 @@ func (c *Coordinator) SplitPartition(src int, splitKey string) (int, error) {
 
 // runSplit executes the ordered phases of a recorded split plan.
 func (c *Coordinator) runSplit(plan *Plan, next store.Partitioner) error {
-	d := c.cfg.Store
 	via := msg.RingID(plan.DonorVia)
 	ring := msg.RingID(plan.DestRing)
 
@@ -473,9 +454,8 @@ func (c *Coordinator) runSplit(plan *Plan, next store.Partitioner) error {
 		return c.failed(plan, "activate", err)
 	}
 
-	// 5. Publish the new schema (CAS) and adopt it locally.
-	d.AdoptReconfig(plan.Epoch, next)
-	if err := c.publish(plan); err != nil {
+	// 5. Publish: the deployment adopts the new schema.
+	if err := c.publish(plan, next); err != nil {
 		return c.failed(plan, "publish", err)
 	}
 	if err := c.step("publish"); err != nil {
@@ -484,7 +464,7 @@ func (c *Coordinator) runSplit(plan *Plan, next store.Partitioner) error {
 
 	// 6. Commit: flip ownership and drop the frozen range at the source.
 	if err := c.client.CommitSplit(via, plan.Donor, plan.Epoch); err != nil {
-		return fmt.Errorf("rebalance: commit: %w (schema already published; resolve with ResolvePending)", err)
+		return fmt.Errorf("rebalance: commit: %w (schema already adopted; resolve with ResolvePending)", err)
 	}
 	if err := c.step("commit"); err != nil && !errors.Is(err, errCrash) {
 		return err
@@ -495,7 +475,7 @@ func (c *Coordinator) runSplit(plan *Plan, next store.Partitioner) error {
 
 // MergePartitions streams partition donor into the adjacent partition
 // survivor, live, then retires the donor's ring: the inverse of
-// SplitPartition. The donor's index drops out of the published assignment
+// SplitPartition. The donor's index drops out of the adopted assignment
 // without renumbering any surviving partition, and its ring ID returns to
 // the allocator for the next split to recycle. The donor must not
 // subscribe to the global ring (its nodes are torn down whole; partitions
@@ -521,14 +501,10 @@ func (c *Coordinator) MergePartitions(survivor, donor int) error {
 		return fmt.Errorf("rebalance: donor partition %d subscribes to the global ring; only partitions off it (e.g. born from a split) can be merged away", donor)
 	}
 	epoch := d.Epoch() + 1
-	version, err := c.schemaVersion()
-	if err != nil {
-		return err
-	}
 	plan := &Plan{
 		Kind: PlanMerge, Epoch: epoch, Donor: donor, Dest: survivor,
 		DonorVia: uint16(d.PartitionRing(donor)), DestRing: uint16(d.PartitionRing(survivor)),
-		SchemaVersion: version, Phase: phasePrepared,
+		Phase:      phasePrepared,
 		PrevBounds: cur.Bounds(), PrevAssign: cur.Assignments(),
 	}
 	c.recordIntent(plan)
@@ -575,11 +551,10 @@ func (c *Coordinator) runMerge(plan *Plan, next store.Partitioner) error {
 		return c.failed(plan, "copy", err)
 	}
 
-	// 5. Publish the post-merge schema (CAS) and adopt it locally. (A
-	// merge has no separate activation: the commit below, ordered on the
+	// 5. Publish: the deployment adopts the post-merge schema. (A merge
+	// has no separate activation: the commit below, ordered on the
 	// survivor's ring behind every chunk, plays that role.)
-	d.AdoptReconfig(plan.Epoch, next)
-	if err := c.publish(plan); err != nil {
+	if err := c.publish(plan, next); err != nil {
 		return c.failed(plan, "publish", err)
 	}
 	if err := c.step("publish"); err != nil {
@@ -590,7 +565,7 @@ func (c *Coordinator) runMerge(plan *Plan, next store.Partitioner) error {
 	// command) and serves the donor's range; the donor stays frozen until
 	// its teardown.
 	if err := c.client.CommitMerge(destRing, plan.Donor, plan.Dest, plan.Epoch, next); err != nil {
-		return fmt.Errorf("rebalance: commit: %w (schema already published; resolve with ResolvePending)", err)
+		return fmt.Errorf("rebalance: commit: %w (schema already adopted; resolve with ResolvePending)", err)
 	}
 	if err := c.step("commit"); err != nil && !errors.Is(err, errCrash) {
 		return err
@@ -607,15 +582,12 @@ func (c *Coordinator) runMerge(plan *Plan, next store.Partitioner) error {
 	return nil
 }
 
-// publish compare-and-sets the deployment's (already adopted) schema into
-// the registry and advances the plan's recovery watermark.
-func (c *Coordinator) publish(plan *Plan) error {
-	if c.cfg.Registry != nil {
-		if _, ok, err := c.cfg.Store.PublishSchemaCAS(c.cfg.Registry, plan.SchemaVersion); err != nil {
-			return err
-		} else if !ok {
-			return fmt.Errorf("concurrent schema publisher detected (expected version %d)", plan.SchemaVersion)
-		}
+// publish has the deployment adopt the plan's schema over the epoch the
+// plan started from, and advances the plan's recovery watermark. A refused
+// adopt means another publisher advanced the schema first.
+func (c *Coordinator) publish(plan *Plan, next store.Partitioner) error {
+	if !c.cfg.Store.AdoptReconfig(plan.Epoch, next) {
+		return fmt.Errorf("concurrent schema publisher detected (deployment no longer at epoch %d)", plan.Epoch-1)
 	}
 	plan.Phase = phasePublished
 	c.recordIntent(plan)
@@ -661,10 +633,10 @@ func (c *Coordinator) failed(plan *Plan, phase string, err error) error {
 
 // abortPlan rolls a prepared plan back: ordered opAbortReconfig commands
 // unfreeze the donor and disarm/clean the destination, the deployment's
-// adopted mapping (and a published schema) is reverted if the plan got
-// that far, and a provisioned split partition is removed. Every step is
-// idempotent against replicas that never saw the prepare, so it is safe
-// after a crash at any phase before the commit.
+// adopted mapping is reverted if the plan adopted one, and a provisioned
+// split partition is removed. Every step is idempotent against replicas
+// that never saw the prepare, so it is safe after a crash at any phase
+// before the commit.
 func (c *Coordinator) abortPlan(plan *Plan) error {
 	d := c.cfg.Store
 	var errs []error
@@ -676,20 +648,13 @@ func (c *Coordinator) abortPlan(plan *Plan) error {
 			errs = append(errs, fmt.Errorf("destination abort: %w", err))
 		}
 	}
-	if prev, err := plan.prevPartitioner(); err == nil {
-		d.RevertReconfig(plan.Epoch, prev)
-	} else {
-		errs = append(errs, fmt.Errorf("intent record mapping: %w", err))
-	}
-	if c.cfg.Registry != nil {
-		// Reconcile a schema that was already published at the aborted
-		// epoch back to the reverted mapping — republished under the
-		// aborted epoch itself, because clients that saw it refuse (by
-		// design) to install an older one.
-		if s, v, err := store.LoadSchemaAt(c.cfg.Registry); err == nil && s.Epoch == plan.Epoch {
-			if _, ok, err := d.PublishSchemaAsCAS(c.cfg.Registry, plan.Epoch, v); err != nil || !ok {
-				errs = append(errs, fmt.Errorf("republishing reverted schema: %v (cas ok=%v)", err, ok))
-			}
+	// Only a plan that adopted may revert: after a refused adopt the
+	// deployment sits at the epoch another publisher adopted.
+	if plan.Phase == phasePublished {
+		if prev, err := plan.prevPartitioner(); err == nil {
+			d.RevertReconfig(plan.Epoch, prev)
+		} else {
+			errs = append(errs, fmt.Errorf("intent record mapping: %w", err))
 		}
 	}
 	if plan.Kind == PlanSplit && plan.Provisioned {
@@ -712,10 +677,10 @@ func (c *Coordinator) abortPlan(plan *Plan) error {
 // coordinator or a crashed predecessor — and finishes it: a plan that
 // died before its commit is rolled back with the ordered abort (the
 // frozen range unfreezes, a provisioned partition is removed), and a plan
-// that died after publishing its schema is rolled forward (the commit is
-// re-ordered and, for merges, the donor teardown completed; both are
-// idempotent). It returns the plan it resolved, or nil when nothing was
-// pending.
+// that died after the deployment adopted its schema is rolled forward
+// (the commit is re-ordered and, for merges, the donor teardown
+// completed; both are idempotent). It returns the plan it resolved, or nil
+// when nothing was pending.
 func (c *Coordinator) ResolvePending() (*Plan, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

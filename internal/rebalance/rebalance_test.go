@@ -3,6 +3,7 @@ package rebalance
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -44,9 +45,6 @@ func deploySplitStore(t *testing.T, global bool) (*store.Deployment, *registry.R
 		net.Close()
 	})
 	reg := registry.New()
-	if err := d.PublishSchema(reg); err != nil {
-		t.Fatal(err)
-	}
 	var recs []store.Entry
 	for _, o := range ycsb.Load(ycsb.Config{RecordCount: records, ValueSize: 64}) {
 		recs = append(recs, store.Entry{Key: o.Key, Value: o.Value})
@@ -93,19 +91,11 @@ func TestLiveSplitUnderConcurrentWorkload(t *testing.T) {
 	// Read-your-writes workers: each owns disjoint keys on both sides of
 	// the coming split point (user750), writes a monotonically increasing
 	// value and immediately reads it back. Any lost write or stale read
-	// trips the harness. Worker 0 routes via the registry-published schema
-	// (watch-refreshed); the others via the deployment's live topology.
+	// trips the harness. Every worker routes by the deployment's live
+	// topology.
 	const workers = 3
 	for w := 0; w < workers; w++ {
-		var cl *store.Client
-		if w == 0 {
-			cl, err = d.NewRegistryClient(reg)
-			if err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			cl = d.NewClient()
-		}
+		cl := d.NewClient()
 		// Suffixed keys sort right after their YCSB neighbor (routing to
 		// the same partition) but are disjoint from the concurrent YCSB
 		// updater's keyspace, so read-your-writes holds per worker.
@@ -220,17 +210,10 @@ func TestLiveSplitUnderConcurrentWorkload(t *testing.T) {
 	if newPart != 2 {
 		t.Fatalf("new partition = %d", newPart)
 	}
-	sc, err := store.LoadSchema(reg)
-	if err != nil {
-		t.Fatal(err)
+	if d.Epoch() != 2 || d.Partitions() != 3 {
+		t.Fatalf("adopted schema epoch=%d partitions=%d", d.Epoch(), d.Partitions())
 	}
-	if sc.Epoch != 2 || sc.Partitions != 3 {
-		t.Fatalf("published schema epoch=%d partitions=%d", sc.Epoch, sc.Partitions)
-	}
-	part, err := sc.PartitionerFor()
-	if err != nil {
-		t.Fatal(err)
-	}
+	part := d.Partitioner()
 	if p := part.PartitionOf(ycsb.Key(800)); p != 2 {
 		t.Fatalf("user000000000800 routed to %d, want 2", p)
 	}
@@ -378,12 +361,8 @@ func TestChainedSplit(t *testing.T) {
 			t.Fatalf("%s owned by %d, want %d", ycsb.Key(i), p, want)
 		}
 	}
-	sc, err := store.LoadSchema(reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc.Epoch != 3 || sc.Partitions != 4 {
-		t.Fatalf("schema after chained split: epoch=%d partitions=%d", sc.Epoch, sc.Partitions)
+	if d.Epoch() != 3 || d.Partitions() != 4 {
+		t.Fatalf("schema after chained split: epoch=%d partitions=%d", d.Epoch(), d.Partitions())
 	}
 	// Scans spanning all partitions fan out (two of them off the global
 	// ring) and stay complete.
@@ -446,5 +425,37 @@ func TestSplitValidation(t *testing.T) {
 	}
 	if _, err := coord.SplitPartition(1, ycsb.Key(500)); err == nil {
 		t.Fatal("split at existing boundary succeeded")
+	}
+}
+
+// TestConcurrentPublisherFenced plays a rival publisher that adopts the
+// split's epoch while the split is in flight, with no registry configured:
+// the split's own adopt must be refused, the split rolled back, and the
+// rival's schema left in place.
+func TestConcurrentPublisherFenced(t *testing.T) {
+	d, _ := deploySplitStore(t, true)
+	coord, err := New(Config{Store: d})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+
+	epoch := d.Epoch() + 1
+	rival := d.Partitioner()
+	coord.failpoint = func(step string) error {
+		if step == "activate" && !d.AdoptReconfig(epoch, rival) {
+			t.Error("rival adopt refused")
+		}
+		return nil
+	}
+	if _, err := coord.SplitPartition(1, ycsb.Key(750)); err == nil || !strings.Contains(err.Error(), "concurrent schema publisher") {
+		t.Fatalf("split racing a rival publisher = %v", err)
+	}
+	if d.Epoch() != epoch || d.Partitioner() != rival {
+		t.Fatalf("after fenced split: epoch=%d, rival's mapping kept=%v", d.Epoch(), d.Partitioner() == rival)
+	}
+	if d.Partitions() != 2 || d.PartitionRing(2) != 0 {
+		t.Fatalf("provisioned partition not removed: partitions=%d, ring of partition 2=%d",
+			d.Partitions(), d.PartitionRing(2))
 	}
 }

@@ -2,27 +2,18 @@
 // in the paper's deployment (Section 7.1: "Automatic ring management and
 // configuration management is handled by Zookeeper").
 //
-// It provides the same primitives Multi-Ring Paxos needs from Zookeeper:
-// versioned configuration nodes, watches, ephemeral nodes tied to sessions
-// (for failure detection), and leader election among ring acceptors. It is
+// It keeps what nothing else holds yet: the rebalance coordinator's intent
+// record (a versioned configuration node) and the auto-sharding
+// controller's leader election (ephemeral nodes tied to sessions). It is
 // in-process and strongly consistent, which matches how a Zookeeper
 // ensemble appears to its clients.
 package registry
 
 import (
-	"bytes"
 	"sort"
 	"strings"
 	"sync"
 )
-
-// Event notifies a watcher of a change to a node.
-type Event struct {
-	Path    string
-	Data    []byte
-	Version uint64
-	Deleted bool
-}
 
 type node struct {
 	data      []byte
@@ -33,57 +24,14 @@ type node struct {
 // Registry is an in-process coordination service. The zero value is not
 // usable; call New.
 type Registry struct {
-	mu       sync.Mutex
-	nodes    map[string]*node
-	watchers map[string][]chan Event // exact-path watchers
-	prefixW  map[string][]chan Event // prefix watchers (children)
-	seq      uint64
+	mu    sync.Mutex
+	nodes map[string]*node
+	seq   uint64
 }
 
 // New creates an empty registry.
 func New() *Registry {
-	return &Registry{
-		nodes:    make(map[string]*node),
-		watchers: make(map[string][]chan Event),
-		prefixW:  make(map[string][]chan Event),
-	}
-}
-
-// notifyLocked fires watch events for path. Callers hold r.mu. Delivery is
-// strictly non-blocking so a slow watcher can never stall registry
-// mutations (watches are a hot path during rebalancing): when a watcher's
-// buffer is full the oldest buffered event is evicted in favor of the new
-// one, coalescing like a Zookeeper watch — a watcher that wakes up late
-// still observes the most recent change and re-reads current state.
-func (r *Registry) notifyLocked(ev Event) {
-	for _, ch := range r.watchers[ev.Path] {
-		offer(ch, ev)
-	}
-	for prefix, chans := range r.prefixW {
-		if strings.HasPrefix(ev.Path, prefix) {
-			for _, ch := range chans {
-				offer(ch, ev)
-			}
-		}
-	}
-}
-
-// offer delivers ev without ever blocking: on a full buffer it drops the
-// oldest pending event to make room for the newest (latest-wins mailbox).
-func offer(ch chan Event, ev Event) {
-	select {
-	case ch <- ev:
-		return
-	default:
-	}
-	select {
-	case <-ch: // evict the stalest pending event
-	default:
-	}
-	select {
-	case ch <- ev:
-	default: // raced with a concurrent producer that refilled the buffer
-	}
+	return &Registry{nodes: make(map[string]*node)}
 }
 
 // Set creates or replaces a node and returns its new version.
@@ -91,19 +39,6 @@ func (r *Registry) Set(path string, data []byte) uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.setLocked(path, data, nil)
-}
-
-// SetIfChanged replaces a node's data only when it differs from what is
-// stored, returning the node's (possibly unchanged) version and whether a
-// write happened. Periodic advertisers — lease-holder renewal being the
-// canonical case — use it so watches fire on transitions, not heartbeats.
-func (r *Registry) SetIfChanged(path string, data []byte) (uint64, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if n, ok := r.nodes[path]; ok && bytes.Equal(n.data, data) {
-		return n.version, false
-	}
-	return r.setLocked(path, data, nil), true
 }
 
 func (r *Registry) setLocked(path string, data []byte, owner *Session) uint64 {
@@ -115,41 +50,7 @@ func (r *Registry) setLocked(path string, data []byte, owner *Session) uint64 {
 	n.data = append([]byte(nil), data...)
 	n.version++
 	n.ephemeral = owner
-	r.notifyLocked(Event{Path: path, Data: n.data, Version: n.version})
 	return n.version
-}
-
-// CompareAndSet atomically replaces a node's data if its current version
-// equals expect, returning the new version. expect == 0 requires that the
-// node does not exist yet (versioned create). This is the primitive epoch
-// publishers use: a rebalance coordinator bumping the partitioning schema
-// can detect a concurrent publisher instead of silently overwriting it.
-func (r *Registry) CompareAndSet(path string, data []byte, expect uint64) (uint64, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n, ok := r.nodes[path]
-	switch {
-	case expect == 0:
-		if ok {
-			return n.version, false
-		}
-	case !ok:
-		return 0, false
-	case n.version != expect:
-		return n.version, false
-	}
-	return r.setLocked(path, data, nil), true
-}
-
-// Create creates a node, failing (returning false) if it already exists.
-func (r *Registry) Create(path string, data []byte) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.nodes[path]; ok {
-		return false
-	}
-	r.setLocked(path, data, nil)
-	return true
 }
 
 // Get returns a node's data and version.
@@ -167,15 +68,7 @@ func (r *Registry) Get(path string) (data []byte, version uint64, ok bool) {
 func (r *Registry) Delete(path string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.deleteLocked(path)
-}
-
-func (r *Registry) deleteLocked(path string) {
-	if _, ok := r.nodes[path]; !ok {
-		return
-	}
 	delete(r.nodes, path)
-	r.notifyLocked(Event{Path: path, Deleted: true})
 }
 
 // Children returns the sorted paths of all nodes under prefix.
@@ -190,26 +83,6 @@ func (r *Registry) Children(prefix string) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Watch returns a channel of events for the exact path. The channel has a
-// small buffer; events are dropped rather than blocking the registry
-// (watchers must re-read state on wakeup, as with Zookeeper watches).
-func (r *Registry) Watch(path string) <-chan Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ch := make(chan Event, 16)
-	r.watchers[path] = append(r.watchers[path], ch)
-	return ch
-}
-
-// WatchPrefix returns a channel of events for every path under prefix.
-func (r *Registry) WatchPrefix(prefix string) <-chan Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ch := make(chan Event, 64)
-	r.prefixW[prefix] = append(r.prefixW[prefix], ch)
-	return ch
 }
 
 // Session groups ephemeral nodes that are deleted together when the session
@@ -245,8 +118,8 @@ func (s *Session) CreateEphemeral(path string, data []byte) bool {
 	return true
 }
 
-// Close expires the session, deleting all its ephemeral nodes and firing
-// their watches (this is how peers detect the process's failure).
+// Close expires the session, deleting all its ephemeral nodes (this is how
+// peers detect the process's failure).
 func (s *Session) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -263,7 +136,7 @@ func (s *Session) Close() {
 	defer s.r.mu.Unlock()
 	for _, p := range paths {
 		if n, ok := s.r.nodes[p]; ok && n.ephemeral == s {
-			s.r.deleteLocked(p)
+			delete(s.r.nodes, p)
 		}
 	}
 }
@@ -305,11 +178,6 @@ func (e *Election) Leader() (string, bool) {
 		return "", false
 	}
 	return string(data), true
-}
-
-// Watch returns a channel that fires whenever election membership changes.
-func (e *Election) Watch() <-chan Event {
-	return e.r.WatchPrefix(e.prefix + "/")
 }
 
 // seqString zero-pads so lexicographic order equals numeric order.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestSetGetDelete(t *testing.T) {
@@ -26,20 +25,6 @@ func TestSetGetDelete(t *testing.T) {
 		t.Fatal("deleted node still present")
 	}
 	r.Delete("/a") // idempotent
-}
-
-func TestCreateExclusive(t *testing.T) {
-	r := New()
-	if !r.Create("/a", []byte("x")) {
-		t.Fatal("first create failed")
-	}
-	if r.Create("/a", []byte("y")) {
-		t.Fatal("second create succeeded")
-	}
-	data, _, _ := r.Get("/a")
-	if string(data) != "x" {
-		t.Fatal("create overwrote")
-	}
 }
 
 func TestGetReturnsCopy(t *testing.T) {
@@ -64,49 +49,13 @@ func TestChildrenSorted(t *testing.T) {
 	}
 }
 
-func TestWatchFires(t *testing.T) {
-	r := New()
-	ch := r.Watch("/a")
-	r.Set("/a", []byte("v"))
-	ev := <-ch
-	if ev.Path != "/a" || string(ev.Data) != "v" || ev.Deleted {
-		t.Fatalf("event = %+v", ev)
-	}
-	r.Delete("/a")
-	ev = <-ch
-	if !ev.Deleted {
-		t.Fatalf("event = %+v, want deletion", ev)
-	}
-}
-
-func TestWatchPrefix(t *testing.T) {
-	r := New()
-	ch := r.WatchPrefix("/ring/")
-	r.Set("/ring/a", nil)
-	r.Set("/elsewhere", nil)
-	ev := <-ch
-	if ev.Path != "/ring/a" {
-		t.Fatalf("event = %+v", ev)
-	}
-	select {
-	case ev := <-ch:
-		t.Fatalf("unexpected event %+v", ev)
-	default:
-	}
-}
-
 func TestEphemeralDeletedOnSessionClose(t *testing.T) {
 	r := New()
 	s := r.NewSession()
 	if !s.CreateEphemeral("/live/n1", []byte("x")) {
 		t.Fatal("create ephemeral failed")
 	}
-	ch := r.Watch("/live/n1")
 	s.Close()
-	ev := <-ch
-	if !ev.Deleted {
-		t.Fatalf("event = %+v, want deletion", ev)
-	}
 	if _, _, ok := r.Get("/live/n1"); ok {
 		t.Fatal("ephemeral survived session close")
 	}
@@ -146,9 +95,7 @@ func TestElection(t *testing.T) {
 		t.Fatalf("leader = %q %v", leader, ok)
 	}
 	// First candidate's session expires: leadership moves.
-	watch := e.Watch()
 	s1.Close()
-	<-watch
 	leader, ok = e.Leader()
 	if !ok || leader != "node-2" {
 		t.Fatalf("leader after failover = %q %v", leader, ok)
@@ -197,81 +144,5 @@ func TestConcurrentAccess(t *testing.T) {
 	wg.Wait()
 	if len(r.Children("/n/")) != 8 {
 		t.Fatalf("children = %v", r.Children("/n/"))
-	}
-}
-
-func TestSlowWatcherDoesNotBlock(t *testing.T) {
-	r := New()
-	_ = r.Watch("/a") // never read
-	for i := 0; i < 100; i++ {
-		r.Set("/a", []byte{byte(i)}) // must not deadlock
-	}
-}
-
-// TestSlowWatcherCannotStallMutations floods watchers far past their
-// buffer capacity without a single read and requires mutations to finish
-// promptly; afterwards the stalled watcher must still be able to observe
-// the most recent change (latest-wins coalescing), not only stale ones.
-func TestSlowWatcherCannotStallMutations(t *testing.T) {
-	r := New()
-	exact := r.Watch("/hot")
-	prefix := r.WatchPrefix("/hot")
-	done := make(chan struct{})
-	const writes = 50_000
-	go func() {
-		defer close(done)
-		for i := 0; i < writes; i++ {
-			r.Set("/hot", []byte("v"))
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("mutations stalled behind a slow watcher")
-	}
-	// Drain: the newest buffered event must be the final version.
-	last := func(ch <-chan Event) (ev Event) {
-		for {
-			select {
-			case ev = <-ch:
-			default:
-				return ev
-			}
-		}
-	}
-	if ev := last(exact); ev.Version != writes {
-		t.Fatalf("exact watcher last version = %d, want %d", ev.Version, writes)
-	}
-	if ev := last(prefix); ev.Version != writes {
-		t.Fatalf("prefix watcher last version = %d, want %d", ev.Version, writes)
-	}
-}
-
-func TestCompareAndSet(t *testing.T) {
-	r := New()
-	// expect 0 = versioned create.
-	v, ok := r.CompareAndSet("/s", []byte("a"), 0)
-	if !ok || v != 1 {
-		t.Fatalf("create CAS = %d %v", v, ok)
-	}
-	if cur, ok := r.CompareAndSet("/s", []byte("b"), 0); ok || cur != 1 {
-		t.Fatalf("create CAS on existing = %d %v", cur, ok)
-	}
-	// Matching version succeeds and bumps.
-	v, ok = r.CompareAndSet("/s", []byte("b"), 1)
-	if !ok || v != 2 {
-		t.Fatalf("CAS = %d %v", v, ok)
-	}
-	// Stale version fails and reports the current one.
-	if cur, ok := r.CompareAndSet("/s", []byte("c"), 1); ok || cur != 2 {
-		t.Fatalf("stale CAS = %d %v", cur, ok)
-	}
-	data, v, _ := r.Get("/s")
-	if string(data) != "b" || v != 2 {
-		t.Fatalf("state = %q %d", data, v)
-	}
-	// Missing node with nonzero expectation.
-	if _, ok := r.CompareAndSet("/missing", nil, 3); ok {
-		t.Fatal("CAS on missing node succeeded")
 	}
 }

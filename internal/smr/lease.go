@@ -328,8 +328,8 @@ func (r *Replica) replySuppressed() bool {
 
 // ServingLease reports whether this replica currently serves local reads:
 // the replicated lease names it and its self-proposed serve window is
-// still open. Tests and routing advertisements use it; the authoritative
-// gate runs on the executor in serveLeaseRead.
+// still open. Tests use it; the authoritative gate runs on the executor
+// in serveLeaseRead.
 func (r *Replica) ServingLease() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()

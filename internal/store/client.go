@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"mrp/internal/msg"
-	"mrp/internal/registry"
 	"mrp/internal/smr"
 	"mrp/internal/transport"
 )
@@ -55,33 +54,6 @@ func (v *routeView) leaseHolderFor(p int) transport.Addr {
 		return ""
 	}
 	return v.leaseHolders[p]
-}
-
-// viewSource supplies routing views: the deployment handle (live topology)
-// or the coordination service (published schema).
-type viewSource interface {
-	currentView() (routeView, error)
-}
-
-// registrySource builds routing views from the schema published in the
-// coordination service.
-type registrySource struct {
-	reg *registry.Registry
-}
-
-func (s *registrySource) currentView() (routeView, error) {
-	sc, err := LoadSchema(s.reg)
-	if err != nil {
-		return routeView{}, err
-	}
-	part, err := sc.PartitionerFor()
-	if err != nil {
-		return routeView{}, err
-	}
-	return schemaView(sc, part, func(p int, _ []transport.Addr) transport.Addr {
-		data, _, _ := s.reg.Get(LeaseHolderPath(p))
-		return transport.Addr(data)
-	}), nil
 }
 
 // schemaView builds the routing view of a schema: per partition its ring,
@@ -146,13 +118,11 @@ var execTimeout = 5 * time.Second
 // the key; scans are multicast to every partition possibly holding matching
 // keys.
 //
-// The client routes by a cached schema view. When a replica answers with
-// the typed wrong-epoch redirect (the key moved to another partition in a
-// later schema epoch, or sits in a range frozen by an in-flight split),
-// the client refreshes its view from its source — the deployment's live
-// topology or the registry-published schema — re-routes, and retries until
-// its deadline. Registry-backed clients additionally refresh eagerly from
-// a schema watch.
+// The client routes by a cached view of its deployment's schema. When a
+// replica answers with the typed wrong-epoch redirect (the key moved to
+// another partition in a later schema epoch, or sits in a range frozen by
+// an in-flight split), the client refreshes its view from the deployment's
+// live topology, re-routes, and retries until its deadline.
 //
 // A Client is safe for concurrent use by multiple goroutines. Each call is
 // an independent command under its own sequence number; calls from
@@ -162,7 +132,7 @@ var execTimeout = 5 * time.Second
 type Client struct {
 	smr     *smr.Client
 	ep      transport.Endpoint
-	src     viewSource
+	src     *Deployment
 	timeout time.Duration
 
 	// forceGlobal routes every cross-partition transaction through the
@@ -176,17 +146,14 @@ type Client struct {
 	// fast path (observability: tests assert the path was exercised, the
 	// reads figure reports the local/ordered mix).
 	leaseHits atomic.Int64
-
-	watchStop chan struct{}
-	watchDone chan struct{}
 }
 
 // LeaseReads reports how many of this client's reads and scans were served
 // consensus-free by a lease holder rather than through ordering.
 func (c *Client) LeaseReads() int64 { return c.leaseHits.Load() }
 
-// newClient builds a client over an endpoint and routing-view source.
-func newClient(ep transport.Endpoint, id uint64, src viewSource) *Client {
+// newClient builds a client over an endpoint, routed by src.
+func newClient(ep transport.Endpoint, id uint64, src *Deployment) *Client {
 	c := &Client{
 		smr: smr.NewClient(smr.ClientConfig{
 			ID:       id,
@@ -197,34 +164,12 @@ func newClient(ep transport.Endpoint, id uint64, src viewSource) *Client {
 		src:     src,
 		timeout: 20 * time.Second,
 	}
-	_ = c.refresh()
+	c.refresh()
 	return c
-}
-
-// watchSchema launches the eager refresh loop of registry-backed clients.
-func (c *Client) watchSchema(reg *registry.Registry) {
-	events := WatchSchema(reg)
-	c.watchStop = make(chan struct{})
-	c.watchDone = make(chan struct{})
-	go func() {
-		defer close(c.watchDone)
-		for {
-			select {
-			case <-events:
-				_ = c.refresh()
-			case <-c.watchStop:
-				return
-			}
-		}
-	}()
 }
 
 // Close releases the client and closes its endpoint.
 func (c *Client) Close() {
-	if c.watchStop != nil {
-		close(c.watchStop)
-		<-c.watchDone
-	}
 	c.smr.Close()
 	_ = c.ep.Close()
 }
@@ -237,42 +182,27 @@ func (c *Client) currentView() routeView {
 }
 
 // viewFor returns the routing view for one attempt, eagerly refreshed
-// when the source exposes a live epoch ahead of the cache. Deployment-
-// backed clients would otherwise learn of a committed merge only from a
-// timeout against the retired ring: the donor's freeze window can be
-// shorter than the gap between a client's visits to its range, so the
-// typed redirect alone may never reach it before the teardown.
+// when the deployment's epoch is ahead of the cache. The client would
+// otherwise learn of a committed merge only from a timeout against the
+// retired ring: the donor's freeze window can be shorter than the gap
+// between a client's visits to its range, so the typed redirect alone may
+// never reach it before the teardown.
 func (c *Client) viewFor() routeView {
 	v := c.currentView()
-	if src, ok := c.src.(interface{ Epoch() uint64 }); ok && src.Epoch() > v.epoch {
-		_ = c.refresh()
+	if c.src.Epoch() > v.epoch {
+		c.refresh()
 		v = c.currentView()
 	}
 	return v
 }
 
-// routedView returns the view to route one attempt by, refreshing first
-// when the client has no view yet.
-func (c *Client) routedView() (routeView, error) {
-	if v := c.viewFor(); v.partitioner != nil {
-		return v, nil
-	}
-	if err := c.refresh(); err != nil {
-		return routeView{}, err
-	}
-	return c.currentView(), nil
-}
-
 // Epoch returns the schema epoch the client currently routes under.
 func (c *Client) Epoch() uint64 { return c.currentView().epoch }
 
-// refresh re-reads the routing view from the source and installs the
+// refresh re-reads the routing view from the deployment and installs the
 // proposer addresses of any newly visible rings.
-func (c *Client) refresh() error {
-	v, err := c.src.currentView()
-	if err != nil {
-		return err
-	}
+func (c *Client) refresh() {
+	v := c.src.currentView()
 	c.mu.Lock()
 	if v.epoch >= c.view.epoch {
 		c.view = v
@@ -281,7 +211,6 @@ func (c *Client) refresh() error {
 	for ring, addrs := range v.proposers {
 		c.smr.SetProposers(ring, addrs)
 	}
-	return nil
 }
 
 // exec submits one op to a ring and decodes the first reply. The result
@@ -305,7 +234,7 @@ func (c *Client) rerouteOnTimeout(err error, epoch uint64, deadline time.Time) b
 	if !errors.Is(err, smr.ErrTimeout) || time.Now().After(deadline) {
 		return false
 	}
-	_ = c.refresh()
+	c.refresh()
 	return c.currentView().epoch > epoch
 }
 
@@ -319,9 +248,6 @@ func (c *Client) rerouteOnTimeout(err error, epoch uint64, deadline time.Time) b
 // other redirected command).
 func (c *Client) leaseRead(o op) (result, bool) {
 	v := c.viewFor()
-	if v.partitioner == nil {
-		return result{}, false
-	}
 	o.epoch = v.epoch
 	addr := v.leaseHolderFor(v.partitioner.PartitionOf(o.key))
 	if addr == "" {
@@ -336,7 +262,7 @@ func (c *Client) leaseRead(o op) (result, bool) {
 		return result{}, false
 	}
 	if res.status == statusWrongEpoch {
-		_ = c.refresh()
+		c.refresh()
 		return result{}, false
 	}
 	c.leaseHits.Add(1)
@@ -349,9 +275,6 @@ func (c *Client) leaseRead(o op) (result, bool) {
 // would not be one consistent cut).
 func (c *Client) leaseScan(from, to string, limit int) ([]Entry, bool) {
 	v := c.viewFor()
-	if v.partitioner == nil {
-		return nil, false
-	}
 	parts := v.partitioner.PartitionsForRange(from, to)
 	if len(parts) != 1 {
 		return nil, false
@@ -368,7 +291,7 @@ func (c *Client) leaseScan(from, to string, limit int) ([]Entry, bool) {
 	res, err := decodeResult(raw)
 	if err != nil || res.status != statusOK {
 		if res.status == statusWrongEpoch {
-			_ = c.refresh()
+			c.refresh()
 		}
 		return nil, false
 	}
@@ -385,10 +308,7 @@ func (c *Client) leaseScan(from, to string, limit int) ([]Entry, bool) {
 func (c *Client) callKey(o op) (result, error) {
 	deadline := time.Now().Add(c.timeout)
 	for {
-		v, err := c.routedView()
-		if err != nil {
-			return result{}, err
-		}
+		v := c.viewFor()
 		o.epoch = v.epoch
 		p := v.partitioner.PartitionOf(o.key)
 		if p >= len(v.rings) {
@@ -488,10 +408,7 @@ func (c *Client) Scan(from, to string, limit int) ([]Entry, error) {
 	}
 	deadline := time.Now().Add(c.timeout)
 	for {
-		v, err := c.routedView()
-		if err != nil {
-			return nil, err
-		}
+		v := c.viewFor()
 		entries, redirected, err := c.scanOnce(v, from, to, limit)
 		if err != nil {
 			if c.rerouteOnTimeout(err, v.epoch, deadline) {
@@ -595,10 +512,7 @@ func (c *Client) WriteBatch(entries []Entry) (int, error) {
 	remaining := entries
 	total := 0
 	for len(remaining) > 0 {
-		v, err := c.routedView()
-		if err != nil {
-			return total, err
-		}
+		v := c.viewFor()
 		byPart := make(map[int][]op)
 		for _, e := range remaining {
 			p := v.partitioner.PartitionOf(e.Key)

@@ -10,7 +10,6 @@ import (
 	"mrp/internal/msg"
 	"mrp/internal/netsim"
 	"mrp/internal/recovery"
-	"mrp/internal/registry"
 	"mrp/internal/storage"
 	"mrp/internal/transport"
 	"mrp/internal/txn"
@@ -147,10 +146,6 @@ type Deployment struct {
 	// reuses them (most recently retired first) before minting new IDs.
 	freeRings []msg.RingID
 
-	// leaseReg is the coordination service lease holders advertise
-	// themselves in. Publishing the schema is the moment a registry becomes
-	// part of a deployment, so every Publish* variant stores it.
-	leaseReg atomic.Pointer[registry.Registry]
 	// renewing counts running lease renewers; Stop waits for them.
 	renewing sync.WaitGroup
 }
@@ -493,9 +488,9 @@ func (d *Deployment) CrashReplica(p, r int) {
 // from the acceptors. It works for every committed partition — the seed
 // partitions of Deploy and partitions appended by a live split alike —
 // because ring memberships, roles, and subscription points are derived
-// from the deployment's current schema (the same structure published to
-// the coordination service), not from the static deploy config. A split
-// partition's replica rejoins its ring at the recovered frontier and
+// from the deployment's current schema (the same structure that routes
+// clients), not from the static deploy config. A split partition's
+// replica rejoins its ring at the recovered frontier and
 // resumes redirect behavior from the snapshot's schema state; if no
 // checkpoint survives anywhere, it replays the full ring from the
 // partition's deterministic birth state (warming, at the split's epoch).
@@ -715,16 +710,23 @@ func stopAll(hs []*ReplicaHandle) {
 // the rebalance coordinator after the moved range is fully migrated (and,
 // for a split, the new partition activated), immediately before the
 // ownership flip is ordered through the rings (opCommitReconfig).
-func (d *Deployment) AdoptReconfig(epoch uint64, partitioner Partitioner) {
+//
+// It adopts only the epoch right after the committed one and reports
+// whether it did. A false result means a concurrent publisher advanced the
+// schema first (or the caller skipped an epoch); nothing changed, and the
+// caller must abort rather than overwrite.
+func (d *Deployment) AdoptReconfig(epoch uint64, partitioner Partitioner) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if epoch > d.epoch {
-		d.epoch = epoch
-		d.partitioner = partitioner
-		if epoch > d.viewEpoch {
-			d.viewEpoch = epoch
-		}
+	if epoch != d.epoch+1 {
+		return false
 	}
+	d.epoch = epoch
+	d.partitioner = partitioner
+	if epoch > d.viewEpoch {
+		d.viewEpoch = epoch
+	}
+	return true
 }
 
 // RevertReconfig undoes AdoptReconfig for an aborted reconfiguration: if
@@ -747,7 +749,7 @@ func (d *Deployment) RevertReconfig(epoch uint64, prev Partitioner) {
 // epoch is the view watermark, and the advertised lease holder of a
 // partition is its designated holder while that replica is up (advisory:
 // the replica itself decides whether it may actually serve).
-func (d *Deployment) currentView() (routeView, error) {
+func (d *Deployment) currentView() routeView {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	v := schemaView(d.topologySchema(), d.partitioner, func(p int, addrs []transport.Addr) transport.Addr {
@@ -758,7 +760,7 @@ func (d *Deployment) currentView() (routeView, error) {
 		return addrs[hIdx]
 	})
 	v.epoch = d.viewEpoch
-	return v, nil
+	return v
 }
 
 // NewClient creates a store client with a fresh endpoint and unique ID.
@@ -777,26 +779,4 @@ func (d *Deployment) NewClient() *Client {
 // replica answers with the typed wrong-epoch redirect.
 func (d *Deployment) NewClientAt(ep transport.Endpoint, id uint64) *Client {
 	return newClient(ep, id, d)
-}
-
-// NewRegistryClient creates a client that discovers and refreshes the
-// partitioning schema through the coordination service instead of the
-// deployment handle: the initial view comes from LoadSchema and a
-// coalescing watch on the schema node triggers refreshes as rebalances
-// publish new epochs (stale routes additionally self-correct through
-// wrong-epoch redirects). The deployment must have published its schema.
-func (d *Deployment) NewRegistryClient(reg *registry.Registry) (*Client, error) {
-	id := 1_000_000 + d.nextID.Add(1)
-	ep, err := d.cl.EndpointFor(transport.Addr(fmt.Sprintf("store-client-%d", id)))
-	if err != nil {
-		return nil, err
-	}
-	src := &registrySource{reg: reg}
-	if _, err := src.currentView(); err != nil {
-		_ = ep.Close()
-		return nil, err
-	}
-	c := newClient(ep, id, src)
-	c.watchSchema(reg)
-	return c, nil
 }

@@ -9,7 +9,6 @@ import (
 	"mrp/internal/msg"
 	"mrp/internal/ringpaxos"
 	"mrp/internal/smr"
-	"mrp/internal/transport"
 )
 
 // LeasePolicy configures ring leases for consensus-free local reads (see
@@ -50,12 +49,6 @@ func (p LeasePolicy) withDefaults() LeasePolicy {
 	}
 	return p
 }
-
-// LeaseHolderPath is the coordination-service node advertising partition
-// p's current lease holder (its service address). Advisory routing state:
-// a stale advertisement costs a client one declined or timed-out local
-// read before it falls back to the ordered path, never a wrong result.
-func LeaseHolderPath(p int) string { return fmt.Sprintf("/mrp-store/leases/p%d", p) }
 
 // RevokeLease orders a lease revocation on ring: every replica that
 // delivers it deactivates its replicated lease table, so the holder stops
@@ -107,19 +100,14 @@ func leaseHolderIdx(replicas int) int {
 // answering. All safety lives in the replicas' lease state machine.
 type leaseRenewer struct {
 	d    *Deployment
-	p    int
 	ring msg.RingID
-	addr transport.Addr
 	// id is the ClientID of this holder incarnation's claims. A recovered
 	// holder starts its claim sequence over, so a reused ID would have its
 	// claims swallowed by the replicas' dedup window.
 	id uint64
 
-	// mu orders a tick's advertisement against stop, so a tick already
-	// running cannot re-advertise a holder that has stopped.
-	mu      sync.Mutex
-	stopped bool
-	quit    chan struct{}
+	quit     chan struct{}
+	stopOnce sync.Once
 }
 
 // newLeaseRenewer returns the renewer of the replica planned by pl, or nil
@@ -132,9 +120,7 @@ func (d *Deployment) newLeaseRenewer(pl replicaPlan) *leaseRenewer {
 	}
 	return &leaseRenewer{
 		d:    d,
-		p:    pl.p,
 		ring: ring.ID,
-		addr: d.cfg.AddrFor(pl.p, pl.r),
 		id:   2_000_000 + d.nextID.Add(1),
 		quit: make(chan struct{}),
 	}
@@ -167,7 +153,6 @@ func (r *leaseRenewer) run(self msg.NodeID, rep *smr.Replica, proc *ringpaxos.Pr
 		if proc.Propose(claim.Encode()) != nil {
 			return // the holder's node stopped
 		}
-		r.advertise(rep)
 		select {
 		case <-t.C:
 		case <-r.quit:
@@ -176,28 +161,9 @@ func (r *leaseRenewer) run(self msg.NodeID, rep *smr.Replica, proc *ringpaxos.Pr
 	}
 }
 
-// advertise names the holder in the coordination service once it serves.
-func (r *leaseRenewer) advertise(rep *smr.Replica) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if reg := r.d.leaseReg.Load(); reg != nil && !r.stopped && rep.ServingLease() {
-		reg.SetIfChanged(LeaseHolderPath(r.p), []byte(r.addr))
-	}
-}
-
-// stop ends the renewer and withdraws the advertisement, so clients stop
-// probing a dead holder. It runs first when the holder stops, before its
+// stop ends the renewer. It runs first when the holder stops, before its
 // node does, so it does not wait for a tick that may be blocked in
 // Propose.
 func (r *leaseRenewer) stop() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.stopped {
-		return
-	}
-	r.stopped = true
-	close(r.quit)
-	if reg := r.d.leaseReg.Load(); reg != nil {
-		reg.Delete(LeaseHolderPath(r.p))
-	}
+	r.stopOnce.Do(func() { close(r.quit) })
 }

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"mrp/internal/netsim"
-	"mrp/internal/registry"
 	"mrp/internal/storage"
 	"mrp/internal/transport"
 	"mrp/internal/ycsb"
@@ -269,10 +268,10 @@ func TestLeaseReadsLinearizableAcrossSplitMerge(t *testing.T) {
 // TestLeaseRenewedByHolder checks that each partition's lease is renewed
 // by its designated holder itself: the deployment binds no endpoint beyond
 // its replicas and their recovery conversations; the holder serves and is
-// advertised; a crashed holder is withdrawn and its lease stops being
-// renewed, so the survivors' lease sequence stands still; and a recovered
-// holder claims, serves and is advertised again. Once the deployment
-// stops, no renewer is left running.
+// advertised in the deployment's client view; a crashed holder is withdrawn
+// from it and its lease stops being renewed, so the survivors' lease
+// sequence stands still; and a recovered holder claims, serves and is
+// advertised again. Once the deployment stops, no renewer is left running.
 func TestLeaseRenewedByHolder(t *testing.T) {
 	const partitions, replicas = 2, 3
 	pol := LeasePolicy{
@@ -304,10 +303,6 @@ func TestLeaseRenewedByHolder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Stop() // a no-op after the Stop the test ends with
-	reg := registry.New()
-	if err := d.PublishSchema(reg); err != nil {
-		t.Fatal(err)
-	}
 
 	replicaAddrs := make(map[transport.Addr]bool)
 	for p := 0; p < partitions; p++ {
@@ -339,16 +334,17 @@ func TestLeaseRenewedByHolder(t *testing.T) {
 	serving := func(p int) func() bool {
 		return func() bool { return d.ReplicaAt(p, holder).Replica.ServingLease() }
 	}
+	holderInView := func(p int) transport.Addr {
+		v := d.currentView()
+		return v.leaseHolderFor(p)
+	}
 	advertised := func(p int) func() bool {
-		return func() bool {
-			data, _, _ := reg.Get(LeaseHolderPath(p))
-			return transport.Addr(data) == d.cfg.AddrFor(p, holder)
-		}
+		return func() bool { return holderInView(p) == d.cfg.AddrFor(p, holder) }
 	}
 	withdrawn := func() {
 		t.Helper()
-		if data, _, ok := reg.Get(LeaseHolderPath(1)); ok {
-			t.Fatalf("crashed holder still advertised as %q", data)
+		if a := holderInView(1); a != "" {
+			t.Fatalf("crashed holder still advertised as %q", a)
 		}
 	}
 	for p := 0; p < partitions; p++ {

@@ -12,7 +12,7 @@ import (
 // This file is the single place ring memberships come from: both Deploy
 // and RecoverReplica derive who sits on which ring, in which order, with
 // which Paxos roles, from the versioned Schema — the same structure that
-// is published to the coordination service. Deriving memberships from the
+// routes clients. Deriving memberships from the
 // schema instead of the static DeployConfig is what makes recovery work
 // for partitions that did not exist at deploy time (live splits).
 

@@ -135,7 +135,7 @@ func (c *Client) ActivatePartition(ring msg.RingID, part int, epoch uint64) erro
 // CommitSplit orders the split's ownership flip through ring via: the
 // source partition drops the moved range and every replica on the ring
 // adopts the new epoch. From this point stale clients are redirected to
-// the published schema.
+// the adopted schema.
 //
 //mrp:ordered
 func (c *Client) CommitSplit(via msg.RingID, src int, epoch uint64) error {

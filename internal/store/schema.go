@@ -1,24 +1,11 @@
 package store
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 
 	"mrp/internal/msg"
-	"mrp/internal/registry"
 	"mrp/internal/transport"
 )
-
-// SchemaPath is where the partitioning schema lives in the coordination
-// service ("the partitioning schema is stored in Zookeeper and accessible
-// to all processes", Section 7.2).
-const SchemaPath = "/mrp-store/schema"
-
-// ErrNoSchema reports that the coordination service has no published
-// schema yet — a legitimate state for a deployment that never published,
-// as opposed to a registry error or a corrupt schema node.
-var ErrNoSchema = errors.New("store: no schema published")
 
 // Schema is the client-visible description of a deployment: how keys map
 // to partitions, which ring orders each partition's commands, and where
@@ -26,23 +13,23 @@ var ErrNoSchema = errors.New("store: no schema published")
 //
 // # Versioned-schema protocol
 //
-// The schema is no longer a load-once snapshot. Every published schema
-// carries an Epoch, and every client command carries the epoch it was
-// routed under. The protocol between publishers, replicas, and clients:
+// The schema is replicated state: every replica carries it in its
+// snapshots, and the Deployment keeps the committed copy that routes its
+// clients. Every schema carries an Epoch, and every client command carries
+// the epoch it was routed under. The protocol between the rebalance
+// coordinator, replicas, and clients:
 //
-//  1. Exactly one writer (the rebalance coordinator) advances the schema,
-//     using compare-and-set on the registry node so a concurrent publisher
-//     is detected instead of silently overwritten (PublishSchemaCAS).
+//  1. Exactly one writer (the rebalance coordinator) advances the schema.
+//     Deployment.AdoptReconfig installs epoch e only over epoch e-1, so a
+//     concurrent publisher is detected instead of silently overwritten.
 //  2. Replicas learn epoch changes only through totally-ordered commands
 //     on their rings (opPrepareReconfig / opCommitReconfig /
-//     opAbortReconfig), never by watching the registry — so all replicas
-//     of a partition switch mappings at the same logical point in the
-//     delivery order.
-//  3. Clients cache the schema and watch the registry node
-//     (WatchSchema); a replica answering statusWrongEpoch is the typed
-//     redirect telling a stale client to refresh and re-route before
-//     retrying. Watch delivery is coalescing and non-blocking, so slow
-//     clients can never stall the registry.
+//     opAbortReconfig) — so all replicas of a partition switch mappings
+//     at the same logical point in the delivery order.
+//  3. Clients cache a routing view of the deployment's schema and refresh
+//     it before an attempt whenever the deployment's epoch is ahead of it;
+//     a replica answering statusWrongEpoch is the typed redirect telling a
+//     stale client to refresh and re-route before retrying.
 //
 // Partition indexes are stable across epochs: splits only append indexes
 // and merges only retire them — neither renumbers a surviving partition
@@ -113,8 +100,8 @@ func (d *Deployment) topologySchema() Schema {
 	return s
 }
 
-// buildSchema snapshots the deployment's committed topology, including the
-// key-mapping half clients need. Callers hold d.mu (read or write).
+// buildSchema snapshots the deployment's committed schema, the membership
+// half together with the key mapping. Callers hold d.mu (read or write).
 func (d *Deployment) buildSchema() (Schema, error) {
 	s := d.topologySchema()
 	switch p := d.partitioner.(type) {
@@ -125,101 +112,9 @@ func (d *Deployment) buildSchema() (Schema, error) {
 		s.Bounds = p.Bounds()
 		s.Assign = p.Assignments()
 	default:
-		return Schema{}, fmt.Errorf("store: partitioner %T cannot be published", d.partitioner)
+		return Schema{}, fmt.Errorf("store: partitioner %T cannot be described", d.partitioner)
 	}
 	return s, nil
-}
-
-// PublishSchema writes the deployment's schema to the coordination
-// service so clients can discover partitioning and replica placement.
-// Rebalance coordinators use PublishSchemaCAS instead.
-func (d *Deployment) PublishSchema(reg *registry.Registry) error {
-	d.mu.RLock()
-	s, err := d.buildSchema()
-	d.mu.RUnlock()
-	if err != nil {
-		return err
-	}
-	data, err := json.Marshal(s)
-	if err != nil {
-		return err
-	}
-	reg.Set(SchemaPath, data)
-	d.leaseReg.Store(reg)
-	return nil
-}
-
-// PublishSchemaCAS publishes the current schema only if the registry node
-// is still at the expected version (0 = not yet published), returning the
-// new version. A false result means a concurrent publisher advanced the
-// schema; the caller must re-read and reconcile rather than overwrite.
-func (d *Deployment) PublishSchemaCAS(reg *registry.Registry, expect uint64) (uint64, bool, error) {
-	d.mu.RLock()
-	s, err := d.buildSchema()
-	d.mu.RUnlock()
-	if err != nil {
-		return 0, false, err
-	}
-	data, err := json.Marshal(s)
-	if err != nil {
-		return 0, false, err
-	}
-	v, ok := reg.CompareAndSet(SchemaPath, data, expect)
-	d.leaseReg.Store(reg)
-	return v, ok, nil
-}
-
-// PublishSchemaAsCAS publishes the deployment's current schema under the
-// caller-chosen epoch instead of the committed one. It exists for exactly
-// one caller: an aborted reconfiguration that already published its
-// schema must overwrite it with the reverted mapping, and republishing at
-// the (lower) reverted epoch would wedge every client that saw the
-// aborted epoch — client refreshes rightly refuse to install an older
-// epoch. Republishing the reverted mapping under the aborted epoch keeps
-// client epochs monotonic; the next reconfiguration reuses the same epoch
-// with a new mapping, which watchers install because refreshes accept
-// equal epochs.
-func (d *Deployment) PublishSchemaAsCAS(reg *registry.Registry, epoch, expect uint64) (uint64, bool, error) {
-	d.mu.RLock()
-	s, err := d.buildSchema()
-	d.mu.RUnlock()
-	if err != nil {
-		return 0, false, err
-	}
-	s.Epoch = epoch
-	data, err := json.Marshal(s)
-	if err != nil {
-		return 0, false, err
-	}
-	v, ok := reg.CompareAndSet(SchemaPath, data, expect)
-	d.leaseReg.Store(reg)
-	return v, ok, nil
-}
-
-// LoadSchema reads the published schema from the coordination service.
-func LoadSchema(reg *registry.Registry) (Schema, error) {
-	s, _, err := LoadSchemaAt(reg)
-	return s, err
-}
-
-// LoadSchemaAt reads the published schema together with its registry
-// version (the CAS token for the next publish).
-func LoadSchemaAt(reg *registry.Registry) (Schema, uint64, error) {
-	data, version, ok := reg.Get(SchemaPath)
-	if !ok {
-		return Schema{}, 0, fmt.Errorf("%w at %s", ErrNoSchema, SchemaPath)
-	}
-	var s Schema
-	if err := json.Unmarshal(data, &s); err != nil {
-		return Schema{}, 0, fmt.Errorf("store: bad schema: %w", err)
-	}
-	return s, version, nil
-}
-
-// WatchSchema returns a coalescing event channel that fires whenever the
-// published schema changes; watchers re-read with LoadSchema on wakeup.
-func WatchSchema(reg *registry.Registry) <-chan registry.Event {
-	return reg.Watch(SchemaPath)
 }
 
 // PartitionerFor builds the partitioner the schema describes.

@@ -5,20 +5,24 @@ import (
 	"time"
 
 	"mrp/internal/netsim"
-	"mrp/internal/registry"
 	"mrp/internal/storage"
 )
 
-func TestSchemaPublishLoadHash(t *testing.T) {
-	d := testDeploy(t, true, 3)
-	reg := registry.New()
-	if err := d.PublishSchema(reg); err != nil {
-		t.Fatal(err)
-	}
-	s, err := LoadSchema(reg)
+// schemaOf snapshots the deployment's committed schema.
+func schemaOf(t *testing.T, d *Deployment) Schema {
+	t.Helper()
+	d.mu.RLock()
+	s, err := d.buildSchema()
+	d.mu.RUnlock()
 	if err != nil {
 		t.Fatal(err)
 	}
+	return s
+}
+
+func TestSchemaPublishLoadHash(t *testing.T) {
+	d := testDeploy(t, true, 3)
+	s := schemaOf(t, d)
 	if s.Kind != "hash" || s.Partitions != 3 || !s.GlobalRing {
 		t.Fatalf("schema = %+v", s)
 	}
@@ -48,14 +52,7 @@ func TestSchemaPublishLoadRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { d.Stop(); net.Close() })
-	reg := registry.New()
-	if err := d.PublishSchema(reg); err != nil {
-		t.Fatal(err)
-	}
-	s, err := LoadSchema(reg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := schemaOf(t, d)
 	if s.Kind != "range" || len(s.Bounds) != 1 || s.Bounds[0] != "m" {
 		t.Fatalf("schema = %+v", s)
 	}
@@ -65,21 +62,14 @@ func TestSchemaPublishLoadRange(t *testing.T) {
 	}
 }
 
-// TestSchemaEpochAndRings checks the versioned-schema fields a freshly
-// deployed store publishes: epoch 1, explicit per-partition rings, and
-// global-ring membership flags.
+// TestSchemaEpochAndRings checks the versioned-schema fields of a freshly
+// deployed store: epoch 1, explicit per-partition rings, and global-ring
+// membership flags.
 func TestSchemaEpochAndRings(t *testing.T) {
 	d := testDeploy(t, true, 3)
-	reg := registry.New()
-	if err := d.PublishSchema(reg); err != nil {
-		t.Fatal(err)
-	}
-	s, version, err := LoadSchemaAt(reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Epoch != 1 || version != 1 {
-		t.Fatalf("epoch = %d, registry version = %d", s.Epoch, version)
+	s := schemaOf(t, d)
+	if s.Epoch != 1 {
+		t.Fatalf("epoch = %d", s.Epoch)
 	}
 	if len(s.Rings) != 3 || s.RingOf(0) != 1 || s.RingOf(2) != 3 {
 		t.Fatalf("rings = %v", s.Rings)
@@ -94,29 +84,30 @@ func TestSchemaEpochAndRings(t *testing.T) {
 	}
 }
 
-// TestSchemaCASPublish checks that a publisher with a stale registry
-// version cannot overwrite a newer schema.
-func TestSchemaCASPublish(t *testing.T) {
+// TestAdoptReconfigFencesConcurrentPublisher checks that the deployment
+// adopts only the epoch right after its committed one: a second adopt of
+// the same epoch (a concurrent publisher) and an adopt that skips an epoch
+// are refused and change nothing.
+func TestAdoptReconfigFencesConcurrentPublisher(t *testing.T) {
 	d := testDeploy(t, false, 2)
-	reg := registry.New()
-	v, ok, err := d.PublishSchemaCAS(reg, 0)
-	if err != nil || !ok || v != 1 {
-		t.Fatalf("first CAS publish = %d %v %v", v, ok, err)
+	first, rival := NewHashPartitioner(2), NewHashPartitioner(2)
+	if !d.AdoptReconfig(2, first) {
+		t.Fatal("adopt of the next epoch refused")
 	}
-	if _, ok, _ := d.PublishSchemaCAS(reg, 0); ok {
-		t.Fatal("create-CAS on existing schema succeeded")
+	if d.AdoptReconfig(2, rival) {
+		t.Fatal("second adopt of epoch 2 succeeded")
 	}
-	v, ok, err = d.PublishSchemaCAS(reg, 1)
-	if err != nil || !ok || v != 2 {
-		t.Fatalf("second CAS publish = %d %v %v", v, ok, err)
+	if d.AdoptReconfig(4, rival) {
+		t.Fatal("adopt skipping epoch 3 succeeded")
 	}
-	if _, ok, _ := d.PublishSchemaCAS(reg, 1); ok {
-		t.Fatal("stale CAS publish succeeded")
+	if d.Epoch() != 2 || d.Partitioner() != Partitioner(first) {
+		t.Fatalf("refused adopts changed the deployment: epoch %d, partitioner %p (first %p)",
+			d.Epoch(), d.Partitioner(), first)
 	}
 }
 
 // TestSchemaAssignRoundTrip checks that a split partitioner's slot
-// assignment survives publish/load.
+// assignment survives a round trip through the schema.
 func TestSchemaAssignRoundTrip(t *testing.T) {
 	p := NewRangePartitioner([]string{"g", "p"})
 	split, err := p.Split("j", 3)
@@ -155,14 +146,6 @@ func TestSchemaAssignRoundTrip(t *testing.T) {
 }
 
 func TestLoadSchemaErrors(t *testing.T) {
-	reg := registry.New()
-	if _, err := LoadSchema(reg); err == nil {
-		t.Fatal("missing schema should fail")
-	}
-	reg.Set("/mrp-store/schema", []byte("not json"))
-	if _, err := LoadSchema(reg); err == nil {
-		t.Fatal("bad schema should fail")
-	}
 	bad := Schema{Kind: "range", Partitions: 3, Bounds: []string{"x"}}
 	if _, err := bad.PartitionerFor(); err == nil {
 		t.Fatal("inconsistent bounds should fail")

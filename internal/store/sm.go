@@ -19,7 +19,7 @@ import (
 // ordered commit or abort. Commands addressing keys the partition does not
 // own (or cannot currently serve) under the current mapping are answered
 // with statusWrongEpoch (the typed redirect clients react to by refreshing
-// the published schema and retrying). All of this state changes only
+// their schema view and retrying). All of this state changes only
 // through ordered commands (opPrepareReconfig / opActivatePart /
 // opCommitReconfig / opAbortReconfig), so every replica of a partition
 // transitions at the same logical point — which is also what makes every

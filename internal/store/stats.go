@@ -102,10 +102,7 @@ func (d *Deployment) PartitionStats(p int) (PartitionStats, bool) {
 func (c *Client) Stats(partition int) (PartitionStats, error) {
 	deadline := time.Now().Add(c.timeout)
 	for {
-		v, err := c.routedView()
-		if err != nil {
-			return PartitionStats{}, err
-		}
+		v := c.viewFor()
 		if partition < 0 || partition >= len(v.rings) || v.rings[partition] == 0 {
 			return PartitionStats{}, fmt.Errorf("store: no live partition %d in schema epoch %d", partition, v.epoch)
 		}

@@ -175,9 +175,6 @@ func TestTxnDuplicateRetryDoesNotDoubleApply(t *testing.T) {
 	d := testDeploy(t, true, 2)
 	cl := d.NewClient()
 	defer cl.Close()
-	if err := cl.refresh(); err != nil {
-		t.Fatal(err)
-	}
 	v := cl.viewFor()
 	keys := pickKeys(t, v.partitioner, 0, 2)
 	tx := txn.Txn{Client: cl.smr.ID(), Seq: cl.smr.Reserve(), Kind: txn.KindTransfer, Parts: []uint16{0},
@@ -227,9 +224,6 @@ func TestTxnInvertedArrivalAppliesOnce(t *testing.T) {
 	d := testDeploy(t, true, 2)
 	cl := d.NewClient()
 	defer cl.Close()
-	if err := cl.refresh(); err != nil {
-		t.Fatal(err)
-	}
 	v := cl.viewFor()
 	keys := pickKeys(t, v.partitioner, 0, 4)
 	seqA := cl.smr.Reserve()

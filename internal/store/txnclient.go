@@ -144,10 +144,7 @@ func (c *Client) CompareAndSwapAcross(ops []CASOp) (bool, error) {
 	}
 	deadline := time.Now().Add(c.timeout)
 	for {
-		v, err := c.routedView()
-		if err != nil {
-			return false, err
-		}
+		v := c.viewFor()
 		plan, ok := c.planOps(v, kops, nil, nil)
 		if !ok {
 			if time.Now().After(deadline) {
@@ -169,7 +166,7 @@ func (c *Client) CompareAndSwapAcross(ops []CASOp) (bool, error) {
 			// Ambiguous: the verdict may have been decided. Re-ask under the
 			// SAME sequence number; replicas that executed it answer from
 			// their dedup caches.
-			_ = c.refresh()
+			c.refresh()
 			replies, err = c.execTxn(v.epoch, seq, t, plan.rings)
 		}
 		if err != nil {
@@ -319,10 +316,7 @@ func (c *Client) multiOp(kind byte, ops []txn.KeyOp) ([]txn.KeyRead, error) {
 	var seq uint64
 	sticky := false
 	for {
-		v, err := c.routedView()
-		if err != nil {
-			return nil, err
-		}
+		v := c.viewFor()
 		var plan txnPlan
 		var ok bool
 		if sticky {
@@ -349,7 +343,7 @@ func (c *Client) multiOp(kind byte, ops []txn.KeyOp) ([]txn.KeyRead, error) {
 				// number AND the participant assignment and resubmit the
 				// identical command; dedup bitmaps make it idempotent.
 				sticky = true
-				_ = c.refresh()
+				c.refresh()
 				continue
 			}
 			return nil, err
@@ -435,9 +429,9 @@ func (c *Client) execTxn(epoch, seq uint64, t txn.Txn, rings []msg.RingID) (map[
 }
 
 // repace refreshes the view after a redirect and paces the retry when the
-// schema has not been republished yet (migration freeze window).
+// schema has not been adopted yet (migration freeze window).
 func (c *Client) repace(before uint64) {
-	_ = c.refresh()
+	c.refresh()
 	if c.currentView().epoch == before {
 		time.Sleep(epochRetryDelay)
 	}

@@ -57,9 +57,6 @@ func TestBankConservationUnderLiveSplit(t *testing.T) {
 		net.Close()
 	}()
 	reg := registry.New()
-	if err := d.PublishSchema(reg); err != nil {
-		t.Fatal(err)
-	}
 	recs := make([]store.Entry, accounts)
 	for i := range recs {
 		recs[i] = store.Entry{Key: acct(i), Value: txn.EncodeBalance(initial)}
@@ -92,15 +89,7 @@ func TestBankConservationUnderLiveSplit(t *testing.T) {
 	// then back at the merge). Transfers rotate through cross-partition
 	// and cross-split-boundary pairs.
 	for w := 0; w < workers; w++ {
-		var cl *store.Client
-		if w == 0 {
-			cl, err = d.NewRegistryClient(reg)
-			if err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			cl = d.NewClient()
-		}
+		cl := d.NewClient()
 		own := []int{100 + w, 300 + w, 600 + w, 800 + w, 900 + w}
 		wg.Add(1)
 		go func(w int, cl *store.Client) {

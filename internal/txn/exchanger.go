@@ -31,12 +31,11 @@ type ExchangerConfig struct {
 	// pull requests from peers that lost a vote can be answered even
 	// long after the local exchange finished.
 	OwnVote func(client, seq uint64) (byte, bool)
-	// Poll is the sleep between checks while waiting for remote votes
-	// (default 200µs). Resend re-pushes the local vote to missing
-	// participants every Resend worth of polls (default 25ms).
-	Poll   time.Duration
-	Resend time.Duration
 }
+
+// resendEvery is how long an Exchange waits for remote votes before it
+// re-pushes its own vote, with Want set, to the participants.
+const resendEvery = 25 * time.Millisecond
 
 // Exchanger swaps votes between the replicas of the participant
 // partitions of a conditional transaction. Delivery order makes the
@@ -58,6 +57,9 @@ type Exchanger struct {
 	mu     sync.Mutex
 	remote map[voteKey]map[uint16]byte
 	order  []voteKey
+	// arrived is closed, and replaced, whenever a remote vote lands: it
+	// wakes every waiting Exchange without blocking the sender.
+	arrived chan struct{}
 
 	closeOnce sync.Once
 	closed    chan struct{}
@@ -70,16 +72,11 @@ const remoteCap = 4096
 
 // NewExchanger creates an exchanger for one replica.
 func NewExchanger(cfg ExchangerConfig) *Exchanger {
-	if cfg.Poll <= 0 {
-		cfg.Poll = 200 * time.Microsecond
-	}
-	if cfg.Resend <= 0 {
-		cfg.Resend = 25 * time.Millisecond
-	}
 	return &Exchanger{
-		cfg:    cfg,
-		remote: make(map[voteKey]map[uint16]byte),
-		closed: make(chan struct{}),
+		cfg:     cfg,
+		remote:  make(map[voteKey]map[uint16]byte),
+		arrived: make(chan struct{}),
+		closed:  make(chan struct{}),
 	}
 }
 
@@ -113,6 +110,8 @@ func (ex *Exchanger) Handle(env transport.Envelope) {
 			}
 		}
 		m[tv.Part] = tv.Vote
+		close(ex.arrived)
+		ex.arrived = make(chan struct{})
 		ex.mu.Unlock()
 	}
 	if tv.Want && ex.cfg.OwnVote != nil {
@@ -149,33 +148,47 @@ func (ex *Exchanger) Exchange(client, seq uint64, parts []uint16, own byte) byte
 	if own == VoteWrongEpoch {
 		return VoteWrongEpoch
 	}
-	resendEvery := int(ex.cfg.Resend / ex.cfg.Poll)
-	if resendEvery < 1 {
-		resendEvery = 1
-	}
-	for i := 0; ; i++ {
-		verdict, done := ex.tally(k, parts, own)
+	repush := func() { ex.push(k, parts, own, true) }
+	for {
+		verdict, done, arrived := ex.tally(k, parts, own)
 		if done {
 			return verdict
 		}
-		select {
-		case <-ex.closed:
+		if !ex.await(arrived, repush) {
 			return VoteWrongEpoch
-		default:
 		}
-		if i%resendEvery == resendEvery-1 {
-			ex.push(k, parts, own, true)
+	}
+}
+
+// await blocks until a vote lands after the tally that returned arrived,
+// calling repush every resendEvery meanwhile. It reports false once the
+// exchanger closes. Its clock decides only when a vote is sent again,
+// never what a verdict is, so it sits outside deterministic scope.
+//
+//mrp:nondeterministic
+func (ex *Exchanger) await(arrived <-chan struct{}, repush func()) bool {
+	t := time.NewTimer(resendEvery)
+	defer t.Stop()
+	for {
+		select {
+		case <-arrived:
+			return true
+		case <-ex.closed:
+			return false
+		case <-t.C:
+			repush()
+			t.Reset(resendEvery)
 		}
-		time.Sleep(ex.cfg.Poll)
 	}
 }
 
 // tally combines the votes collected so far. done is true when every
 // participant has voted, or as soon as any vote is VoteWrongEpoch.
-func (ex *Exchanger) tally(k voteKey, parts []uint16, own byte) (byte, bool) {
+// Otherwise arrived fires on the next vote to land after this tally.
+func (ex *Exchanger) tally(k voteKey, parts []uint16, own byte) (verdict byte, done bool, arrived <-chan struct{}) {
 	ex.mu.Lock()
 	defer ex.mu.Unlock()
-	verdict := own
+	verdict = own
 	complete := true
 	for _, p := range parts {
 		if p == ex.cfg.Self {
@@ -191,9 +204,9 @@ func (ex *Exchanger) tally(k voteKey, parts []uint16, own byte) (byte, bool) {
 		}
 	}
 	if verdict == VoteWrongEpoch {
-		return VoteWrongEpoch, true
+		return VoteWrongEpoch, true, nil
 	}
-	return verdict, complete
+	return verdict, complete, ex.arrived
 }
 
 // push sends this replica's vote to every replica of every other

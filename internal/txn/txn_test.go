@@ -149,7 +149,6 @@ func newPair(t *testing.T, ownVotes map[uint16]byte) (*Exchanger, *Exchanger) {
 				v, ok := ownVotes[self]
 				return v, ok
 			},
-			Poll: 100 * time.Microsecond,
 		})
 		net.mu.Lock()
 		net.peers[addrs[self]] = ex

@@ -102,9 +102,6 @@ type (
 	Learner = multiring.Learner
 	// Delivery is one delivered message (or skip marker).
 	Delivery = multiring.Delivery
-	// Manager wires a node to the coordination service for election and
-	// failure detection.
-	Manager = multiring.Manager
 	// RingConfig parametrizes ring membership (ringpaxos.Config).
 	RingConfig = ringpaxos.Config
 	// Peer describes one ring member.
@@ -128,8 +125,6 @@ var (
 	NewNode = multiring.NewNode
 	// NewLearner creates a deterministic-merge learner (M, rings...).
 	NewLearner = multiring.NewLearner
-	// NewManager creates a registry-driven ring manager.
-	NewManager = multiring.NewManager
 )
 
 // Stable storage.
@@ -165,7 +160,8 @@ var (
 	OpenFileWAL = storage.OpenFileWAL
 )
 
-// Registry (coordination service) re-exports.
+// Registry (coordination service) re-exports. It holds the rebalance
+// intent record and the auto-sharding controller election.
 type (
 	// Registry is the in-process coordination service (Zookeeper
 	// substitute).

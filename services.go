@@ -23,9 +23,10 @@ type (
 	Partitioner = store.Partitioner
 )
 
-// StoreSchema is the published partitioning schema (stored in the
-// coordination service, as the paper stores it in Zookeeper). Schemas are
-// versioned by an epoch; see the versioned-schema protocol in
+// StoreSchema is the partitioning schema. The paper stores it in
+// Zookeeper; here it is replicated state that every replica carries in its
+// snapshots, and the Store keeps the committed copy its clients route by.
+// Schemas are versioned by an epoch; see the versioned-schema protocol in
 // internal/store/schema.go.
 type StoreSchema = store.Schema
 
@@ -41,14 +42,6 @@ var (
 	NewHashPartitioner = store.NewHashPartitioner
 	// NewRangePartitioner range-partitions the key space by boundaries.
 	NewRangePartitioner = store.NewRangePartitioner
-	// LoadStoreSchema reads the published schema from the registry.
-	LoadStoreSchema = store.LoadSchema
-	// LoadStoreSchemaAt also returns the registry version (the CAS token
-	// for the next publish).
-	LoadStoreSchemaAt = store.LoadSchemaAt
-	// WatchStoreSchema returns a coalescing channel firing on schema
-	// republications.
-	WatchStoreSchema = store.WatchSchema
 	// ErrNotFound reports operations on missing keys.
 	ErrNotFound = store.ErrNotFound
 )
