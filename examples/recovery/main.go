@@ -4,7 +4,7 @@
 // and the replica recovers from a remote checkpoint plus acceptor replay.
 // Then the store is split live onto a new ring, a replica of the
 // *split-created* partition is terminated and recovered the same way:
-// recovery derives ring membership from the schema, so a deployment that
+// recovery reads ring membership from the partition table, so a store that
 // grew at runtime keeps its fault tolerance.
 //
 //	go run ./examples/recovery
@@ -114,7 +114,7 @@ func main() {
 	if err := st.RecoverReplica(newPart, 2); err != nil {
 		panic(err)
 	}
-	fmt.Printf("replica (%d,2) recovering: schema-derived ring membership, rejoin, replay\n", newPart)
+	fmt.Printf("replica (%d,2) recovering: ring membership from the partition table, rejoin, replay\n", newPart)
 
 	// Fresh traffic on the ring carries the recovered replica's gap
 	// detection past the crash point (a deployment with rate leveling gets

@@ -378,7 +378,7 @@ func TestLeaderFailoverResolvesAndResumes(t *testing.T) {
 		return false
 	})
 	// The orphaned plan's intent record must exist for the successor.
-	if _, _, ok := reg.Get("/mrp-store/reconfig"); !ok {
+	if _, ok := reg.Get("/mrp-store/reconfig"); !ok {
 		t.Fatal("crashed plan left no intent record")
 	}
 	// Kill the leader: its session expires, its loop stops.
@@ -422,7 +422,7 @@ func TestLeaderFailoverResolvesAndResumes(t *testing.T) {
 	if aborts := coordB.Aborts(); aborts != 1 {
 		t.Fatalf("successor aborts = %d, want 1 (the orphaned prepared plan)", aborts)
 	}
-	if _, _, ok := reg.Get("/mrp-store/reconfig"); ok {
+	if _, ok := reg.Get("/mrp-store/reconfig"); ok {
 		t.Fatal("intent record survived resolution and re-split")
 	}
 

@@ -21,7 +21,7 @@ import (
 // beyond the paper's static deployment: the timeline opens with a live
 // partition split ("0:live split"), and the replica that is terminated and
 // later recovered belongs to the partition that split created — recovery
-// is schema-driven, so an elastic deployment keeps its fault tolerance.
+// is topology-driven, so an elastic deployment keeps its fault tolerance.
 type Fig8Result struct {
 	Samples []metrics.Sample
 	Events  []metrics.Event

@@ -543,16 +543,10 @@ func (m *CkptQuery) marshal(w *Writer) { w.U64(m.Seq) }
 func (m *CkptQuery) unmarshal(r *Reader) { m.Seq = r.U64() }
 
 // CkptReply reports the identifier (tuple k_q) of the replying replica's
-// most up-to-date checkpoint. Epoch is the schema epoch that checkpoint
-// was taken under (0 when the service is unversioned or no checkpoint
-// exists); recovery surfaces the quorum's highest epoch as
-// recovery.Result.Epoch — informational for the caller, since the actual
-// schema catch-up happens by replaying the totally-ordered split commands
-// after the checkpoint is installed.
+// most up-to-date checkpoint.
 type CkptReply struct {
 	Seq     uint64
 	Replica NodeID
-	Epoch   uint64
 	Tuple   []RingInstance
 }
 
@@ -560,12 +554,11 @@ type CkptReply struct {
 func (*CkptReply) Type() Type { return TCkptReply }
 
 // Size implements Message.
-func (m *CkptReply) Size() int { return 1 + 8 + 4 + 8 + 4 + len(m.Tuple)*(2+8) }
+func (m *CkptReply) Size() int { return 1 + 8 + 4 + 4 + len(m.Tuple)*(2+8) }
 
 func (m *CkptReply) marshal(w *Writer) {
 	w.U64(m.Seq)
 	w.U32(uint32(m.Replica))
-	w.U64(m.Epoch)
 	w.U32(uint32(len(m.Tuple)))
 	for _, t := range m.Tuple {
 		w.U16(uint16(t.Ring))
@@ -576,7 +569,6 @@ func (m *CkptReply) marshal(w *Writer) {
 func (m *CkptReply) unmarshal(r *Reader) {
 	m.Seq = r.U64()
 	m.Replica = NodeID(r.U32())
-	m.Epoch = r.U64()
 	n := int(r.U32())
 	if n > r.Remaining() {
 		r.Fail()
@@ -606,12 +598,10 @@ func (m *CkptFetch) marshal(w *Writer) { w.U64(m.Seq) }
 
 func (m *CkptFetch) unmarshal(r *Reader) { m.Seq = r.U64() }
 
-// CkptData transfers a full checkpoint: the tuple identifying it, the
-// schema epoch it was taken under (0 for unversioned services), and the
+// CkptData transfers a full checkpoint: the tuple identifying it and the
 // serialized service state.
 type CkptData struct {
 	Seq   uint64
-	Epoch uint64
 	Tuple []RingInstance
 	State []byte
 }
@@ -621,12 +611,11 @@ func (*CkptData) Type() Type { return TCkptData }
 
 // Size implements Message.
 func (m *CkptData) Size() int {
-	return 1 + 8 + 8 + 4 + len(m.Tuple)*(2+8) + 4 + len(m.State)
+	return 1 + 8 + 4 + len(m.Tuple)*(2+8) + 4 + len(m.State)
 }
 
 func (m *CkptData) marshal(w *Writer) {
 	w.U64(m.Seq)
-	w.U64(m.Epoch)
 	w.U32(uint32(len(m.Tuple)))
 	for _, t := range m.Tuple {
 		w.U16(uint16(t.Ring))
@@ -637,7 +626,6 @@ func (m *CkptData) marshal(w *Writer) {
 
 func (m *CkptData) unmarshal(r *Reader) {
 	m.Seq = r.U64()
-	m.Epoch = r.U64()
 	n := int(r.U32())
 	if n > r.Remaining() {
 		r.Fail()

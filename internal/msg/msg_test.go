@@ -30,9 +30,9 @@ func allSamples() []Message {
 		&TrimReply{Ring: 5, Seq: 77, Replica: 2, SafeInstance: 1000},
 		&TrimCmd{Ring: 5, UpTo: 900},
 		&CkptQuery{Seq: 1},
-		&CkptReply{Seq: 1, Replica: 9, Epoch: 3, Tuple: []RingInstance{{1, 10}, {2, 5}}},
+		&CkptReply{Seq: 1, Replica: 9, Tuple: []RingInstance{{1, 10}, {2, 5}}},
 		&CkptFetch{Seq: 2},
-		&CkptData{Seq: 2, Epoch: 3, Tuple: []RingInstance{{1, 10}}, State: []byte("state")},
+		&CkptData{Seq: 2, Tuple: []RingInstance{{1, 10}}, State: []byte("state")},
 		&Response{ClientID: 1, Seq: 2, Result: []byte("ok")},
 		&TxnVote{ClientID: 1, Seq: 2, Part: 3, Vote: 1, Want: true},
 		&Batch{Msgs: []Message{

@@ -350,7 +350,7 @@ func (c *Coordinator) loadIntent() (*Plan, error) {
 	if c.cfg.Registry == nil {
 		return nil, nil
 	}
-	data, _, ok := c.cfg.Registry.Get(reconfigPath)
+	data, ok := c.cfg.Registry.Get(reconfigPath)
 	if !ok || len(data) == 0 {
 		return nil, nil
 	}

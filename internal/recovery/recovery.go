@@ -19,19 +19,6 @@
 // suffix from the acceptors. Because Q_T and Q_R intersect, K_T <= K_R
 // (Predicates 4-5): the instances after the best checkpoint are still in
 // the acceptor logs.
-//
-// Schema handoff: services with a versioned partitioning schema
-// (MRP-Store) stamp each checkpoint with the schema epoch it was taken
-// under, and both CkptReply and CkptData carry that epoch. Result.Epoch
-// reports the highest epoch seen across the quorum, so a recovering
-// replica learns that a repartitioning happened — and that its snapshot
-// predates it — before replay begins; the schema state itself (partition
-// mapping, frozen ranges) travels inside the snapshot and is brought up to
-// date by replaying the totally-ordered split commands, exactly like any
-// other state. Replicas of partitions created by a live split recover
-// through the same protocol: their ring memberships are derived from the
-// published schema rather than any static configuration (see
-// store.RecoverReplica).
 package recovery
 
 import (
@@ -225,12 +212,6 @@ type Result struct {
 	Found bool
 	// Transferred reports whether a remote state transfer happened.
 	Transferred bool
-	// Epoch is the highest schema epoch observed across the quorum's
-	// checkpoint replies and the local checkpoint (0 when the service is
-	// unversioned or no peer has checkpointed). When it exceeds the
-	// installed checkpoint's epoch, the snapshot predates a repartitioning
-	// and ring replay will deliver the split commands that catch it up.
-	Epoch uint64
 }
 
 // Recover runs the recovering-replica protocol: gather checkpoint
@@ -254,7 +235,6 @@ func Recover(cfg RecoverConfig) (Result, error) {
 		if ck, ok := cfg.Local.Load(); ok {
 			res.Checkpoint = ck
 			res.Found = true
-			res.Epoch = ck.Epoch
 		}
 	}
 	if len(cfg.Peers) == 0 {
@@ -288,9 +268,6 @@ func Recover(cfg RecoverConfig) (Result, error) {
 			reply, isReply := env.Msg.(*msg.CkptReply)
 			if !isReply || reply.Seq != querySeq {
 				continue
-			}
-			if reply.Epoch > res.Epoch {
-				res.Epoch = reply.Epoch
 			}
 			tuples[reply.Replica] = reply.Tuple
 			// An empty tuple means the peer has never checkpointed; it
@@ -328,12 +305,9 @@ func Recover(cfg RecoverConfig) (Result, error) {
 			if !isData || data.Seq != fetchSeq {
 				continue
 			}
-			res.Checkpoint = storage.Checkpoint{Tuple: data.Tuple, Epoch: data.Epoch, State: data.State}
+			res.Checkpoint = storage.Checkpoint{Tuple: data.Tuple, State: data.State}
 			res.Found = true
 			res.Transferred = true
-			if data.Epoch > res.Epoch {
-				res.Epoch = data.Epoch
-			}
 			return res, nil
 		case <-retry.C:
 			_ = cfg.Endpoint.Send(bestPeer, &msg.CkptFetch{Seq: fetchSeq})

@@ -403,11 +403,10 @@ func TestRecoverPrefersFreshLocal(t *testing.T) {
 	}
 }
 
-// TestRecoverSchemaEpochHandoff checks the schema handoff of the
-// checkpoint exchange: replies and transferred checkpoints carry the epoch
-// they were taken under, so a recovering replica whose own snapshot
-// predates a repartitioning learns the current epoch from its quorum.
-func TestRecoverSchemaEpochHandoff(t *testing.T) {
+// TestRecoverTransfersFresherRemote checks that a peer's checkpoint with a
+// higher tuple wins over an older local one (Predicate 3): the recovering
+// replica fetches and installs the remote state.
+func TestRecoverTransfersFresherRemote(t *testing.T) {
 	net := netsim.New(netsim.WithUniformLatency(0))
 	defer net.Close()
 	peerEp := net.Endpoint("peer")
@@ -416,23 +415,22 @@ func TestRecoverSchemaEpochHandoff(t *testing.T) {
 			switch m := env.Msg.(type) {
 			case *msg.CkptQuery:
 				_ = peerEp.Send(env.From, &msg.CkptReply{
-					Seq: m.Seq, Replica: 9, Epoch: 3,
+					Seq: m.Seq, Replica: 9,
 					Tuple: []msg.RingInstance{{Ring: 1, Instance: 50}},
 				})
 			case *msg.CkptFetch:
 				_ = peerEp.Send(env.From, &msg.CkptData{
-					Seq: m.Seq, Epoch: 3,
+					Seq:   m.Seq,
 					Tuple: []msg.RingInstance{{Ring: 1, Instance: 50}},
 					State: []byte("post-split"),
 				})
 			}
 		}
 	}()
-	// The local checkpoint predates the split (epoch 1) and is older.
+	// The local checkpoint predates the split and is older.
 	local := storage.NewCheckpointStore(storage.NewDisk(storage.NullDisk))
 	local.Save(storage.Checkpoint{
 		Tuple: []msg.RingInstance{{Ring: 1, Instance: 5}},
-		Epoch: 1,
 		State: []byte("pre-split"),
 	})
 	res, err := Recover(RecoverConfig{
@@ -447,9 +445,6 @@ func TestRecoverSchemaEpochHandoff(t *testing.T) {
 	}
 	if !res.Transferred || string(res.Checkpoint.State) != "post-split" {
 		t.Fatalf("transfer = %v, state %q", res.Transferred, res.Checkpoint.State)
-	}
-	if res.Epoch != 3 || res.Checkpoint.Epoch != 3 {
-		t.Fatalf("epoch handoff: result=%d checkpoint=%d, want 3", res.Epoch, res.Checkpoint.Epoch)
 	}
 }
 

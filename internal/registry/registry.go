@@ -3,7 +3,7 @@
 // configuration management is handled by Zookeeper").
 //
 // It keeps what nothing else holds yet: the rebalance coordinator's intent
-// record (a versioned configuration node) and the auto-sharding
+// record (a configuration node) and the auto-sharding
 // controller's leader election (ephemeral nodes tied to sessions). It is
 // in-process and strongly consistent, which matches how a Zookeeper
 // ensemble appears to its clients.
@@ -17,7 +17,6 @@ import (
 
 type node struct {
 	data      []byte
-	version   uint64
 	ephemeral *Session // non-nil if the node dies with this session
 }
 
@@ -34,34 +33,26 @@ func New() *Registry {
 	return &Registry{nodes: make(map[string]*node)}
 }
 
-// Set creates or replaces a node and returns its new version.
-func (r *Registry) Set(path string, data []byte) uint64 {
+// Set creates or replaces a node.
+func (r *Registry) Set(path string, data []byte) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.setLocked(path, data, nil)
+	r.setLocked(path, data, nil)
 }
 
-func (r *Registry) setLocked(path string, data []byte, owner *Session) uint64 {
-	n, ok := r.nodes[path]
-	if !ok {
-		n = &node{}
-		r.nodes[path] = n
-	}
-	n.data = append([]byte(nil), data...)
-	n.version++
-	n.ephemeral = owner
-	return n.version
+func (r *Registry) setLocked(path string, data []byte, owner *Session) {
+	r.nodes[path] = &node{data: append([]byte(nil), data...), ephemeral: owner}
 }
 
-// Get returns a node's data and version.
-func (r *Registry) Get(path string) (data []byte, version uint64, ok bool) {
+// Get returns a node's data.
+func (r *Registry) Get(path string) (data []byte, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	n, ok := r.nodes[path]
 	if !ok {
-		return nil, 0, false
+		return nil, false
 	}
-	return append([]byte(nil), n.data...), n.version, true
+	return append([]byte(nil), n.data...), true
 }
 
 // Delete removes a node if present.
@@ -173,7 +164,7 @@ func (e *Election) Leader() (string, bool) {
 	if len(children) == 0 {
 		return "", false
 	}
-	data, _, ok := e.r.Get(children[0])
+	data, ok := e.r.Get(children[0])
 	if !ok {
 		return "", false
 	}

@@ -8,20 +8,17 @@ import (
 
 func TestSetGetDelete(t *testing.T) {
 	r := New()
-	v1 := r.Set("/a", []byte("1"))
-	if v1 != 1 {
-		t.Fatalf("version = %d", v1)
+	r.Set("/a", []byte("1"))
+	data, ok := r.Get("/a")
+	if !ok || string(data) != "1" {
+		t.Fatalf("get = %q %v", data, ok)
 	}
-	data, v, ok := r.Get("/a")
-	if !ok || string(data) != "1" || v != 1 {
-		t.Fatalf("get = %q %d %v", data, v, ok)
-	}
-	v2 := r.Set("/a", []byte("2"))
-	if v2 != 2 {
-		t.Fatalf("version = %d", v2)
+	r.Set("/a", []byte("2"))
+	if data, ok := r.Get("/a"); !ok || string(data) != "2" {
+		t.Fatalf("get after replace = %q %v", data, ok)
 	}
 	r.Delete("/a")
-	if _, _, ok := r.Get("/a"); ok {
+	if _, ok := r.Get("/a"); ok {
 		t.Fatal("deleted node still present")
 	}
 	r.Delete("/a") // idempotent
@@ -30,9 +27,9 @@ func TestSetGetDelete(t *testing.T) {
 func TestGetReturnsCopy(t *testing.T) {
 	r := New()
 	r.Set("/a", []byte("abc"))
-	data, _, _ := r.Get("/a")
+	data, _ := r.Get("/a")
 	data[0] = 'X'
-	data2, _, _ := r.Get("/a")
+	data2, _ := r.Get("/a")
 	if string(data2) != "abc" {
 		t.Fatal("Get aliases internal buffer")
 	}
@@ -56,7 +53,7 @@ func TestEphemeralDeletedOnSessionClose(t *testing.T) {
 		t.Fatal("create ephemeral failed")
 	}
 	s.Close()
-	if _, _, ok := r.Get("/live/n1"); ok {
+	if _, ok := r.Get("/live/n1"); ok {
 		t.Fatal("ephemeral survived session close")
 	}
 	// Closed session cannot create.
@@ -75,7 +72,7 @@ func TestEphemeralNotDeletedIfReplaced(t *testing.T) {
 	s2 := r.NewSession()
 	s2.CreateEphemeral("/n", []byte("b"))
 	s1.Close() // must not delete s2's node
-	if _, _, ok := r.Get("/n"); !ok {
+	if _, ok := r.Get("/n"); !ok {
 		t.Fatal("closing old session deleted new owner's node")
 	}
 }

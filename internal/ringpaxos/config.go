@@ -74,8 +74,8 @@ type Config struct {
 	// Peers lists all ring members in ring order.
 	Peers []Peer
 	// Coordinator is the initial coordinator's node ID (must be an
-	// acceptor). Ring configuration and election are handled by the
-	// coordination service (internal/registry) above this package.
+	// acceptor). Deployments name Peers[0]; only an explicit
+	// Process.BecomeCoordinator call moves the role.
 	Coordinator msg.NodeID
 	// Log is the acceptor's stable storage; required when Self is an
 	// acceptor.

@@ -25,15 +25,6 @@ type StateMachine interface {
 	Restore(snapshot []byte)
 }
 
-// EpochHolder is optionally implemented by state machines whose state is
-// versioned by a schema epoch (MRP-Store partitions). Checkpoints of such
-// machines record the epoch, and recovery replies carry it, so a
-// recovering replica learns the current schema version from its partition
-// peers even when its own snapshot predates a repartitioning.
-type EpochHolder interface {
-	Epoch() uint64
-}
-
 // ReplicaConfig parametrizes a replica.
 type ReplicaConfig struct {
 	// Node is the Multi-Ring Paxos node this replica runs on.
@@ -265,16 +256,9 @@ func (r *Replica) HandleService(env transport.Envelope) {
 		r.mu.Lock()
 		tuple := tupleOf(r.safe)
 		r.mu.Unlock()
-		var epoch uint64
-		if r.cfg.Ckpt != nil {
-			if ck, ok := r.cfg.Ckpt.Load(); ok {
-				epoch = ck.Epoch
-			}
-		}
 		_ = r.cfg.Node.Endpoint().Send(env.From, &msg.CkptReply{
 			Seq:     m.Seq,
 			Replica: r.cfg.Node.ID(),
-			Epoch:   epoch,
 			Tuple:   tuple,
 		})
 	case *msg.CkptFetch:
@@ -287,7 +271,6 @@ func (r *Replica) HandleService(env transport.Envelope) {
 		}
 		_ = r.cfg.Node.Endpoint().Send(env.From, &msg.CkptData{
 			Seq:   m.Seq,
-			Epoch: ck.Epoch,
 			Tuple: ck.Tuple,
 			State: ck.State,
 		})
@@ -436,12 +419,8 @@ func (r *Replica) checkpoint() {
 	dedup := encodeDedup(r.dedup)
 	lease := encodeLeaseTable(r.lease)
 	r.mu.Unlock()
-	var epoch uint64
-	if eh, ok := r.cfg.SM.(EpochHolder); ok {
-		epoch = eh.Epoch()
-	}
 	state := encodeReplicaState(dedup, lease, r.cfg.SM.Snapshot())
-	r.cfg.Ckpt.Save(storage.Checkpoint{Tuple: tuple, Epoch: epoch, State: state})
+	r.cfg.Ckpt.Save(storage.Checkpoint{Tuple: tuple, State: state})
 	r.mu.Lock()
 	for _, e := range tuple {
 		r.safe[e.Ring] = e.Instance

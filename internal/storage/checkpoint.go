@@ -8,14 +8,9 @@ import (
 
 // Checkpoint is one replica checkpoint: the tuple k_p identifying it (one
 // entry per subscribed multicast group, ordered by group identifier —
-// Predicate 1 of the paper), the schema epoch the state was captured under
-// (0 for services without a versioned schema), and the serialized service
-// state. The epoch travels with the checkpoint through the recovery
-// exchange so a recovering replica learns how far behind a repartitioning
-// its snapshot is before replay begins.
+// Predicate 1 of the paper) and the serialized service state.
 type Checkpoint struct {
 	Tuple []msg.RingInstance
-	Epoch uint64
 	State []byte
 }
 
@@ -78,7 +73,7 @@ func NewCheckpointStore(disk *Disk) *CheckpointStore {
 func (s *CheckpointStore) Save(ckpt Checkpoint) {
 	tuple := make([]msg.RingInstance, len(ckpt.Tuple))
 	copy(tuple, ckpt.Tuple)
-	stored := Checkpoint{Tuple: tuple, Epoch: ckpt.Epoch, State: ckpt.State}
+	stored := Checkpoint{Tuple: tuple, State: ckpt.State}
 	s.disk.SyncWrite(len(ckpt.State) + len(tuple)*10)
 	s.mu.Lock()
 	s.last = &stored

@@ -33,7 +33,7 @@ func (e *WrongEpochError) Error() string {
 }
 
 // routeView is a client's cached routing state: one consistent snapshot of
-// the partitioning schema and the proposer addresses per ring.
+// the deployment's partitioning and the proposer addresses per ring.
 type routeView struct {
 	epoch       uint64
 	partitioner Partitioner
@@ -54,46 +54,6 @@ func (v *routeView) leaseHolderFor(p int) transport.Addr {
 		return ""
 	}
 	return v.leaseHolders[p]
-}
-
-// schemaView builds the routing view of a schema: per partition its ring,
-// its global-ring subscription, its proposers and the lease holder that
-// holder(p, addrs) advertises ("" for none); the global ring's proposers
-// are the first replica of every subscribed partition. Retired indexes
-// keep the arrays aligned but get no route (no key maps to them).
-func schemaView(sc Schema, part Partitioner, holder func(p int, addrs []transport.Addr) transport.Addr) routeView {
-	v := routeView{
-		epoch:        sc.Epoch,
-		partitioner:  part,
-		proposers:    make(map[msg.RingID][]transport.Addr),
-		leaseHolders: make([]transport.Addr, sc.Partitions),
-	}
-	if sc.GlobalRing {
-		v.global = sc.globalRingID()
-	}
-	var globalAddrs []transport.Addr
-	for p := 0; p < sc.Partitions; p++ {
-		if schemaRetired(sc, p) {
-			v.rings = append(v.rings, 0)
-			v.onGlobal = append(v.onGlobal, false)
-			continue
-		}
-		ring, on := sc.RingOf(p), schemaOnGlobal(sc, p)
-		v.rings = append(v.rings, ring)
-		v.onGlobal = append(v.onGlobal, on)
-		if p < len(sc.Replicas) {
-			addrs := sc.Replicas[p]
-			v.proposers[ring] = append([]transport.Addr(nil), addrs...)
-			if on && len(addrs) > 0 {
-				globalAddrs = append(globalAddrs, addrs[0])
-			}
-			v.leaseHolders[p] = holder(p, addrs)
-		}
-	}
-	if v.global != 0 {
-		v.proposers[v.global] = globalAddrs
-	}
-	return v
 }
 
 // epochRetryDelay paces retries of commands frozen by an in-flight

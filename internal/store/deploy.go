@@ -10,6 +10,7 @@ import (
 	"mrp/internal/msg"
 	"mrp/internal/netsim"
 	"mrp/internal/recovery"
+	"mrp/internal/ringpaxos"
 	"mrp/internal/storage"
 	"mrp/internal/transport"
 	"mrp/internal/txn"
@@ -120,6 +121,32 @@ type splitBirth struct {
 // dynamic: an online split (internal/rebalance) appends a partition with
 // fresh replicas on a new ring and flips the committed partitioner and
 // epoch once the moved range has been migrated.
+//
+// # Versioned-schema protocol
+//
+// The partitioning schema is replicated state: every replica carries it in
+// its snapshots, and the Deployment keeps the committed partitioner, epoch
+// and partition table that wire its replicas and route its clients. Every
+// client command carries the epoch it was routed under. The protocol
+// between the rebalance coordinator, replicas, and clients:
+//
+//  1. Exactly one writer (the rebalance coordinator) advances the schema.
+//     AdoptReconfig installs epoch e only over epoch e-1, so a concurrent
+//     publisher is detected instead of silently overwritten.
+//  2. Replicas learn epoch changes only through totally-ordered commands
+//     on their rings (opPrepareReconfig / opCommitReconfig /
+//     opAbortReconfig) — so all replicas of a partition switch mappings
+//     at the same logical point in the delivery order.
+//  3. Clients cache a routing view of the deployment and refresh it before
+//     an attempt whenever the deployment's epoch is ahead of it; a replica
+//     answering statusWrongEpoch is the typed redirect telling a stale
+//     client to refresh and re-route before retrying.
+//
+// Partition indexes are stable across epochs: splits only append indexes
+// and merges only retire them — neither renumbers a surviving partition
+// (see RangePartitioner.Split and RangePartitioner.Merge). A retired
+// index keeps its slot in the partition table as a tombstone until the
+// index space shrinks past it.
 type Deployment struct {
 	cfg      DeployConfig
 	cl       cluster.Config
@@ -142,6 +169,10 @@ type Deployment struct {
 	viewEpoch uint64
 	parts     []partMeta // includes not-yet-committed split partitions
 	nextRing  msg.RingID // ring allocator for split partitions
+	// globalPeers is the global ring's membership, fixed at deploy time
+	// like every ring's: only seed partitions sit on it, and a split
+	// partition never joins it.
+	globalPeers []ringpaxos.Peer
 	// freeRings holds ring IDs recycled by ring retirement; AddPartition
 	// reuses them (most recently retired first) before minting new IDs.
 	freeRings []msg.RingID
@@ -250,23 +281,19 @@ func Deploy(cfg DeployConfig) (*Deployment, error) {
 			addrs:    addrs,
 			onGlobal: cfg.GlobalRing,
 		})
+		if cfg.GlobalRing {
+			// Partition-major, so every replica agrees on the ring order.
+			d.globalPeers = append(d.globalPeers, ringPeers(p, addrs, true)...)
+		}
 	}
 	// Ring IDs 1..Partitions are the partition rings and Partitions+1 the
 	// global ring; rings for split partitions are allocated after those.
 	d.nextRing = msg.RingID(cfg.Partitions + 2)
 
-	// Ring memberships are derived from the deployment's schema — the same
-	// builder RecoverReplica uses — so a replica rebuilt after a crash
-	// rejoins rings whose order and roles match the survivors' by
-	// construction.
-	s := d.topologySchema()
 	var plans []replicaPlan
 	for p := 0; p < cfg.Partitions; p++ {
+		members := d.memberships(p)
 		for r := 0; r < cfg.Replicas; r++ {
-			members, err := schemaMemberships(s, p, r)
-			if err != nil {
-				return nil, err
-			}
 			plans = append(plans, replicaPlan{p: p, r: r, members: members})
 		}
 	}
@@ -286,7 +313,7 @@ func Deploy(cfg DeployConfig) (*Deployment, error) {
 }
 
 // replicaPlan is what assembling one replica needs beyond the deployment
-// config: its slot, the rings it subscribes to (derived from the schema),
+// config: its slot, the rings it subscribes to (see memberships),
 // and where it starts. birth, when non-nil, marks a replica of a partition
 // created by a live split: its state machine starts from the split's
 // deterministic initial state. starts and install are the recovered ring
@@ -487,21 +514,20 @@ func (d *Deployment) CrashReplica(p, r int) {
 // its rings at the recovered instances, and the rings replay the suffix
 // from the acceptors. It works for every committed partition — the seed
 // partitions of Deploy and partitions appended by a live split alike —
-// because ring memberships, roles, and subscription points are derived
-// from the deployment's current schema (the same structure that routes
-// clients), not from the static deploy config. A split partition's
+// because ring memberships, roles, and subscription points are read from
+// the deployment's partition table (the same table that routes clients),
+// not from the static deploy config. A split partition's
 // replica rejoins its ring at the recovered frontier and
 // resumes redirect behavior from the snapshot's schema state; if no
 // checkpoint survives anywhere, it replays the full ring from the
 // partition's deterministic birth state (warming, at the split's epoch).
 func (d *Deployment) RecoverReplica(p, r int) error {
 	d.mu.RLock()
-	committed := d.partitioner.N()
-	valid := p >= 0 && p < committed && p < len(d.parts) && !d.parts[p].retired &&
+	valid := p >= 0 && p < d.partitioner.N() && p < len(d.parts) && !d.parts[p].retired &&
 		r >= 0 && p < len(d.Replicas) && r < len(d.Replicas[p])
 	var meta partMeta
 	var peers []transport.Addr
-	var s Schema
+	var members []cluster.Ring
 	if valid {
 		meta = d.parts[p]
 		for i, other := range d.Replicas[p] {
@@ -509,18 +535,14 @@ func (d *Deployment) RecoverReplica(p, r int) error {
 				peers = append(peers, meta.addrs[i])
 			}
 		}
-		s = d.topologySchema()
+		members = d.memberships(p)
 	}
 	d.mu.RUnlock()
 	if !valid {
 		// Provisioned-but-uncommitted partitions (mid-protocol) and retired
 		// tombstones are not recoverable: their membership is not part of
-		// the committed schema.
+		// the committed topology.
 		return fmt.Errorf("store: no committed partition %d replica %d to recover", p, r)
-	}
-	members, err := schemaMemberships(s, p, r)
-	if err != nil {
-		return err
 	}
 	starts, install, err := d.cl.Recover(meta.addrs[r], peers, d.ReplicaAt(p, r).Ckpt)
 	if err != nil {
@@ -602,7 +624,7 @@ func (d *Deployment) AddPartition(partitioner Partitioner, part int, epoch uint6
 	d.mu.Unlock()
 
 	birth := &splitBirth{epoch: epoch, partitioner: partitioner}
-	members := []cluster.Ring{{ID: ring, Peers: partitionPeers(part, addrs)}}
+	members := []cluster.Ring{{ID: ring, Peers: ringPeers(part, addrs, false)}}
 	plans := make([]replicaPlan, cfg.Replicas)
 	for r := range plans {
 		plans[r] = replicaPlan{p: part, r: r, members: members, birth: birth}
@@ -745,21 +767,46 @@ func (d *Deployment) RevertReconfig(epoch uint64, prev Partitioner) {
 	}
 }
 
-// currentView snapshots the committed routing state for a client. Its
-// epoch is the view watermark, and the advertised lease holder of a
+// currentView snapshots the committed routing state for a client: per
+// committed partition its ring, its global-ring subscription, its
+// proposers and its advertised lease holder; the global ring's proposers
+// are the first replica of every subscribed partition. Retired indexes
+// keep the arrays aligned but get no route (no key maps to them). The
+// view's epoch is the watermark, and the advertised lease holder of a
 // partition is its designated holder while that replica is up (advisory:
 // the replica itself decides whether it may actually serve).
 func (d *Deployment) currentView() routeView {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	v := schemaView(d.topologySchema(), d.partitioner, func(p int, addrs []transport.Addr) transport.Addr {
-		hIdx := leaseHolderIdx(len(addrs))
-		if h := d.handleAt(p, hIdx); d.cfg.Lease.Disabled || len(addrs) == 0 || h == nil || h.Stopped() {
-			return ""
+	n := d.partitioner.N()
+	v := routeView{
+		epoch:        d.viewEpoch,
+		partitioner:  d.partitioner,
+		rings:        make([]msg.RingID, n),
+		onGlobal:     make([]bool, n),
+		global:       d.GlobalRingID(),
+		proposers:    make(map[msg.RingID][]transport.Addr),
+		leaseHolders: make([]transport.Addr, n),
+	}
+	var globalAddrs []transport.Addr
+	for p := 0; p < n && p < len(d.parts); p++ {
+		meta := d.parts[p]
+		if meta.retired {
+			continue
 		}
-		return addrs[hIdx]
-	})
-	v.epoch = d.viewEpoch
+		v.rings[p], v.onGlobal[p] = meta.ring, meta.onGlobal
+		v.proposers[meta.ring] = meta.addrs
+		if meta.onGlobal {
+			globalAddrs = append(globalAddrs, meta.addrs[0])
+		}
+		hIdx := leaseHolderIdx(len(meta.addrs))
+		if h := d.handleAt(p, hIdx); !d.cfg.Lease.Disabled && h != nil && !h.Stopped() {
+			v.leaseHolders[p] = meta.addrs[hIdx]
+		}
+	}
+	if v.global != 0 {
+		v.proposers[v.global] = globalAddrs
+	}
 	return v
 }
 

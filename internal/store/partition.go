@@ -7,8 +7,8 @@ import (
 
 // Partitioner maps keys to partitions. Applications decide whether data is
 // hash- or range-partitioned, and clients must know the scheme (Section
-// 6.1; the paper stores it in Zookeeper, here it is part of the replicated
-// schema that the deployment routes its clients by).
+// 6.1; the paper stores it in Zookeeper, here it is replicated state and
+// the deployment routes its clients by the committed one).
 type Partitioner interface {
 	// N returns the number of partitions.
 	N() int
@@ -98,7 +98,7 @@ func NewRangePartitioner(bounds []string) *RangePartitioner {
 	return &RangePartitioner{bounds: b, assign: assign}
 }
 
-// newRangePartitionerAssigned rebuilds a partitioner from schema
+// newRangePartitionerAssigned rebuilds a partitioner from recorded
 // state (bounds must already be sorted). The assignment need not be a
 // permutation: after a merge a partition owns several slots, and retired
 // indexes of merged-away partitions may be absent entirely. It must only
@@ -119,8 +119,7 @@ func newRangePartitionerAssigned(bounds []string, assign []int) (*RangePartition
 }
 
 // NewRangePartitionerAssigned rebuilds a partitioner from recorded bounds
-// and slot assignments (the shape Schema and reconfiguration intent
-// records carry).
+// and slot assignments (the shape reconfiguration intent records carry).
 func NewRangePartitionerAssigned(bounds []string, assign []int) (*RangePartitioner, error) {
 	return newRangePartitionerAssigned(bounds, assign)
 }

@@ -14,9 +14,9 @@ import (
 // a coordinator dies between prepare and commit. They are exported for the
 // coordinator, not for applications.
 
-// AddRoute teaches the client the proposer addresses of a ring before that
-// ring appears in any published schema (the coordinator must reach a split
-// partition's ring while it is still warming).
+// AddRoute teaches the client the proposer addresses of a ring before the
+// deployment commits it (the coordinator must reach a split partition's
+// ring while it is still warming).
 func (c *Client) AddRoute(ring msg.RingID, addrs []transport.Addr) {
 	c.smr.SetProposers(ring, addrs)
 }

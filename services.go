@@ -23,13 +23,6 @@ type (
 	Partitioner = store.Partitioner
 )
 
-// StoreSchema is the partitioning schema. The paper stores it in
-// Zookeeper; here it is replicated state that every replica carries in its
-// snapshots, and the Store keeps the committed copy its clients route by.
-// Schemas are versioned by an epoch; see the versioned-schema protocol in
-// internal/store/schema.go.
-type StoreSchema = store.Schema
-
 // WrongEpochError reports a command redirected past its deadline because
 // the client's schema epoch lagged the replicas'.
 type WrongEpochError = store.WrongEpochError
