@@ -4,8 +4,8 @@
 // partition at the median key of its range once the heat holds, and merges
 // the cold split-born partition back (retiring its ring) after the heat
 // moves away. Hysteresis (time-in-violation, cool-down, split-protect)
-// keeps it from flapping, and a leader lease in the registry ensures
-// exactly one controller acts.
+// keeps it from flapping, and a lease on the deployment ensures exactly
+// one controller acts.
 //
 //	go run ./examples/autoshard
 package main
@@ -34,7 +34,6 @@ func main() {
 	})
 	must(err)
 	defer st.Stop()
-	reg := mrp.NewRegistry()
 
 	// Stock the shelves: a few cold keys below "m", plenty of hot
 	// candidates above it.
@@ -50,7 +49,6 @@ func main() {
 	// The controller drives a rebalancer; we only watch.
 	rb, err := mrp.NewRebalancer(mrp.RebalanceConfig{
 		Store:         st,
-		Registry:      reg,
 		ChunkInterval: 100 * time.Microsecond, // migration budget: trickle the copy
 	})
 	must(err)
@@ -58,7 +56,6 @@ func main() {
 	ctrl, err := mrp.NewAutoSharder(mrp.AutoShardConfig{
 		Store:          st,
 		Rebalancer:     rb,
-		Registry:       reg, // leader lease: exactly one controller acts
 		Interval:       40 * time.Millisecond,
 		SplitOpsPerSec: 40, // hot above 40 ops/s ...
 		MergeOpsPerSec: 5,  // ... cold below 5 ops/s

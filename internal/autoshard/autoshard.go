@@ -24,38 +24,30 @@
 //
 // # The controller lease
 //
-// With a registry configured, controllers enroll in a leader election
-// (registry.Election over session ephemerals) and only the leader samples
-// and acts — exactly one controller/coordinator is active per deployment.
-// A successor taking over first runs the coordinator's ResolvePending, so
-// a leader that died mid-plan leaves no frozen range behind: the plan is
-// aborted (or rolled forward past its publish point) before the new
-// leader's policy resumes. This closes the coordination half of the
-// ROADMAP's "coordinator lease" item.
+// Each tick a controller asks the deployment for its lease
+// (store.Deployment.Lead), and only the holder samples and acts, so
+// exactly one controller/coordinator is active per deployment; Stop
+// resigns it. A controller taking the lease first runs the coordinator's
+// ResolvePending, so a leader that died mid-plan leaves no frozen range
+// behind: the plan is aborted (or rolled forward past its publish point)
+// before the new leader's policy resumes.
 package autoshard
 
 import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"mrp/internal/rebalance"
-	"mrp/internal/registry"
 	"mrp/internal/store"
 )
-
-// electionPrefix roots the controller leader election in the coordination
-// service.
-const electionPrefix = "/mrp-store/autoshard/leader"
 
 // Reconfigurer is the slice of the rebalance coordinator the controller
 // drives. rebalance.Coordinator implements it; tests substitute fakes.
 type Reconfigurer interface {
 	SplitPartition(src int, splitKey string) (int, error)
 	MergePartitions(survivor, donor int) error
-	ResolvePending() (*rebalance.Plan, error)
+	ResolvePending() (*store.Plan, error)
 }
 
 // Config parametrizes a controller.
@@ -65,16 +57,6 @@ type Config struct {
 	// Rebalancer executes the policy's decisions (required); usually a
 	// rebalance.Coordinator for the same deployment.
 	Rebalancer Reconfigurer
-	// Registry, when set, enables the controller lease: only the elected
-	// leader acts, and a successor runs ResolvePending on takeover.
-	Registry *registry.Registry
-	// Session owns the controller's election candidacy. Optional: without
-	// it the controller opens its own session (closed on Stop). Tests pass
-	// one to kill a leader by expiring it.
-	Session *registry.Session
-	// Name is the controller's election candidate name (default
-	// "autoshard-<n>", unique per process).
-	Name string
 
 	// Interval is the sampling tick (default 100ms).
 	Interval time.Duration
@@ -140,23 +122,14 @@ func (c *Config) withDefaults() error {
 	if c.SampleChunk <= 0 {
 		c.SampleChunk = 256
 	}
-	if c.Name == "" {
-		c.Name = fmt.Sprintf("autoshard-%d", nameSeq.Add(1))
-	}
 	return nil
 }
-
-var nameSeq atomic.Uint64
 
 // Controller is the auto-sharding control loop.
 type Controller struct {
 	cfg    Config
 	policy *policy
 	client *store.Client
-
-	election   *registry.Election
-	session    *registry.Session
-	ownSession bool
 
 	stop chan struct{}
 	done chan struct{}
@@ -184,15 +157,6 @@ func New(cfg Config) (*Controller, error) {
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	if cfg.Registry != nil {
-		c.election = cfg.Registry.NewElection(electionPrefix)
-		c.session = cfg.Session
-		if c.session == nil {
-			c.session = cfg.Registry.NewSession()
-			c.ownSession = true
-		}
-		c.election.Enroll(c.session, cfg.Name)
-	}
 	return c, nil
 }
 
@@ -201,14 +165,15 @@ func (c *Controller) Start() {
 	go c.run()
 }
 
-// Stop terminates the control loop and releases the controller's client
-// and (if it opened one) its election session.
+// Stop terminates the control loop, resigns the lease and releases the
+// controller's client.
 func (c *Controller) Stop() {
 	close(c.stop)
 	<-c.done
-	if c.ownSession {
-		c.session.Close()
-	}
+	c.cfg.Store.Resign(c)
+	c.mu.Lock()
+	c.leading = false
+	c.mu.Unlock()
 	c.client.Close()
 }
 
@@ -226,8 +191,8 @@ func (c *Controller) Merges() int {
 	return c.merges
 }
 
-// Leading reports whether this controller currently holds the lease (true
-// without a registry: a lone controller always leads).
+// Leading reports whether this controller holds the lease and has
+// resolved any plan its predecessor left.
 func (c *Controller) Leading() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -276,38 +241,24 @@ func (c *Controller) tick(now time.Time) {
 }
 
 // checkLeadership resolves the controller lease for this tick. On
-// takeover the successor resolves any plan a dead leader left mid-flight
+// takeover the controller resolves any plan a dead leader left mid-flight
 // before its own policy is allowed to act.
 func (c *Controller) checkLeadership(now time.Time) bool {
-	if c.election == nil {
-		c.mu.Lock()
-		c.leading = true
-		c.mu.Unlock()
-		return true
-	}
-	leader, ok := c.election.Leader()
-	isLeader := ok && leader == c.cfg.Name
-	c.mu.Lock()
-	was := c.leading
-	c.mu.Unlock()
-	if !isLeader {
-		if was {
-			c.act("lease lost")
-			c.mu.Lock()
-			c.leading = false
-			c.mu.Unlock()
-		}
+	if !c.cfg.Store.Lead(c) {
 		// Standby: forget streaks and rate baselines so a takeover starts
 		// from fresh observations instead of stale ones.
 		c.policy.reset()
 		c.prevOps = make(map[int]uint64)
 		return false
 	}
+	c.mu.Lock()
+	was := c.leading
+	c.mu.Unlock()
 	if !was {
 		// The takeover is complete only once the predecessor's orphaned
 		// plan (if any) is resolved; leading stays false on failure so the
 		// next tick retries the resolve — otherwise one transient error
-		// would leave the intent record (and its frozen range) stuck
+		// would leave the recorded plan (and its frozen range) stuck
 		// forever while this controller holds the lease.
 		c.act("lease acquired")
 		plan, err := c.cfg.Rebalancer.ResolvePending()
@@ -317,7 +268,7 @@ func (c *Controller) checkLeadership(now time.Time) bool {
 			return false
 		}
 		if plan != nil {
-			c.act("resolved predecessor %s plan (epoch %d, phase %s)", plan.Kind, plan.Epoch, plan.Phase)
+			c.act("resolved predecessor %s plan (epoch %d, published %t)", plan.Kind, plan.Epoch, plan.Published)
 			c.policy.failed(now) // settle through one cool-down before acting
 		}
 		c.mu.Lock()

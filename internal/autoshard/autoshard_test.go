@@ -1,6 +1,7 @@
 package autoshard
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -12,7 +13,6 @@ import (
 	"mrp/internal/metrics"
 	"mrp/internal/netsim"
 	"mrp/internal/rebalance"
-	"mrp/internal/registry"
 	"mrp/internal/storage"
 	"mrp/internal/store"
 	"mrp/internal/ycsb"
@@ -23,7 +23,7 @@ const records = 1000
 // deployStore builds the standard two-partition range-partitioned store
 // the controller tests run against: partition 0 owns [0, user500),
 // partition 1 owns [user500, inf).
-func deployStore(t *testing.T) (*store.Deployment, *registry.Registry) {
+func deployStore(t *testing.T) *store.Deployment {
 	t.Helper()
 	net := netsim.New(netsim.WithUniformLatency(20 * time.Microsecond))
 	d, err := store.Deploy(store.DeployConfig{
@@ -44,13 +44,12 @@ func deployStore(t *testing.T) (*store.Deployment, *registry.Registry) {
 		d.Stop()
 		net.Close()
 	})
-	reg := registry.New()
 	var recs []store.Entry
 	for _, o := range ycsb.Load(ycsb.Config{RecordCount: records, ValueSize: 64}) {
 		recs = append(recs, store.Entry{Key: o.Key, Value: o.Value})
 	}
 	d.Preload(recs)
-	return d, reg
+	return d
 }
 
 // worker runs fn in a loop (with an optional pause between iterations)
@@ -106,7 +105,7 @@ func TestAutoshardSkewedThenShiftingLoad(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	d, reg := deployStore(t)
+	d := deployStore(t)
 	tl := metrics.NewTimeline(400 * time.Millisecond)
 	record := func(start time.Time, err error) {
 		if err == nil {
@@ -220,7 +219,6 @@ func TestAutoshardSkewedThenShiftingLoad(t *testing.T) {
 
 	coord, err := rebalance.New(rebalance.Config{
 		Store:         d,
-		Registry:      reg,
 		ChunkInterval: 200 * time.Microsecond,
 		OnStep:        func(s string) { tl.Mark(time.Now(), s) },
 	})
@@ -231,7 +229,6 @@ func TestAutoshardSkewedThenShiftingLoad(t *testing.T) {
 	ctrl, err := New(Config{
 		Store:          d,
 		Rebalancer:     coord,
-		Registry:       reg,
 		Interval:       40 * time.Millisecond,
 		SplitOpsPerSec: 0.75 * rate,
 		MergeOpsPerSec: 0.10 * rate,
@@ -295,7 +292,7 @@ func TestAutoshardSkewedThenShiftingLoad(t *testing.T) {
 	}
 }
 
-// TestLeaderFailoverResolvesAndResumes kills the elected controller while
+// TestLeaderFailoverResolvesAndResumes kills the leading controller while
 // its coordinator is mid-plan (simulated crash after the copy phase) and
 // checks the lease half of coordinator failover: the successor becomes
 // leader, ResolvePending rolls the orphaned plan back, and the successor's
@@ -304,7 +301,7 @@ func TestLeaderFailoverResolvesAndResumes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	d, reg := deployStore(t)
+	d := deployStore(t)
 
 	var (
 		wg      sync.WaitGroup
@@ -330,13 +327,10 @@ func TestLeaderFailoverResolvesAndResumes(t *testing.T) {
 	if rate <= 0 {
 		t.Fatal("no load reached partition 1")
 	}
-	mkConfig := func(name string, coord *rebalance.Coordinator, sess *registry.Session, onAction func(string)) Config {
+	mkConfig := func(coord *rebalance.Coordinator, onAction func(string)) Config {
 		return Config{
 			Store:          d,
 			Rebalancer:     coord,
-			Registry:       reg,
-			Session:        sess,
-			Name:           name,
 			Interval:       40 * time.Millisecond,
 			SplitOpsPerSec: 0.5 * rate,
 			ViolationTicks: 2,
@@ -347,17 +341,16 @@ func TestLeaderFailoverResolvesAndResumes(t *testing.T) {
 	}
 
 	// Leader A: its coordinator "dies" right after the copy phase, leaving
-	// the intent record (phase prepared) and the frozen range behind.
+	// its plan recorded (not published) and the frozen range behind.
 	var actionsA []string
 	var muA sync.Mutex
-	coordA, err := rebalance.New(rebalance.Config{Store: d, Registry: reg})
+	coordA, err := rebalance.New(rebalance.Config{Store: d})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coordA.Close()
 	coordA.CrashAfter("copy")
-	sessA := reg.NewSession()
-	ctrlA, err := New(mkConfig("A", coordA, sessA, func(a string) {
+	ctrlA, err := New(mkConfig(coordA, func(a string) {
 		muA.Lock()
 		actionsA = append(actionsA, a)
 		muA.Unlock()
@@ -377,24 +370,23 @@ func TestLeaderFailoverResolvesAndResumes(t *testing.T) {
 		}
 		return false
 	})
-	// The orphaned plan's intent record must exist for the successor.
-	if _, ok := reg.Get("/mrp-store/reconfig"); !ok {
-		t.Fatal("crashed plan left no intent record")
+	// The orphaned plan must stay recorded for the successor.
+	if _, ok := d.PendingPlan(); !ok {
+		t.Fatal("crashed plan left no record")
 	}
-	// Kill the leader: its session expires, its loop stops.
+	// Kill the leader: its loop stops and its lease is released.
 	ctrlA.Stop()
-	sessA.Close()
 
 	// Successor B: must take the lease, resolve the orphan, and complete
 	// the split itself.
 	var actionsB []string
 	var muB sync.Mutex
-	coordB, err := rebalance.New(rebalance.Config{Store: d, Registry: reg})
+	coordB, err := rebalance.New(rebalance.Config{Store: d})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coordB.Close()
-	ctrlB, err := New(mkConfig("B", coordB, nil, func(a string) {
+	ctrlB, err := New(mkConfig(coordB, func(a string) {
 		muB.Lock()
 		actionsB = append(actionsB, a)
 		muB.Unlock()
@@ -422,8 +414,8 @@ func TestLeaderFailoverResolvesAndResumes(t *testing.T) {
 	if aborts := coordB.Aborts(); aborts != 1 {
 		t.Fatalf("successor aborts = %d, want 1 (the orphaned prepared plan)", aborts)
 	}
-	if _, ok := reg.Get("/mrp-store/reconfig"); ok {
-		t.Fatal("intent record survived resolution and re-split")
+	if p, ok := d.PendingPlan(); ok {
+		t.Fatalf("plan record survived resolution and re-split: %+v", p)
 	}
 
 	// The data served through all of it: spot-check a migrated key.
@@ -433,5 +425,56 @@ func TestLeaderFailoverResolvesAndResumes(t *testing.T) {
 	defer cl.Close()
 	if _, err := cl.Read(ycsb.Key(records * 3 / 4)); err != nil {
 		t.Fatalf("read of a migrated key after failover: %v", err)
+	}
+}
+
+// countingReconfigurer never reconfigures; it counts ResolvePending calls.
+type countingReconfigurer struct{ resolves atomic.Int32 }
+
+func (f *countingReconfigurer) SplitPartition(int, string) (int, error) {
+	return 0, errors.New("fake: no splits")
+}
+
+func (f *countingReconfigurer) MergePartitions(int, int) error {
+	return errors.New("fake: no merges")
+}
+
+func (f *countingReconfigurer) ResolvePending() (*store.Plan, error) {
+	f.resolves.Add(1)
+	return nil, nil
+}
+
+// TestOneControllerLeads checks the controller lease: a controller that is
+// built but never started holds nothing, exactly one started controller
+// leads, and a standby takes over only once the leader stops, running
+// ResolvePending once per takeover.
+func TestOneControllerLeads(t *testing.T) {
+	d := deployStore(t)
+	fake := &countingReconfigurer{}
+	mk := func() *Controller {
+		c, err := New(Config{Store: d, Rebalancer: fake, Interval: 5 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	idle := mk()
+	t.Cleanup(func() { idle.Start(); idle.Stop() }) // only to release its client
+	a, b := mk(), mk()
+
+	a.Start()
+	waitFor(t, 5*time.Second, "a to lead", a.Leading)
+	b.Start()
+	defer b.Stop()
+	time.Sleep(50 * time.Millisecond) // ten of b's ticks
+	if b.Leading() {
+		t.Fatal("b leads while a runs")
+	}
+
+	a.Stop()
+	waitFor(t, 5*time.Second, "b to take over", b.Leading)
+	time.Sleep(50 * time.Millisecond)
+	if n := fake.resolves.Load(); n != 2 {
+		t.Fatalf("ResolvePending ran %d times, want 2 (once per takeover)", n)
 	}
 }

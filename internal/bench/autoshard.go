@@ -12,7 +12,6 @@ import (
 	"mrp/internal/metrics"
 	"mrp/internal/netsim"
 	"mrp/internal/rebalance"
-	"mrp/internal/registry"
 	"mrp/internal/storage"
 	"mrp/internal/store"
 	"mrp/internal/ycsb"
@@ -74,7 +73,6 @@ func Autoshard(opts Options) AutoshardResult {
 		panic(err)
 	}
 	defer d.Stop()
-	reg := registry.New()
 	var recs []store.Entry
 	for _, o := range ycsb.Load(ycsb.Config{RecordCount: records, ValueSize: 100}) {
 		recs = append(recs, store.Entry{Key: o.Key, Value: o.Value})
@@ -84,7 +82,6 @@ func Autoshard(opts Options) AutoshardResult {
 	tl := metrics.NewTimeline(window)
 	coord, err := rebalance.New(rebalance.Config{
 		Store:         d,
-		Registry:      reg,
 		ChunkInterval: 200 * time.Microsecond, // migration budget: trickle, don't saturate
 		OnStep:        func(s string) { tl.Mark(time.Now(), s) },
 	})
@@ -157,7 +154,6 @@ func Autoshard(opts Options) AutoshardResult {
 	ctrl, err := autoshard.New(autoshard.Config{
 		Store:          d,
 		Rebalancer:     coord,
-		Registry:       reg,
 		Interval:       interval,
 		SplitOpsPerSec: 0.75 * hotRate,
 		MergeOpsPerSec: 0.10 * hotRate,

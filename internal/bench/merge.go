@@ -9,7 +9,6 @@ import (
 	"mrp/internal/metrics"
 	"mrp/internal/netsim"
 	"mrp/internal/rebalance"
-	"mrp/internal/registry"
 	"mrp/internal/storage"
 	"mrp/internal/store"
 	"mrp/internal/ycsb"
@@ -72,7 +71,6 @@ func Merge(opts Options) MergeResult {
 		panic(err)
 	}
 	defer d.Stop()
-	reg := registry.New()
 	var recs []store.Entry
 	for _, o := range ycsb.Load(ycsb.Config{RecordCount: records, ValueSize: 100}) {
 		recs = append(recs, store.Entry{Key: o.Key, Value: o.Value})
@@ -81,9 +79,8 @@ func Merge(opts Options) MergeResult {
 
 	tl := metrics.NewTimeline(window)
 	coord, err := rebalance.New(rebalance.Config{
-		Store:    d,
-		Registry: reg,
-		OnStep:   func(s string) { tl.Mark(time.Now(), s) },
+		Store:  d,
+		OnStep: func(s string) { tl.Mark(time.Now(), s) },
 	})
 	if err != nil {
 		panic(err)

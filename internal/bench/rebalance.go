@@ -9,7 +9,6 @@ import (
 	"mrp/internal/metrics"
 	"mrp/internal/netsim"
 	"mrp/internal/rebalance"
-	"mrp/internal/registry"
 	"mrp/internal/storage"
 	"mrp/internal/store"
 	"mrp/internal/ycsb"
@@ -66,7 +65,6 @@ func Rebalance(opts Options) RebalanceResult {
 		panic(err)
 	}
 	defer d.Stop()
-	reg := registry.New()
 	var recs []store.Entry
 	for _, o := range ycsb.Load(ycsb.Config{RecordCount: records, ValueSize: 100}) {
 		recs = append(recs, store.Entry{Key: o.Key, Value: o.Value})
@@ -75,9 +73,8 @@ func Rebalance(opts Options) RebalanceResult {
 
 	tl := metrics.NewTimeline(window)
 	coord, err := rebalance.New(rebalance.Config{
-		Store:    d,
-		Registry: reg,
-		OnStep:   func(s string) { tl.Mark(time.Now(), s) },
+		Store:  d,
+		OnStep: func(s string) { tl.Mark(time.Now(), s) },
 	})
 	if err != nil {
 		panic(err)

@@ -16,7 +16,7 @@ import (
 // hierarchy analysis over the marked packages — this is what carries the
 // scope from smr.Replica.apply through smr.StateMachine.Execute into
 // store.SM.apply). Propagation descends only into packages that carry at
-// least one mrp marker: unmarked layers (transport, registry, netsim) are
+// least one mrp marker: unmarked layers (transport, netsim) are
 // explicit boundaries whose nondeterminism is confined behind their API.
 type Scope struct {
 	inScope map[*types.Func]string

@@ -63,7 +63,7 @@ type Markers struct {
 	pkgDet map[*types.Package]bool
 	// eligible marks packages containing at least one mrp marker: the
 	// deterministic call graph only descends into eligible packages, so
-	// unmarked layers (transport, registry) are propagation boundaries.
+	// unmarked layers (transport, netsim) are propagation boundaries.
 	eligible map[*types.Package]bool
 	// suppress maps analyzer name -> "file:line" keys where findings are
 	// muted by //mrp:nolint (or its sugar forms).

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"mrp/internal/registry"
 	"mrp/internal/store"
 	"mrp/internal/ycsb"
 )
@@ -24,8 +23,8 @@ import (
 // donor's ring is fully retired — processes stopped, topology tombstoned —
 // and its ring ID recycled by a subsequent split.
 func TestLiveMergeUnderConcurrentWorkload(t *testing.T) {
-	d, reg := deploySplitStore(t, true)
-	coord, err := New(Config{Store: d, Registry: reg})
+	d := deploySplitStore(t, true)
+	coord, err := New(Config{Store: d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,8 +188,8 @@ func TestLiveMergeUnderConcurrentWorkload(t *testing.T) {
 // TestMergeWithoutGlobalRing merges a seed partition on an
 // independent-rings deployment down to a single partition.
 func TestMergeWithoutGlobalRing(t *testing.T) {
-	d, reg := deploySplitStore(t, false)
-	coord, err := New(Config{Store: d, Registry: reg})
+	d := deploySplitStore(t, false)
+	coord, err := New(Config{Store: d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,8 +222,8 @@ func TestMergeWithoutGlobalRing(t *testing.T) {
 // TestMergeValidation covers coordinator input checks, including the
 // global-ring-donor restriction.
 func TestMergeValidation(t *testing.T) {
-	d, reg := deploySplitStore(t, true)
-	coord, err := New(Config{Store: d, Registry: reg})
+	d := deploySplitStore(t, true)
+	coord, err := New(Config{Store: d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,8 +246,8 @@ func TestMergeValidation(t *testing.T) {
 // half-applied: writes to the affected range succeed again, the epoch is
 // unchanged, and a subsequent reconfiguration works.
 func TestCopyFailureRoutedThroughOrderedAbort(t *testing.T) {
-	d, reg := deploySplitStore(t, true)
-	coord, err := New(Config{Store: d, Registry: reg})
+	d := deploySplitStore(t, true)
+	coord, err := New(Config{Store: d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,12 +314,12 @@ func TestCopyFailureRoutedThroughOrderedAbort(t *testing.T) {
 
 // TestResolvePendingAbortsCrashedCoordinator kills the coordinator (via
 // the crash failpoint) between prepare and commit and has a successor
-// coordinator resolve the intent record from the registry: the ordered
+// coordinator resolve the plan recorded on the deployment: the ordered
 // abort unfreezes the range, removes the orphan partition, and the
 // deployment is immediately reusable.
 func TestResolvePendingAbortsCrashedCoordinator(t *testing.T) {
-	d, reg := deploySplitStore(t, true)
-	coord, err := New(Config{Store: d, Registry: reg})
+	d := deploySplitStore(t, true)
+	coord, err := New(Config{Store: d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,22 +347,22 @@ func TestResolvePendingAbortsCrashedCoordinator(t *testing.T) {
 	case <-time.After(300 * time.Millisecond):
 	}
 
-	// A successor coordinator (fresh process state) must refuse new plans
-	// while the crashed plan's intent is unresolved — starting one would
-	// overwrite the record and strand the frozen range.
-	succ, err := New(Config{Store: d, Registry: reg})
+	// A successor coordinator must refuse new plans while the crashed plan
+	// is unresolved — starting one would overwrite the record and strand
+	// the frozen range.
+	succ, err := New(Config{Store: d})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer succ.Close()
 	if _, err := succ.SplitPartition(0, ycsb.Key(200)); err == nil || !strings.Contains(err.Error(), "ResolvePending") {
-		t.Fatalf("new plan over unresolved intent = %v", err)
+		t.Fatalf("new plan over unresolved plan = %v", err)
 	}
 	plan, err := succ.ResolvePending()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan == nil || plan.Kind != PlanSplit || plan.Phase == phasePublished {
+	if plan == nil || plan.Kind != store.PlanSplit || plan.Published {
 		t.Fatalf("resolved plan = %+v", plan)
 	}
 	// The frozen probe write completes once the abort unfreezes the range.
@@ -388,8 +387,8 @@ func TestResolvePendingAbortsCrashedCoordinator(t *testing.T) {
 // the successor must roll the plan forward (re-order the commit, finish
 // the merge teardown), not abort a schema clients already route by.
 func TestResolvePendingRollsForwardPublishedPlan(t *testing.T) {
-	d, reg := deploySplitStore(t, true)
-	coord, err := New(Config{Store: d, Registry: reg})
+	d := deploySplitStore(t, true)
+	coord, err := New(Config{Store: d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +403,7 @@ func TestResolvePendingRollsForwardPublishedPlan(t *testing.T) {
 	}
 	coord.Close()
 
-	succ, err := New(Config{Store: d, Registry: reg})
+	succ, err := New(Config{Store: d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +412,7 @@ func TestResolvePendingRollsForwardPublishedPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan == nil || plan.Phase != phasePublished {
+	if plan == nil || !plan.Published {
 		t.Fatalf("resolved plan = %+v", plan)
 	}
 	// The split is fully committed: schema, routing, and data movement.
@@ -443,7 +442,7 @@ func TestResolvePendingRollsForwardPublishedPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan == nil || plan.Kind != PlanMerge {
+	if plan == nil || plan.Kind != store.PlanMerge {
 		t.Fatalf("resolved merge plan = %+v", plan)
 	}
 	if d.PartitionRing(2) != 0 {
@@ -452,34 +451,5 @@ func TestResolvePendingRollsForwardPublishedPlan(t *testing.T) {
 	v, err = cl.Read(ycsb.Key(801))
 	if err != nil || len(v) == 0 {
 		t.Fatalf("read after resumed merge: %q, %v", v, err)
-	}
-}
-
-// TestCorruptIntentRecordSurfaced: a corrupt intent record in the registry
-// must fail the reconfiguration up front instead of being overwritten,
-// which would strand whatever plan it recorded.
-func TestCorruptIntentRecordSurfaced(t *testing.T) {
-	d, reg := deploySplitStore(t, true)
-	coord, err := New(Config{Store: d, Registry: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	reg.Set(reconfigPath, []byte("not json"))
-	if _, err := coord.SplitPartition(1, ycsb.Key(750)); err == nil || !strings.Contains(err.Error(), "intent record") {
-		t.Fatalf("corrupt intent record: err = %v", err)
-	}
-	if err := coord.MergePartitions(0, 1); err == nil {
-		t.Fatal("merge with corrupt intent record succeeded")
-	}
-	// An absent record, by contrast, means nothing is pending.
-	reg2 := registry.New()
-	coord2, err := New(Config{Store: d, Registry: reg2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord2.Close()
-	if _, err := coord2.SplitPartition(1, ycsb.Key(750)); err != nil {
-		t.Fatalf("split with no intent record: %v", err)
 	}
 }

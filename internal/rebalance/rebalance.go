@@ -11,7 +11,7 @@
 //
 // # The reconfiguration engine
 //
-// Every topology change is one Plan executed in ordered phases:
+// Every topology change is one store.Plan executed in ordered phases:
 //
 //  1. Provision — (splits) build the destination partition's replicas on a
 //     ring from the allocator (recycling retired ring IDs); each joins the
@@ -60,12 +60,12 @@
 // everyone else treats it as an idempotent duplicate. A failure during
 // copy or activation therefore rolls the whole plan back instead of
 // leaving the range frozen forever. Before its first ordered command the
-// engine records the plan as an intent record in the coordination service;
+// engine records the plan on the deployment (store.Deployment.RecordPlan);
 // a coordinator that dies between prepare and commit is recovered by a
 // successor calling ResolvePending, which aborts an uncommitted plan (or
-// rolls a published one forward). Electing that successor automatically is
-// the auto-sharding controller's leader lease (internal/autoshard): the
-// elected controller drives exactly one coordinator, and a takeover runs
+// rolls a published one forward). Picking that successor automatically is
+// the auto-sharding controller's lease (internal/autoshard): the leading
+// controller drives exactly one coordinator, and a takeover runs
 // ResolvePending before the policy resumes.
 //
 // # Crash recovery of replicas
@@ -81,111 +81,21 @@
 package rebalance
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
 	"time"
 
 	"mrp/internal/msg"
-	"mrp/internal/registry"
 	"mrp/internal/store"
 )
 
-// reconfigPath is where the engine's intent record lives in the
-// coordination service: the plan of the reconfiguration currently in
-// flight, recorded before its first ordered command so a successor
-// coordinator can resolve it after a crash.
-const reconfigPath = "/mrp-store/reconfig"
-
-// PlanKind names the two reconfigurations the engine executes.
-type PlanKind string
-
-const (
-	// PlanSplit carves a key range out of a partition onto a freshly
-	// provisioned partition and ring.
-	PlanSplit PlanKind = "split"
-	// PlanMerge streams a donor partition into an adjacent survivor and
-	// retires the donor's ring.
-	PlanMerge PlanKind = "merge"
-)
-
-// Plan phases recorded in the intent record.
-const (
-	// phasePrepared: ordered prepares may have happened, the commit has
-	// not; resolving this plan means aborting it.
-	phasePrepared = "prepared"
-	// phasePublished: the deployment adopted the plan's schema; resolving
-	// this plan means rolling it forward (commit, and for merges the donor
-	// teardown).
-	phasePublished = "published"
-)
-
-// Plan is one reconfiguration: the donor range being frozen, the
-// destination receiving it, the rings ordering each phase, and the schema
-// transition being published. It doubles as the intent record persisted to
-// the coordination service, so it carries everything a successor
-// coordinator needs to abort or finish the plan — including the
-// pre-reconfiguration mapping for the rollback.
-type Plan struct {
-	Kind  PlanKind `json:"kind"`
-	Epoch uint64   `json:"epoch"`
-	// Donor is the partition losing a range: the split source, or the
-	// merge partition being drained and retired.
-	Donor int `json:"donor"`
-	// Dest is the partition gaining the range: the split's new partition,
-	// or the merge survivor.
-	Dest int `json:"dest"`
-	// SplitKey is the lower bound of the moved range (splits only).
-	SplitKey string `json:"splitKey,omitempty"`
-	// DonorVia is the ring ordering the donor's prepare/abort/commit: the
-	// global ring when the donor subscribes to it, else the donor's own.
-	DonorVia uint16 `json:"donorVia"`
-	// DestRing is the destination's ring: migrate chunks, activation, and
-	// (merges) the commit are ordered on it.
-	DestRing uint16 `json:"destRing"`
-	// Provisioned records that the plan created Dest (aborts remove it).
-	Provisioned bool `json:"provisioned"`
-	// Phase is the recovery watermark: phasePrepared until the deployment
-	// adopts the plan's schema, phasePublished after.
-	Phase string `json:"phase"`
-	// PrevBounds/PrevAssign record the pre-reconfiguration mapping, so an
-	// abort can revert the deployment even from a successor process.
-	PrevBounds []string `json:"prevBounds"`
-	PrevAssign []int    `json:"prevAssign"`
-}
-
-// prevPartitioner rebuilds the pre-reconfiguration mapping.
-func (p *Plan) prevPartitioner() (store.Partitioner, error) {
-	return store.NewRangePartitionerAssigned(p.PrevBounds, p.PrevAssign)
-}
-
-// nextPartitioner rebuilds the post-reconfiguration mapping from the
-// recorded pre-reconfiguration one — what a successor rolling the plan
-// forward must carry in the ordered commit.
-func (p *Plan) nextPartitioner() (store.Partitioner, error) {
-	prev, err := store.NewRangePartitionerAssigned(p.PrevBounds, p.PrevAssign)
-	if err != nil {
-		return nil, err
-	}
-	switch p.Kind {
-	case PlanSplit:
-		return prev.Split(p.SplitKey, p.Dest)
-	case PlanMerge:
-		return prev.Merge(p.Donor, p.Dest)
-	}
-	return nil, fmt.Errorf("rebalance: unknown plan kind %q", p.Kind)
-}
-
 // Config parametrizes a rebalance coordinator.
 type Config struct {
-	// Store is the deployment to rebalance.
+	// Store is the deployment to rebalance. It also holds the plan in
+	// flight, so any coordinator of the deployment can resolve a crashed
+	// one.
 	Store *store.Deployment
-	// Registry is the coordination service the intent record is written
-	// to, so that a successor coordinator can resolve a crashed plan.
-	// Optional: without it, crashed plans can only be resolved by the same
-	// process.
-	Registry *registry.Registry
 	// ChunkInterval, when > 0, pauses between consecutive migrate chunks —
 	// the migration budget's rate limit: a large range copy trickles onto
 	// the destination ring instead of saturating it, so client commands
@@ -209,9 +119,6 @@ type Coordinator struct {
 	splits int
 	merges int
 	aborts int
-	// pending is the in-memory intent record (the registry holds the
-	// durable copy when configured).
-	pending *Plan
 
 	// failpoint, when set (tests), is consulted after each completed step;
 	// returning an error injects a failure there, and errCrash simulates
@@ -221,12 +128,12 @@ type Coordinator struct {
 
 // errCrash is the test failpoint's "the coordinator process died here"
 // signal: the engine returns immediately without running its abort path,
-// leaving the intent record for ResolvePending.
+// leaving the plan recorded for ResolvePending.
 var errCrash = errors.New("rebalance: simulated coordinator crash")
 
 // CrashAfter arms a one-shot simulated coordinator crash: the next plan
 // returns mid-protocol after the named step completes, without running its
-// abort path, leaving the intent record for a successor's ResolvePending.
+// abort path, leaving the plan recorded for a successor's ResolvePending.
 // It exists for failover tests of packages built on the coordinator (the
 // auto-sharding controller kills its leader mid-plan this way); production
 // code has no reason to call it.
@@ -304,61 +211,16 @@ func (c *Coordinator) orderingRing(p int) msg.RingID {
 	return via
 }
 
-// recordIntent persists the plan (memory always, registry when
-// configured) so a successor coordinator can resolve it after a crash.
-func (c *Coordinator) recordIntent(p *Plan) {
-	c.pending = p
-	if c.cfg.Registry == nil {
-		return
-	}
-	if data, err := json.Marshal(p); err == nil {
-		c.cfg.Registry.Set(reconfigPath, data)
-	}
-}
-
-// clearIntent removes the intent record once the plan is fully resolved.
-func (c *Coordinator) clearIntent() {
-	c.pending = nil
-	if c.cfg.Registry != nil {
-		c.cfg.Registry.Delete(reconfigPath)
-	}
-}
-
-// checkNoPending refuses to start a plan while an unresolved intent
-// record exists — a crashed or abort-failed predecessor. Starting anyway
-// would overwrite the record, making the stuck plan (and its frozen
-// range) unrecoverable.
+// checkNoPending refuses to start a plan while an unresolved plan is
+// recorded — a crashed or abort-failed predecessor. Starting anyway would
+// overwrite the record, making the stuck plan (and its frozen range)
+// unrecoverable.
 func (c *Coordinator) checkNoPending() error {
-	p, err := c.loadIntent()
-	if err != nil {
-		return err
-	}
-	if p != nil {
-		return fmt.Errorf("rebalance: unresolved %s reconfiguration at epoch %d (phase %s); run ResolvePending first",
-			p.Kind, p.Epoch, p.Phase)
+	if p, ok := c.cfg.Store.PendingPlan(); ok {
+		return fmt.Errorf("rebalance: unresolved %s reconfiguration at epoch %d (published %t); run ResolvePending first",
+			p.Kind, p.Epoch, p.Published)
 	}
 	return nil
-}
-
-// loadIntent returns the plan to resolve: the in-memory record, else the
-// registry's.
-func (c *Coordinator) loadIntent() (*Plan, error) {
-	if c.pending != nil {
-		cp := *c.pending
-		return &cp, nil
-	}
-	if c.cfg.Registry == nil {
-		return nil, nil
-	}
-	data, ok := c.cfg.Registry.Get(reconfigPath)
-	if !ok || len(data) == 0 {
-		return nil, nil
-	}
-	var p Plan
-	if err := json.Unmarshal(data, &p); err != nil {
-		return nil, fmt.Errorf("rebalance: corrupt intent record: %w", err)
-	}
-	return &p, nil
 }
 
 // SplitPartition splits the key range [splitKey, hi) out of partition src
@@ -389,11 +251,9 @@ func (c *Coordinator) SplitPartition(src int, splitKey string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	plan := &Plan{
-		Kind: PlanSplit, Epoch: epoch, Donor: src, Dest: newPart,
-		SplitKey: splitKey, DonorVia: uint16(c.orderingRing(src)),
-		Phase:      phasePrepared,
-		PrevBounds: cur.Bounds(), PrevAssign: cur.Assignments(),
+	plan := &store.Plan{
+		Kind: store.PlanSplit, Epoch: epoch, Donor: src, Dest: newPart,
+		SplitKey: splitKey, DonorVia: c.orderingRing(src), Prev: cur,
 	}
 
 	// 1. Provision the new partition's replicas on a ring from the
@@ -402,10 +262,10 @@ func (c *Coordinator) SplitPartition(src int, splitKey string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	plan.DestRing = uint16(ring)
+	plan.DestRing = ring
 	plan.Provisioned = true
 	c.client.AddRoute(ring, addrs)
-	c.recordIntent(plan)
+	d.RecordPlan(*plan)
 	if err := c.step("provision"); err != nil {
 		return 0, c.failed(plan, "provision", err)
 	}
@@ -418,9 +278,8 @@ func (c *Coordinator) SplitPartition(src int, splitKey string) (int, error) {
 }
 
 // runSplit executes the ordered phases of a recorded split plan.
-func (c *Coordinator) runSplit(plan *Plan, next store.Partitioner) error {
-	via := msg.RingID(plan.DonorVia)
-	ring := msg.RingID(plan.DestRing)
+func (c *Coordinator) runSplit(plan *store.Plan, next store.Partitioner) error {
+	via, ring := plan.DonorVia, plan.DestRing
 
 	// 2. Prepare: freeze and collect the moved range. The command carries
 	// the authoritative post-split mapping: replicas install it instead of
@@ -469,7 +328,7 @@ func (c *Coordinator) runSplit(plan *Plan, next store.Partitioner) error {
 	if err := c.step("commit"); err != nil && !errors.Is(err, errCrash) {
 		return err
 	}
-	c.clearIntent()
+	c.cfg.Store.ClearPlan()
 	return nil
 }
 
@@ -501,13 +360,11 @@ func (c *Coordinator) MergePartitions(survivor, donor int) error {
 		return fmt.Errorf("rebalance: donor partition %d subscribes to the global ring; only partitions off it (e.g. born from a split) can be merged away", donor)
 	}
 	epoch := d.Epoch() + 1
-	plan := &Plan{
-		Kind: PlanMerge, Epoch: epoch, Donor: donor, Dest: survivor,
-		DonorVia: uint16(d.PartitionRing(donor)), DestRing: uint16(d.PartitionRing(survivor)),
-		Phase:      phasePrepared,
-		PrevBounds: cur.Bounds(), PrevAssign: cur.Assignments(),
+	plan := &store.Plan{
+		Kind: store.PlanMerge, Epoch: epoch, Donor: donor, Dest: survivor,
+		DonorVia: d.PartitionRing(donor), DestRing: d.PartitionRing(survivor), Prev: cur,
 	}
-	c.recordIntent(plan)
+	d.RecordPlan(*plan)
 
 	if err := c.runMerge(plan, next); err != nil {
 		return err
@@ -517,10 +374,9 @@ func (c *Coordinator) MergePartitions(survivor, donor int) error {
 }
 
 // runMerge executes the ordered phases of a recorded merge plan.
-func (c *Coordinator) runMerge(plan *Plan, next store.Partitioner) error {
+func (c *Coordinator) runMerge(plan *store.Plan, next store.Partitioner) error {
 	d := c.cfg.Store
-	donorRing := msg.RingID(plan.DonorVia)
-	destRing := msg.RingID(plan.DestRing)
+	donorRing, destRing := plan.DonorVia, plan.DestRing
 
 	// 2a. Prepare the survivor: arm it to accept epoch-tagged chunks. As
 	// with a split, each prepare is preceded by a lease revocation ordered
@@ -578,19 +434,19 @@ func (c *Coordinator) runMerge(plan *Plan, next store.Partitioner) error {
 	if err := c.step("retire"); err != nil && !errors.Is(err, errCrash) {
 		return err
 	}
-	c.clearIntent()
+	c.cfg.Store.ClearPlan()
 	return nil
 }
 
 // publish has the deployment adopt the plan's schema over the epoch the
-// plan started from, and advances the plan's recovery watermark. A refused
-// adopt means another publisher advanced the schema first.
-func (c *Coordinator) publish(plan *Plan, next store.Partitioner) error {
+// plan started from, and records the plan as published. A refused adopt
+// means another publisher advanced the schema first.
+func (c *Coordinator) publish(plan *store.Plan, next store.Partitioner) error {
 	if !c.cfg.Store.AdoptReconfig(plan.Epoch, next) {
 		return fmt.Errorf("concurrent schema publisher detected (deployment no longer at epoch %d)", plan.Epoch-1)
 	}
-	plan.Phase = phasePublished
-	c.recordIntent(plan)
+	plan.Published = true
+	c.cfg.Store.RecordPlan(*plan)
 	return nil
 }
 
@@ -617,11 +473,11 @@ func (c *Coordinator) copyChunks(ring msg.RingID, dest int, epoch uint64, moved 
 }
 
 // failed handles a phase failure: a simulated coordinator crash returns
-// immediately (the intent record stays for ResolvePending); every real
+// immediately (the plan stays recorded for ResolvePending); every real
 // failure between prepare and commit is routed through the ordered abort,
 // so the frozen range unfreezes and orphaned state is removed instead of
 // being left half-applied.
-func (c *Coordinator) failed(plan *Plan, phase string, err error) error {
+func (c *Coordinator) failed(plan *store.Plan, phase string, err error) error {
 	if errors.Is(err, errCrash) {
 		return err
 	}
@@ -637,27 +493,23 @@ func (c *Coordinator) failed(plan *Plan, phase string, err error) error {
 // split partition is removed. Every step is idempotent against replicas
 // that never saw the prepare, so it is safe after a crash at any phase
 // before the commit.
-func (c *Coordinator) abortPlan(plan *Plan) error {
+func (c *Coordinator) abortPlan(plan *store.Plan) error {
 	d := c.cfg.Store
 	var errs []error
-	if err := c.client.AbortReconfig(msg.RingID(plan.DonorVia), plan.Epoch); err != nil {
+	if err := c.client.AbortReconfig(plan.DonorVia, plan.Epoch); err != nil {
 		errs = append(errs, fmt.Errorf("donor abort: %w", err))
 	}
-	if plan.Kind == PlanMerge {
-		if err := c.client.AbortReconfig(msg.RingID(plan.DestRing), plan.Epoch); err != nil {
+	if plan.Kind == store.PlanMerge {
+		if err := c.client.AbortReconfig(plan.DestRing, plan.Epoch); err != nil {
 			errs = append(errs, fmt.Errorf("destination abort: %w", err))
 		}
 	}
 	// Only a plan that adopted may revert: after a refused adopt the
 	// deployment sits at the epoch another publisher adopted.
-	if plan.Phase == phasePublished {
-		if prev, err := plan.prevPartitioner(); err == nil {
-			d.RevertReconfig(plan.Epoch, prev)
-		} else {
-			errs = append(errs, fmt.Errorf("intent record mapping: %w", err))
-		}
+	if plan.Published {
+		d.RevertReconfig(plan.Epoch, plan.Prev)
 	}
-	if plan.Kind == PlanSplit && plan.Provisioned {
+	if plan.Kind == store.PlanSplit && plan.Provisioned {
 		if err := d.RemovePartition(plan.Dest); err != nil {
 			errs = append(errs, fmt.Errorf("removing provisioned partition: %w", err))
 		}
@@ -665,7 +517,7 @@ func (c *Coordinator) abortPlan(plan *Plan) error {
 	if len(errs) > 0 {
 		return errors.Join(errs...)
 	}
-	c.clearIntent()
+	c.cfg.Store.ClearPlan()
 	c.aborts++
 	if c.cfg.OnStep != nil {
 		c.cfg.OnStep("abort")
@@ -673,7 +525,7 @@ func (c *Coordinator) abortPlan(plan *Plan) error {
 	return nil
 }
 
-// ResolvePending inspects the recorded reconfiguration intent — of this
+// ResolvePending inspects the deployment's recorded plan — of this
 // coordinator or a crashed predecessor — and finishes it: a plan that
 // died before its commit is rolled back with the ordered abort (the
 // frozen range unfreezes, a provisioned partition is removed), and a plan
@@ -681,37 +533,35 @@ func (c *Coordinator) abortPlan(plan *Plan) error {
 // (the commit is re-ordered and, for merges, the donor teardown
 // completed; both are idempotent). It returns the plan it resolved, or nil
 // when nothing was pending.
-func (c *Coordinator) ResolvePending() (*Plan, error) {
+func (c *Coordinator) ResolvePending() (*store.Plan, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	plan, err := c.loadIntent()
-	if err != nil || plan == nil {
-		return nil, err
+	p, ok := c.cfg.Store.PendingPlan()
+	if !ok {
+		return nil, nil
 	}
-	if plan.Phase != phasePublished {
-		if err := c.abortPlan(plan); err != nil {
-			return plan, err
-		}
-		return plan, nil
+	plan := &p
+	if !plan.Published {
+		return plan, c.abortPlan(plan)
 	}
 	// Published: roll forward.
 	switch plan.Kind {
-	case PlanSplit:
-		if err := c.client.CommitSplit(msg.RingID(plan.DonorVia), plan.Donor, plan.Epoch); err != nil {
+	case store.PlanSplit:
+		if err := c.client.CommitSplit(plan.DonorVia, plan.Donor, plan.Epoch); err != nil {
 			return plan, fmt.Errorf("rebalance: resuming commit: %w", err)
 		}
-	case PlanMerge:
-		next, err := plan.nextPartitioner()
+	case store.PlanMerge:
+		next, err := plan.Prev.Merge(plan.Donor, plan.Dest)
 		if err != nil {
 			return plan, fmt.Errorf("rebalance: resuming commit: %w", err)
 		}
-		if err := c.client.CommitMerge(msg.RingID(plan.DestRing), plan.Donor, plan.Dest, plan.Epoch, next); err != nil {
+		if err := c.client.CommitMerge(plan.DestRing, plan.Donor, plan.Dest, plan.Epoch, next); err != nil {
 			return plan, fmt.Errorf("rebalance: resuming commit: %w", err)
 		}
 		if err := c.cfg.Store.RetirePartition(plan.Donor); err != nil {
 			return plan, fmt.Errorf("rebalance: resuming teardown: %w", err)
 		}
 	}
-	c.clearIntent()
+	c.cfg.Store.ClearPlan()
 	return plan, nil
 }

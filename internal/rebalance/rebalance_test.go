@@ -11,7 +11,6 @@ import (
 
 	"mrp/internal/metrics"
 	"mrp/internal/netsim"
-	"mrp/internal/registry"
 	"mrp/internal/storage"
 	"mrp/internal/store"
 	"mrp/internal/ycsb"
@@ -19,7 +18,7 @@ import (
 
 const records = 1000
 
-func deploySplitStore(t *testing.T, global bool) (*store.Deployment, *registry.Registry) {
+func deploySplitStore(t *testing.T, global bool) *store.Deployment {
 	t.Helper()
 	net := netsim.New(netsim.WithUniformLatency(20 * time.Microsecond))
 	d, err := store.Deploy(store.DeployConfig{
@@ -44,13 +43,12 @@ func deploySplitStore(t *testing.T, global bool) (*store.Deployment, *registry.R
 		d.Stop()
 		net.Close()
 	})
-	reg := registry.New()
 	var recs []store.Entry
 	for _, o := range ycsb.Load(ycsb.Config{RecordCount: records, ValueSize: 64}) {
 		recs = append(recs, store.Entry{Key: o.Key, Value: o.Value})
 	}
 	d.Preload(recs)
-	return d, reg
+	return d
 }
 
 // TestLiveSplitUnderConcurrentWorkload is the acceptance scenario of the
@@ -61,13 +59,12 @@ func deploySplitStore(t *testing.T, global bool) (*store.Deployment, *registry.R
 // reads of migrated keys are served by the new partition, and (c) the
 // bench timeline shows throughput recovering after the split.
 func TestLiveSplitUnderConcurrentWorkload(t *testing.T) {
-	d, reg := deploySplitStore(t, true)
+	d := deploySplitStore(t, true)
 	tl := metrics.NewTimeline(100 * time.Millisecond)
 
 	coord, err := New(Config{
-		Store:    d,
-		Registry: reg,
-		OnStep:   func(s string) { tl.Mark(time.Now(), s) },
+		Store:  d,
+		OnStep: func(s string) { tl.Mark(time.Now(), s) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -290,8 +287,8 @@ func meanThroughput(s []metrics.Sample, lo, hi int) float64 {
 // independent-rings deployment: prepare/commit are ordered through the
 // source partition's own ring.
 func TestSplitWithoutGlobalRing(t *testing.T) {
-	d, reg := deploySplitStore(t, false)
-	coord, err := New(Config{Store: d, Registry: reg})
+	d := deploySplitStore(t, false)
+	coord, err := New(Config{Store: d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,8 +325,8 @@ func TestSplitWithoutGlobalRing(t *testing.T) {
 // The second split's source is not a global-ring member, so its
 // prepare/commit must be ordered through the source's own ring.
 func TestChainedSplit(t *testing.T) {
-	d, reg := deploySplitStore(t, true)
-	coord, err := New(Config{Store: d, Registry: reg})
+	d := deploySplitStore(t, true)
+	coord, err := New(Config{Store: d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,8 +375,8 @@ func TestChainedSplit(t *testing.T) {
 // TestSplitRollbackOnPrepareFailure checks a split that cannot prepare
 // rolls its provisioned partition back, leaving the topology reusable.
 func TestSplitRollbackOnPrepareFailure(t *testing.T) {
-	d, reg := deploySplitStore(t, true)
-	coord, err := New(Config{Store: d, Registry: reg})
+	d := deploySplitStore(t, true)
+	coord, err := New(Config{Store: d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,8 +408,8 @@ func TestSplitRollbackOnPrepareFailure(t *testing.T) {
 
 // TestSplitValidation covers coordinator input checks.
 func TestSplitValidation(t *testing.T) {
-	d, reg := deploySplitStore(t, true)
-	coord, err := New(Config{Store: d, Registry: reg})
+	d := deploySplitStore(t, true)
+	coord, err := New(Config{Store: d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,11 +426,10 @@ func TestSplitValidation(t *testing.T) {
 }
 
 // TestConcurrentPublisherFenced plays a rival publisher that adopts the
-// split's epoch while the split is in flight, with no registry configured:
-// the split's own adopt must be refused, the split rolled back, and the
+// split's epoch while the split is in flight: the split's own adopt must be refused, the split rolled back, and the
 // rival's schema left in place.
 func TestConcurrentPublisherFenced(t *testing.T) {
-	d, _ := deploySplitStore(t, true)
+	d := deploySplitStore(t, true)
 	coord, err := New(Config{Store: d})
 	if err != nil {
 		t.Fatal(err)

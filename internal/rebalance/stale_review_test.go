@@ -14,8 +14,8 @@ import (
 // the next-free-index check and time the prepare out. The ordered
 // prepare/commit now carry the authoritative mapping instead.
 func TestSplitOtherPartitionAfterMerge(t *testing.T) {
-	d, reg := deploySplitStore(t, true)
-	coord, err := New(Config{Store: d, Registry: reg})
+	d := deploySplitStore(t, true)
+	coord, err := New(Config{Store: d})
 	if err != nil {
 		t.Fatal(err)
 	}

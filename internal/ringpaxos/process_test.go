@@ -349,7 +349,7 @@ func TestCoordinatorFailover(t *testing.T) {
 	tr.waitDelivered([]int{1, 2}, 10, 5*time.Second)
 
 	// Coordinator crashes; the survivors heal the ring around it and node 1
-	// takes over (in production the registry election triggers both).
+	// takes over.
 	tr.crash(0)
 	tr.procs[1].SetPeerDown(1, true)
 	tr.procs[2].SetPeerDown(1, true)

@@ -130,9 +130,12 @@ type splitBirth struct {
 // client command carries the epoch it was routed under. The protocol
 // between the rebalance coordinator, replicas, and clients:
 //
-//  1. Exactly one writer (the rebalance coordinator) advances the schema.
-//     AdoptReconfig installs epoch e only over epoch e-1, so a concurrent
-//     publisher is detected instead of silently overwritten.
+//  1. Exactly one writer (the rebalance coordinator) advances the schema;
+//     under auto-sharding it is the one driven by the controller that
+//     holds Lead. It records its plan here (RecordPlan) before the first
+//     ordered command, and AdoptReconfig installs epoch e only over epoch
+//     e-1, so a concurrent publisher is detected instead of silently
+//     overwritten.
 //  2. Replicas learn epoch changes only through totally-ordered commands
 //     on their rings (opPrepareReconfig / opCommitReconfig /
 //     opAbortReconfig) — so all replicas of a partition switch mappings
@@ -156,8 +159,8 @@ type Deployment struct {
 
 	// mu guards replacement of Replicas entries (RecoverReplica), growth
 	// of the partition set (AddPartition/AdoptReconfig/RetirePartition),
-	// and the topology fields below against concurrent inspection while
-	// running.
+	// the plan record and the controller lease, and the topology fields
+	// below against concurrent inspection while running.
 	mu          sync.RWMutex
 	epoch       uint64
 	partitioner Partitioner // committed mapping (epoch's partitioner)
@@ -176,6 +179,11 @@ type Deployment struct {
 	// freeRings holds ring IDs recycled by ring retirement; AddPartition
 	// reuses them (most recently retired first) before minting new IDs.
 	freeRings []msg.RingID
+	// plan is the reconfiguration in flight (RecordPlan), nil when none.
+	plan *Plan
+	// leader holds the auto-sharding controller lease (Lead), nil when
+	// free.
+	leader any
 
 	// renewing counts running lease renewers; Stop waits for them.
 	renewing sync.WaitGroup
@@ -501,8 +509,7 @@ func (d *Deployment) Preload(entries []Entry) {
 }
 
 // CrashReplica stops replica r of partition p and heals the rings around
-// it, as the coordination service would (Section 8.5 terminates a replica
-// at runtime).
+// it (Section 8.5 terminates a replica at runtime).
 func (d *Deployment) CrashReplica(p, r int) {
 	if h := d.ReplicaAt(p, r); h != nil && h.Stop() {
 		cluster.Heal(d.members(), nodeIDFor(p, r), true)
@@ -764,6 +771,95 @@ func (d *Deployment) RevertReconfig(epoch uint64, prev Partitioner) {
 	if d.epoch == epoch && prev != nil {
 		d.epoch = epoch - 1
 		d.partitioner = prev
+	}
+}
+
+// PlanKind names the two reconfigurations the rebalance engine executes.
+type PlanKind string
+
+const (
+	// PlanSplit carves a key range out of a partition onto a freshly
+	// provisioned partition and ring.
+	PlanSplit PlanKind = "split"
+	// PlanMerge streams a donor partition into an adjacent survivor and
+	// retires the donor's ring.
+	PlanMerge PlanKind = "merge"
+)
+
+// Plan is the record of one reconfiguration in flight: the donor range
+// being frozen, the destination receiving it, the rings ordering each
+// phase, and the mapping to revert to. The rebalance coordinator records
+// it before its first ordered command, so a successor can abort or finish
+// it after a crash.
+type Plan struct {
+	Kind  PlanKind
+	Epoch uint64
+	// Donor is the partition losing a range: the split source, or the
+	// merge partition being drained and retired.
+	Donor int
+	// Dest is the partition gaining the range: the split's new partition,
+	// or the merge survivor.
+	Dest int
+	// SplitKey is the lower bound of the moved range (splits only).
+	SplitKey string
+	// DonorVia is the ring ordering the donor's prepare/abort/commit: the
+	// global ring when the donor subscribes to it, else the donor's own.
+	DonorVia msg.RingID
+	// DestRing is the destination's ring: migrate chunks, activation, and
+	// (merges) the commit are ordered on it.
+	DestRing msg.RingID
+	// Provisioned records that the plan created Dest (aborts remove it).
+	Provisioned bool
+	// Published records that this plan's own AdoptReconfig succeeded:
+	// resolving it means rolling forward, otherwise aborting.
+	Published bool
+	// Prev is the pre-reconfiguration mapping an abort reverts to.
+	Prev *RangePartitioner
+}
+
+// RecordPlan records the reconfiguration in flight, replacing any earlier
+// record.
+func (d *Deployment) RecordPlan(p Plan) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.plan = &p
+}
+
+// PendingPlan returns a copy of the recorded reconfiguration, if any.
+func (d *Deployment) PendingPlan() (Plan, bool) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	if d.plan == nil {
+		return Plan{}, false
+	}
+	return *d.plan, true
+}
+
+// ClearPlan drops the record once its reconfiguration is resolved.
+func (d *Deployment) ClearPlan() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.plan = nil
+}
+
+// Lead is the controller lease: it grants the lease to owner if no one
+// holds it and reports whether owner holds it. Owners are compared by
+// identity, so pass a pointer.
+func (d *Deployment) Lead(owner any) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.leader == nil {
+		d.leader = owner
+	}
+	return d.leader == owner
+}
+
+// Resign releases the controller lease if owner holds it.
+func (d *Deployment) Resign(owner any) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.leader == owner {
+		d.leader = nil
 	}
 }
 

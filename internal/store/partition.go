@@ -118,12 +118,6 @@ func newRangePartitionerAssigned(bounds []string, assign []int) (*RangePartition
 	}, nil
 }
 
-// NewRangePartitionerAssigned rebuilds a partitioner from recorded bounds
-// and slot assignments (the shape reconfiguration intent records carry).
-func NewRangePartitionerAssigned(bounds []string, assign []int) (*RangePartitioner, error) {
-	return newRangePartitionerAssigned(bounds, assign)
-}
-
 // Bounds returns the boundary keys (copy).
 func (p *RangePartitioner) Bounds() []string { return append([]string(nil), p.bounds...) }
 

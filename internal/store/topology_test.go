@@ -149,8 +149,8 @@ func TestAdoptReconfigFencesConcurrentPublisher(t *testing.T) {
 	}
 }
 
-// TestRangeAssignmentValidation checks NewRangePartitionerAssigned, which
-// rebuilds the pre-reconfiguration mapping from a rebalance intent record:
+// TestRangeAssignmentValidation checks newRangePartitionerAssigned, which
+// rebuilds a mapping from the bounds and assignment a snapshot records:
 // a split partitioner's bounds and slot assignment rebuild a partitioner
 // that agrees with it, duplicate assignments (a merge survivor owning
 // several slots) are legal, and negative or short ones are refused.
@@ -160,7 +160,7 @@ func TestRangeAssignmentValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rebuilt, err := NewRangePartitionerAssigned(split.Bounds(), split.Assignments())
+	rebuilt, err := newRangePartitionerAssigned(split.Bounds(), split.Assignments())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,13 +174,55 @@ func TestRangeAssignmentValidation(t *testing.T) {
 	if split.PartitionOf("i") != 1 || split.PartitionOf("j") != 3 || split.PartitionOf("z") != 2 {
 		t.Fatalf("split assignment wrong: %v / %v", split.Bounds(), split.Assignments())
 	}
-	if _, err := NewRangePartitionerAssigned(split.Bounds(), []int{0, 0, 1, 2}); err != nil {
+	if _, err := newRangePartitionerAssigned(split.Bounds(), []int{0, 0, 1, 2}); err != nil {
 		t.Fatalf("merge-shaped assignment rejected: %v", err)
 	}
-	if _, err := NewRangePartitionerAssigned(split.Bounds(), []int{0, -1, 1, 2}); err == nil {
+	if _, err := newRangePartitionerAssigned(split.Bounds(), []int{0, -1, 1, 2}); err == nil {
 		t.Fatal("negative assignment accepted")
 	}
-	if _, err := NewRangePartitionerAssigned(split.Bounds(), []int{0, 1}); err == nil {
+	if _, err := newRangePartitionerAssigned(split.Bounds(), []int{0, 1}); err == nil {
 		t.Fatal("short assignment accepted")
+	}
+}
+
+// TestPlanRecordAndLease checks the deployment's plan record and
+// controller lease on a zero Deployment: PendingPlan hands out a copy,
+// ClearPlan empties the record, only the lease holder can resign, and the
+// lease passes on once it does.
+func TestPlanRecordAndLease(t *testing.T) {
+	var d Deployment
+	if _, ok := d.PendingPlan(); ok {
+		t.Fatal("zero deployment has a pending plan")
+	}
+	prev := NewRangePartitioner([]string{"m"})
+	d.RecordPlan(Plan{Kind: PlanSplit, Epoch: 2, Donor: 1, Dest: 2, SplitKey: "t", Prev: prev})
+	got, ok := d.PendingPlan()
+	if !ok || got.Kind != PlanSplit || got.Epoch != 2 || got.Prev != prev {
+		t.Fatalf("pending plan = %+v, %v", got, ok)
+	}
+	got.Published = true
+	got.Epoch = 9
+	if again, _ := d.PendingPlan(); again.Published || again.Epoch != 2 {
+		t.Fatalf("changing the returned plan changed the record: %+v", again)
+	}
+	d.ClearPlan()
+	if p, ok := d.PendingPlan(); ok {
+		t.Fatalf("plan survived ClearPlan: %+v", p)
+	}
+
+	a, b := new(int), new(int)
+	if !d.Lead(a) || !d.Lead(a) {
+		t.Fatal("first owner did not take the free lease")
+	}
+	if d.Lead(b) {
+		t.Fatal("second owner leads while the first holds the lease")
+	}
+	d.Resign(b)
+	if !d.Lead(a) || d.Lead(b) {
+		t.Fatal("resign by a non-owner released the lease")
+	}
+	d.Resign(a)
+	if !d.Lead(b) || d.Lead(a) {
+		t.Fatal("lease did not pass on after the owner resigned")
 	}
 }

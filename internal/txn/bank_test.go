@@ -9,7 +9,6 @@ import (
 
 	"mrp/internal/netsim"
 	"mrp/internal/rebalance"
-	"mrp/internal/registry"
 	"mrp/internal/storage"
 	"mrp/internal/store"
 	"mrp/internal/txn"
@@ -56,14 +55,13 @@ func TestBankConservationUnderLiveSplit(t *testing.T) {
 		d.Stop()
 		net.Close()
 	}()
-	reg := registry.New()
 	recs := make([]store.Entry, accounts)
 	for i := range recs {
 		recs[i] = store.Entry{Key: acct(i), Value: txn.EncodeBalance(initial)}
 	}
 	d.Preload(recs)
 
-	coord, err := rebalance.New(rebalance.Config{Store: d, Registry: reg})
+	coord, err := rebalance.New(rebalance.Config{Store: d})
 	if err != nil {
 		t.Fatal(err)
 	}

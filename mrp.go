@@ -33,7 +33,6 @@ import (
 	"mrp/internal/multiring"
 	"mrp/internal/netsim"
 	"mrp/internal/recovery"
-	"mrp/internal/registry"
 	"mrp/internal/ringpaxos"
 	"mrp/internal/smr"
 	"mrp/internal/storage"
@@ -159,19 +158,6 @@ var (
 	// OpenFileWAL opens a file-backed acceptor log (real durability).
 	OpenFileWAL = storage.OpenFileWAL
 )
-
-// Registry (coordination service) re-exports. It holds the rebalance
-// intent record and the auto-sharding controller election.
-type (
-	// Registry is the in-process coordination service (Zookeeper
-	// substitute).
-	Registry = registry.Registry
-	// RegistrySession groups ephemeral nodes that expire together.
-	RegistrySession = registry.Session
-)
-
-// NewRegistry creates an empty coordination service.
-var NewRegistry = registry.New
 
 // NewMemLog creates an in-memory acceptor log (the common default for
 // examples and tests).

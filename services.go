@@ -75,8 +75,8 @@ var NewRebalancer = rebalance.New
 // Auto-sharding: a load-driven controller that watches per-partition load
 // and size through the store's stats surface and drives the rebalancer on
 // its own — split/merge thresholds with hysteresis, median-key split
-// selection, a migration budget, and a leader lease through the registry
-// (see internal/autoshard).
+// selection, a migration budget, and a controller lease held by the
+// deployment (see internal/autoshard).
 type (
 	// AutoSharder is the auto-sharding control loop.
 	AutoSharder = autoshard.Controller
