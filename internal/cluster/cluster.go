@@ -88,8 +88,9 @@ type Spec struct {
 	Starts  map[msg.RingID]msg.Instance
 	Install *storage.Checkpoint
 	// Service, when set, sees every non-ring message before the replica
-	// does and reports whether it consumed it. It runs on the router
-	// goroutine and must not block.
+	// does and reports whether it consumed it. It runs on the goroutine
+	// that received the message, possibly concurrently with itself, and
+	// must not block.
 	Service func(transport.Envelope) bool
 	// OnStop runs first when the member stops, to release anything that
 	// could hold the replica's execution goroutine.

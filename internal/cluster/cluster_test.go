@@ -111,6 +111,8 @@ type failingEndpoint struct {
 
 func (e *failingEndpoint) Inbox() <-chan transport.Envelope { return closedInbox }
 
+func (e *failingEndpoint) Handle(func(transport.Envelope)) {}
+
 func (e *failingEndpoint) Close() error {
 	e.closed.Add(1)
 	return e.Endpoint.Close()

@@ -89,7 +89,8 @@ func (n *Node) Join(cfg ringpaxos.Config) (*ringpaxos.Process, error) {
 }
 
 // Service registers the handler for non-ring messages. It runs on the
-// router goroutine and must not block. Must be called before Start.
+// goroutine that received the message, possibly concurrently with itself
+// for different senders, and must not block. Must be called before Start.
 func (n *Node) Service(fn func(transport.Envelope)) {
 	n.router.Service(fn)
 }
@@ -124,7 +125,10 @@ func (n *Node) Multicast(group msg.RingID, payload []byte) error {
 	return p.Propose(payload)
 }
 
-// Start launches the router and all ring processes.
+// Start launches all ring processes, then routes the endpoint's messages,
+// beginning with those that arrived before Start. The processes run
+// first, so routing the early messages never waits on a full, unread
+// ring input.
 func (n *Node) Start() {
 	n.mu.Lock()
 	if n.started {
@@ -137,10 +141,10 @@ func (n *Node) Start() {
 		procs = append(procs, p)
 	}
 	n.mu.Unlock()
-	n.router.Start()
 	for _, p := range procs {
 		p.Start()
 	}
+	n.router.Start()
 }
 
 // Stop terminates all ring processes and the router, then closes the

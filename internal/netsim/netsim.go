@@ -9,7 +9,8 @@
 // function of link latency and bandwidth, both of which are modeled here.
 //
 // Delivery model: each ordered (sender, receiver) pair is a link with a
-// dedicated delivery goroutine. A packet of size s sent at time t arrives
+// dedicated delivery goroutine, which runs the receiver's handler (see
+// transport.Endpoint.Handle). A packet of size s sent at time t arrives
 // at max(t, linkFree) + s/bandwidth + latency; linkFree advances by the
 // serialization time, so a burst of large packets queues behind itself
 // exactly as it would on a NIC. Messages on one link are delivered FIFO.
@@ -19,7 +20,7 @@
 // (internal/tcpnet): the queue backlog becomes one simulated packet whose
 // bandwidth cost is the encoded msg.Batch size, so simulation and real
 // sockets stay behaviorally aligned. Delivered envelopes always carry
-// individual messages, exactly as tcpnet unpacks batches before its inbox.
+// individual messages, exactly as tcpnet unpacks batches before delivery.
 //
 // Messages are passed by pointer without copying; see transport.Endpoint
 // for the immutability convention.
@@ -138,12 +139,7 @@ func (n *Network) Endpoint(addr transport.Addr) *Endpoint {
 	if old, ok := n.endpoints[addr]; ok && !old.isClosed() {
 		panic("netsim: duplicate live endpoint " + string(addr))
 	}
-	ep := &Endpoint{
-		net:   n,
-		addr:  addr,
-		inbox: make(chan transport.Envelope, n.inboxSize),
-		done:  make(chan struct{}),
-	}
+	ep := &Endpoint{net: n, addr: addr, recv: transport.NewReceiver(n.inboxSize)}
 	n.endpoints[addr] = ep
 	return ep
 }
@@ -276,7 +272,7 @@ func (l *link) run() {
 				}
 			}
 			for _, env := range tm.envs {
-				tm.ep.deliver(env)
+				tm.ep.recv.Deliver(env)
 			}
 		case <-l.done:
 			return
@@ -284,17 +280,15 @@ func (l *link) run() {
 	}
 }
 
-// Endpoint is a node's attachment to the simulated network.
+// Endpoint is a node's attachment to the simulated network. Each link's
+// goroutine delivers straight to the handler registered with Handle.
 type Endpoint struct {
-	net   *Network
-	addr  transport.Addr
-	inbox chan transport.Envelope
-	done  chan struct{}
+	net  *Network
+	addr transport.Addr
+	recv *transport.Receiver
 
-	mu       sync.Mutex
-	closed   bool
-	senders  map[transport.Addr]chan queuedMsg // per-destination coalescers
-	inflight sync.WaitGroup                    // delivering goroutines currently sending
+	mu      sync.Mutex
+	senders map[transport.Addr]chan queuedMsg // per-destination coalescers
 }
 
 // queuedMsg is one message waiting in a per-destination coalescing queue,
@@ -311,13 +305,12 @@ var _ transport.Endpoint = (*Endpoint)(nil)
 func (e *Endpoint) Addr() transport.Addr { return e.addr }
 
 // Inbox implements transport.Endpoint.
-func (e *Endpoint) Inbox() <-chan transport.Envelope { return e.inbox }
+func (e *Endpoint) Inbox() <-chan transport.Envelope { return e.recv.Inbox() }
 
-func (e *Endpoint) isClosed() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.closed
-}
+// Handle implements transport.Endpoint.
+func (e *Endpoint) Handle(fn func(transport.Envelope)) { e.recv.Handle(fn) }
+
+func (e *Endpoint) isClosed() bool { return e.recv.Closed() }
 
 // Send implements transport.Endpoint.
 func (e *Endpoint) Send(to transport.Addr, m msg.Message) error {
@@ -358,7 +351,7 @@ func (e *Endpoint) Send(to transport.Addr, m msg.Message) error {
 	select {
 	case e.senderFor(to) <- queuedMsg{env: env, ep: dst, lat: lat}:
 		return nil
-	case <-e.done:
+	case <-e.recv.Done():
 		return transport.ErrClosed
 	}
 }
@@ -397,7 +390,7 @@ func (e *Endpoint) coalesceLoop(to transport.Addr, ch chan queuedMsg) {
 		} else {
 			select {
 			case q = <-ch:
-			case <-e.done:
+			case <-e.recv.Done():
 				return
 			}
 		}
@@ -427,38 +420,11 @@ func (e *Endpoint) coalesceLoop(to transport.Addr, ch chan queuedMsg) {
 	}
 }
 
-// deliver pushes an envelope into the inbox, dropping it if the endpoint is
-// closed. Delivery blocks when the inbox is full, modeling TCP backpressure;
-// a concurrent Close aborts blocked deliveries through the done channel.
-func (e *Endpoint) deliver(env transport.Envelope) {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return
-	}
-	e.inflight.Add(1)
-	e.mu.Unlock()
-	defer e.inflight.Done()
-	select {
-	case e.inbox <- env:
-	case <-e.done:
-	}
-}
-
 // Close implements transport.Endpoint. The endpoint's address becomes free
-// for re-attachment (crash-recover). The inbox channel is closed once all
-// in-flight deliveries have drained, so consumers ranging over it exit.
+// for re-attachment (crash-recover). Close waits for the deliveries in
+// progress, then closes the inbox, so consumers ranging over it exit.
 func (e *Endpoint) Close() error {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return nil
-	}
-	e.closed = true
-	e.mu.Unlock()
-	close(e.done)     // abort blocked deliveries
-	e.inflight.Wait() // no sender is inside the channel send anymore
-	close(e.inbox)
+	e.recv.Close()
 	return nil
 }
 

@@ -123,7 +123,7 @@ type Stats struct {
 }
 
 // New creates a ring process attached to the endpoint. The process does not
-// read the endpoint's inbox: feed ring-scoped envelopes into In() via a
+// receive from the endpoint: feed ring-scoped envelopes into In() via a
 // transport.Router.
 func New(cfg Config, ep transport.Endpoint) (*Process, error) {
 	selfIdx, err := cfg.validate()

@@ -50,7 +50,6 @@ type Client struct {
 
 	stopOnce sync.Once
 	stop     chan struct{}
-	done     chan struct{}
 }
 
 // NewClient creates and starts a client.
@@ -67,13 +66,12 @@ func NewClient(cfg ClientConfig) *Client {
 		leasePending: make(map[uint64]chan *msg.LeaseReply),
 		cursor:       make(map[msg.RingID]int),
 		stop:         make(chan struct{}),
-		done:         make(chan struct{}),
 	}
-	go c.readLoop()
+	cfg.Endpoint.Handle(c.handle)
 	return c
 }
 
-// Close shuts the client down.
+// Close shuts the client down. It does not close the endpoint.
 func (c *Client) Close() {
 	c.stopOnce.Do(func() {
 		c.mu.Lock()
@@ -81,48 +79,38 @@ func (c *Client) Close() {
 		c.mu.Unlock()
 		close(c.stop)
 	})
-	<-c.done
 }
 
-func (c *Client) readLoop() {
-	defer close(c.done)
-	inbox := c.cfg.Endpoint.Inbox()
-	for {
-		select {
-		case env, ok := <-inbox:
-			if !ok {
-				return
-			}
-			switch resp := env.Msg.(type) {
-			case *msg.Response:
-				if resp.ClientID != c.cfg.ID {
-					continue
-				}
-				c.mu.Lock()
-				ch := c.pending[resp.Seq]
-				c.mu.Unlock()
-				if ch != nil {
-					select {
-					case ch <- resp:
-					default: // gather buffer full: extra duplicate, drop
-					}
-				}
-			case *msg.LeaseReply:
-				if resp.ClientID != c.cfg.ID {
-					continue
-				}
-				c.mu.Lock()
-				ch := c.leasePending[resp.Seq]
-				c.mu.Unlock()
-				if ch != nil {
-					select {
-					case ch <- resp:
-					default: // late duplicate, drop
-					}
-				}
-			}
-		case <-c.stop:
+// handle routes a replica's reply to the call waiting for it. It runs on
+// the endpoint's receiving goroutines and never blocks; after Close no
+// call waits, so every reply is dropped.
+func (c *Client) handle(env transport.Envelope) {
+	switch resp := env.Msg.(type) {
+	case *msg.Response:
+		if resp.ClientID != c.cfg.ID {
 			return
+		}
+		c.mu.Lock()
+		ch := c.pending[resp.Seq]
+		c.mu.Unlock()
+		if ch != nil {
+			select {
+			case ch <- resp:
+			default: // gather buffer full: extra duplicate, drop
+			}
+		}
+	case *msg.LeaseReply:
+		if resp.ClientID != c.cfg.ID {
+			return
+		}
+		c.mu.Lock()
+		ch := c.leasePending[resp.Seq]
+		c.mu.Unlock()
+		if ch != nil {
+			select {
+			case ch <- resp:
+			default: // late duplicate, drop
+			}
 		}
 	}
 }

@@ -21,6 +21,7 @@ type benchNullEndpoint struct{}
 func (benchNullEndpoint) Addr() transport.Addr                   { return "bench-null" }
 func (benchNullEndpoint) Send(transport.Addr, msg.Message) error { return nil }
 func (benchNullEndpoint) Inbox() <-chan transport.Envelope       { return nil }
+func (benchNullEndpoint) Handle(func(transport.Envelope))        {}
 func (benchNullEndpoint) Close() error                           { return nil }
 
 // benchSM executes without allocating.

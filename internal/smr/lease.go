@@ -150,8 +150,9 @@ type claimKey struct {
 }
 
 // leaseReadQueueLen bounds buffered local reads between the service
-// handler (router goroutine, must not block) and the executor. A full
-// queue declines immediately — the client falls back to the ordered path.
+// handler (on a receiving goroutine, must not block) and the executor. A
+// full queue declines immediately — the client falls back to the ordered
+// path.
 const leaseReadQueueLen = 256
 
 // leaseRead is one queued local read.
@@ -258,50 +259,87 @@ type heldReply struct {
 
 // heldCap bounds the suppression buffer. Entries beyond it are the oldest
 // — held longest, so almost certainly already answered by a live holder —
-// and are dropped first.
+// and are dropped first. It is a power of two, the ring buffer's largest
+// size.
 const heldCap = 8192
+
+// heldQueue is the FIFO of withheld replies: a ring buffer that keeps at
+// most heldCap entries and drops the oldest when full. Holding and
+// expiring an entry cost O(1) and allocate nothing once the buffer has
+// grown to the backlog.
+type heldQueue struct {
+	buf  []heldReply // power-of-two length, at most heldCap
+	head int         // index of the oldest entry
+	n    int
+}
+
+// at returns the i-th oldest entry.
+func (q *heldQueue) at(i int) *heldReply {
+	return &q.buf[(q.head+i)&(len(q.buf)-1)]
+}
+
+// push appends h, dropping the oldest entry when the queue is at heldCap.
+func (q *heldQueue) push(h heldReply) {
+	if q.n == len(q.buf) {
+		if q.n == heldCap {
+			q.pop()
+		} else {
+			buf := make([]heldReply, max(16, 2*len(q.buf)))
+			for i := range q.n {
+				buf[i] = *q.at(i)
+			}
+			q.buf, q.head = buf, 0
+		}
+	}
+	*q.at(q.n) = h
+	q.n++
+}
+
+// pop removes and returns the oldest entry, clearing its slot so the
+// response (and its arena slab) can be freed.
+func (q *heldQueue) pop() heldReply {
+	h := q.buf[q.head]
+	q.buf[q.head] = heldReply{}
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return h
+}
 
 // holdReplyLocked buffers a suppressed reply for flushHeld. Caller holds
 // r.mu.
 func (r *Replica) holdReplyLocked(to transport.Addr, resp *msg.Response) {
-	if len(r.held) >= heldCap {
-		r.held = append(r.held[:0], r.held[1:]...)
-	}
-	r.held = append(r.held, heldReply{to: to, resp: resp, at: leaseClockNow()})
+	r.held.push(heldReply{to: to, resp: resp, at: leaseClockNow()})
 }
 
 // flushHeld releases buffered replies. When the suppression gate is open
 // (the lease names this replica, or the silence window lapsed) the whole
-// buffer sends — this is the liveness path that answers writes
-// delivered while a dead holder's lease ran out. While the gate is still
-// closed it only expires entries older than one lease duration: staying
-// suppressed that long requires fresh ordered claims, which requires a
-// live holder, which answered those commands itself. Called from the
-// execution goroutine (after applies and on its idle tick), so sends
-// never race the normal reply path.
+// buffer sends, oldest first — this is the liveness path that answers
+// writes delivered while a dead holder's lease ran out. While the gate is
+// still closed it only expires entries older than one lease duration:
+// staying suppressed that long requires fresh ordered claims, which
+// requires a live holder, which answered those commands itself. Called
+// from the execution goroutine (after applies and on its idle tick), so
+// sends never race the normal reply path.
 func (r *Replica) flushHeld() {
 	r.mu.Lock()
-	if len(r.held) == 0 {
+	if r.held.n == 0 {
 		r.mu.Unlock()
 		return
 	}
-	var out []heldReply
-	if !r.replySuppressed() {
-		out = r.held
-		r.held = nil
-	} else {
+	if r.replySuppressed() {
 		ttl := time.Duration(r.lease.durMs) * time.Millisecond
 		now := leaseClockNow()
-		n := 0
-		for n < len(r.held) && now.Sub(r.held[n].at) > ttl {
-			n++
+		for r.held.n > 0 && now.Sub(r.held.at(0).at) > ttl {
+			r.held.pop()
 		}
-		if n > 0 {
-			r.held = append([]heldReply(nil), r.held[n:]...)
-		}
+		r.mu.Unlock()
+		return
 	}
+	out := r.held
+	r.held = heldQueue{}
 	r.mu.Unlock()
-	for _, h := range out {
+	for out.n > 0 {
+		h := out.pop()
 		_ = r.cfg.Node.Endpoint().Send(h.to, h.resp)
 	}
 }

@@ -73,15 +73,15 @@ type Replica struct {
 	// pendingClaims binds claims this process proposed (via
 	// RegisterLeaseClaim) to the serve window computed before proposing.
 	pendingClaims map[claimKey]time.Time
-	// held buffers client replies withheld by the suppression gate. The
-	// ring coordinator deduplicates (proposer, seq), so a retransmission
-	// of a suppressed command is never re-delivered — the buffered reply
-	// is the command's ONLY reply. Suppression therefore delays replies,
-	// never drops them: flushHeld sends the buffer the moment the silence
-	// window lapses (holder down, renewals stopped) or an ordered revoke
-	// or holder change deactivates the lease. Process-local liveness
-	// state, like the windows above; not checkpointed.
-	held []heldReply
+	// held queues client replies withheld by the suppression gate, FIFO,
+	// up to heldCap. The ring coordinator deduplicates (proposer, seq), so
+	// a retransmission of a suppressed command is never re-delivered — the
+	// queued reply is the command's ONLY reply. flushHeld sends the queue
+	// in order the moment the silence window lapses (holder down, renewals
+	// stopped) or an ordered revoke or holder change deactivates the
+	// lease. Process-local liveness state, like the windows above; not
+	// checkpointed.
+	held heldQueue
 
 	executed  uint64
 	ckpts     uint64

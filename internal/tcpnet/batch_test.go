@@ -324,9 +324,10 @@ func TestCloseUnblocksReadLoop(t *testing.T) {
 	}
 	// Wait until the inbox is full, i.e. the readLoop is blocked.
 	deadline := time.Now().Add(10 * time.Second)
-	for len(b.inbox) < cap(b.inbox) {
+	inbox := b.Inbox()
+	for len(inbox) < cap(inbox) {
 		if time.Now().After(deadline) {
-			t.Fatalf("inbox never filled: %d/%d", len(b.inbox), cap(b.inbox))
+			t.Fatalf("inbox never filled: %d/%d", len(inbox), cap(inbox))
 		}
 		time.Sleep(time.Millisecond)
 	}

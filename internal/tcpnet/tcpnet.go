@@ -14,8 +14,9 @@
 // the send loop drains its per-destination queue and packs the backlog into
 // a single msg.Batch frame, so a burst of small protocol messages costs one
 // frame and one syscall instead of one each (paper Section 4). Batches are
-// unpacked on the receive side: the inbox always carries individual
-// messages, whether or not the peer coalesces.
+// unpacked on the receive side: the handler always sees individual
+// messages, whether or not the peer coalesces. Each connection's read loop
+// calls the handler registered with Handle itself.
 package tcpnet
 
 import (
@@ -43,13 +44,12 @@ var ErrMessageTooLarge = errors.New("tcpnet: message exceeds max frame size")
 type Endpoint struct {
 	ln    net.Listener
 	addr  transport.Addr
-	inbox chan transport.Envelope
+	recv  *transport.Receiver
 	batch transport.BatchPolicy
 
 	mu     sync.Mutex
 	conns  map[transport.Addr]*outConn
 	closed bool
-	done   chan struct{}
 
 	wg sync.WaitGroup
 }
@@ -82,9 +82,8 @@ func Listen(addr string, opts ...Option) (*Endpoint, error) {
 	e := &Endpoint{
 		ln:    ln,
 		addr:  transport.Addr(ln.Addr().String()),
-		inbox: make(chan transport.Envelope, 4096),
+		recv:  transport.NewReceiver(4096),
 		conns: make(map[transport.Addr]*outConn),
-		done:  make(chan struct{}),
 	}
 	for _, o := range opts {
 		o(e)
@@ -98,7 +97,10 @@ func Listen(addr string, opts ...Option) (*Endpoint, error) {
 func (e *Endpoint) Addr() transport.Addr { return e.addr }
 
 // Inbox implements transport.Endpoint.
-func (e *Endpoint) Inbox() <-chan transport.Envelope { return e.inbox }
+func (e *Endpoint) Inbox() <-chan transport.Envelope { return e.recv.Inbox() }
+
+// Handle implements transport.Endpoint.
+func (e *Endpoint) Handle(fn func(transport.Envelope)) { e.recv.Handle(fn) }
 
 // Send implements transport.Endpoint: messages are queued on a
 // per-destination connection and serialized by its send loop; delivery is
@@ -129,7 +131,7 @@ func (e *Endpoint) Send(to transport.Addr, m msg.Message) error {
 		return nil
 	case <-oc.done:
 		return nil // connection failed: dropped, like a broken TCP link
-	case <-e.done:
+	case <-e.recv.Done():
 		return transport.ErrClosed
 	}
 }
@@ -209,7 +211,7 @@ func (e *Endpoint) sendLoop(to transport.Addr, oc *outConn) {
 		} else {
 			select {
 			case m = <-oc.ch:
-			case <-e.done:
+			case <-e.recv.Done():
 				return
 			}
 		}
@@ -270,31 +272,21 @@ func (e *Endpoint) readLoop(conn net.Conn) {
 			from = transport.Addr(hello.Payload)
 			continue
 		}
-		// Unpack transport-level batches: the inbox carries individual
-		// messages whether or not the peer coalesces.
+		// Unpack transport-level batches: the handler sees individual
+		// messages whether or not the peer coalesces. A handler that
+		// blocks, or a full inbox, backpressures the TCP stream; Deliver
+		// reports false once the endpoint closes, so the loop unwinds.
 		if b, ok := m.(*msg.Batch); ok {
 			for _, sub := range b.Msgs {
-				if !e.deliver(transport.Envelope{From: from, Msg: sub}) {
+				if !e.recv.Deliver(transport.Envelope{From: from, Msg: sub}) {
 					return
 				}
 			}
 			continue
 		}
-		if !e.deliver(transport.Envelope{From: from, Msg: m}) {
+		if !e.recv.Deliver(transport.Envelope{From: from, Msg: m}) {
 			return
 		}
-	}
-}
-
-// deliver pushes one envelope into the inbox; a full inbox blocks,
-// backpressuring the TCP stream. It reports false when the endpoint closes,
-// so a blocked readLoop unwinds instead of leaking on the inbox send.
-func (e *Endpoint) deliver(env transport.Envelope) bool {
-	select {
-	case e.inbox <- env:
-		return true
-	case <-e.done:
-		return false
 	}
 }
 
@@ -324,10 +316,11 @@ func (e *Endpoint) Close() error {
 	e.closed = true
 	e.conns = map[transport.Addr]*outConn{}
 	e.mu.Unlock()
-	// Closing done (never oc.ch: a concurrent Send may be mid-enqueue)
-	// releases sendLoops waiting on their queues and readLoops blocked on a
-	// full inbox; queued messages are dropped, per the transport contract.
-	close(e.done)
+	// Closing the receiver (never oc.ch: a concurrent Send may be
+	// mid-enqueue) releases sendLoops waiting on their queues and readLoops
+	// blocked on a full inbox, and waits for the deliveries in progress;
+	// queued messages are dropped, per the transport contract.
 	_ = e.ln.Close()
+	e.recv.Close()
 	return nil
 }

@@ -6,9 +6,12 @@ import (
 	"mrp/internal/msg"
 )
 
-// Router demultiplexes an endpoint's inbox: ring-scoped messages go to the
-// Ring Paxos process registered for that ring, everything else goes to the
-// service handler. Batches are unpacked before dispatch.
+// Router demultiplexes an endpoint's messages: ring-scoped messages go to
+// the Ring Paxos process registered for that ring, everything else goes to
+// the service handler. Batches are unpacked before dispatch. The router
+// has no goroutine of its own: Start registers dispatch with the
+// endpoint's Handle, so each message is routed on the goroutine that
+// received it.
 //
 // A node that participates in several rings (e.g. a learner subscribed to
 // multiple multicast groups, Section 4 of the paper) runs one Router in
@@ -16,8 +19,8 @@ import (
 type Router struct {
 	ep Endpoint
 
-	// rings and service are written only before Start; the go statement
-	// in Start orders those writes before every read in dispatch.
+	// rings and service are written only before Start; registering
+	// dispatch with the endpoint orders those writes before every read.
 	rings   map[msg.RingID]chan<- Envelope
 	service func(Envelope)
 
@@ -41,38 +44,31 @@ func (r *Router) Ring(ring msg.RingID, ch chan<- Envelope) {
 }
 
 // Service registers the handler for non-ring messages (checkpoint RPCs,
-// client responses). The handler runs on the router goroutine and must not
-// block. Must be called before Start.
+// client responses). The handler runs on the goroutine that received the
+// message, possibly concurrently with itself for different senders, and
+// must not block. Must be called before Start.
 func (r *Router) Service(fn func(Envelope)) {
 	r.service = fn
 }
 
-// Start launches the dispatch goroutine. It returns immediately.
+// Start routes the endpoint's messages, beginning with those already
+// waiting in its inbox, and returns once those are dispatched.
 func (r *Router) Start() {
-	go r.run()
+	r.ep.Handle(r.dispatch)
 }
 
-// Stop terminates dispatching. It does not close the endpoint.
+// Stop makes dispatch drop every message, including a delivery blocked on
+// a full ring channel. It does not close the endpoint.
 func (r *Router) Stop() {
 	r.stopOnce.Do(func() { close(r.done) })
 }
 
-func (r *Router) run() {
-	inbox := r.ep.Inbox()
-	for {
-		select {
-		case env, ok := <-inbox:
-			if !ok {
-				return
-			}
-			r.dispatch(env)
-		case <-r.done:
-			return
-		}
-	}
-}
-
 func (r *Router) dispatch(env Envelope) {
+	select {
+	case <-r.done:
+		return
+	default:
+	}
 	if b, ok := env.Msg.(*msg.Batch); ok {
 		for _, sub := range b.Msgs {
 			r.dispatch(Envelope{From: env.From, Msg: sub})

@@ -2,6 +2,7 @@ package transport_test
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -126,9 +127,39 @@ func TestRouterStopsOnEndpointClose(t *testing.T) {
 	r := transport.NewRouter(b)
 	r.Start()
 	_ = b.Close()
-	// Router should exit when the inbox closes; Stop stays safe after.
-	time.Sleep(10 * time.Millisecond)
+	// The router holds no goroutine; Stop stays safe after Close.
 	r.Stop()
+}
+
+// TestRouterDropsAfterStop: Stop releases a delivery blocked on a full
+// ring channel, and every later message is dropped, ring-scoped or not.
+func TestRouterDropsAfterStop(t *testing.T) {
+	net := netsim.New(netsim.WithUniformLatency(0))
+	defer net.Close()
+	a := net.Endpoint("a")
+	b := net.Endpoint("b")
+	r := transport.NewRouter(b)
+	ring1 := make(chan transport.Envelope, 1)
+	r.Ring(1, ring1)
+	var served atomic.Int32
+	r.Service(func(transport.Envelope) { served.Add(1) })
+	r.Start()
+	// The first fills ring1 and the second blocks dispatch on it; the
+	// query waits behind them on the same link.
+	_ = a.Send("b", &msg.TrimCmd{Ring: 1, UpTo: 1})
+	_ = a.Send("b", &msg.TrimCmd{Ring: 1, UpTo: 2})
+	_ = a.Send("b", &msg.CkptQuery{Seq: 1})
+	time.Sleep(20 * time.Millisecond)
+	r.Stop()
+	_ = a.Send("b", &msg.CkptQuery{Seq: 2})
+	_ = a.Send("b", &msg.TrimCmd{Ring: 1, UpTo: 3})
+	time.Sleep(20 * time.Millisecond)
+	if n := served.Load(); n != 0 {
+		t.Fatalf("service saw %d messages queued behind or sent after Stop", n)
+	}
+	if len(ring1) != 1 || (<-ring1).Msg.(*msg.TrimCmd).UpTo != 1 {
+		t.Fatal("ring channel changed after Stop")
+	}
 }
 
 func TestHandlerMux(t *testing.T) {

@@ -63,9 +63,18 @@ type Endpoint interface {
 	// Send enqueues m for delivery to the endpoint at 'to'. Sends to unknown
 	// or crashed endpoints are silently dropped, as on a real network.
 	Send(to Addr, m msg.Message) error
-	// Inbox returns the channel of received messages. It is closed when the
-	// endpoint is closed.
+	// Handle passes every received message to fn on the goroutine that
+	// received it, starting with those waiting in the inbox, in order.
+	// Messages from one sender reach fn in order; messages from different
+	// senders may reach it concurrently, so fn must be goroutine-safe and
+	// should not block. Long-lived receivers (a node's router, a client)
+	// use Handle; a short conversation that waits for particular replies
+	// reads Inbox instead. Call it at most once.
+	Handle(fn func(Envelope))
+	// Inbox returns the channel of messages received before Handle, or
+	// without it. It is closed when the endpoint is closed.
 	Inbox() <-chan Envelope
-	// Close detaches the endpoint; pending and future messages are dropped.
+	// Close detaches the endpoint; pending and future messages are dropped
+	// and, once Close returns, nothing more reaches the handler.
 	Close() error
 }

@@ -87,10 +87,11 @@ func (ex *Exchanger) Close() {
 	ex.closeOnce.Do(func() { close(ex.closed) })
 }
 
-// Handle processes an incoming TxnVote. It runs on the node's service
-// (router) goroutine and must not block: it deposits the sender's vote
-// and, when the sender asked (Want), answers with this replica's own
-// vote if the state machine has recorded one.
+// Handle processes an incoming TxnVote. It runs on the goroutine that
+// received the vote, possibly concurrently with itself, and must not
+// block: it deposits the sender's vote and, when the sender asked (Want),
+// answers with this replica's own vote if the state machine has recorded
+// one.
 func (ex *Exchanger) Handle(env transport.Envelope) {
 	tv, ok := env.Msg.(*msg.TxnVote)
 	if !ok {
