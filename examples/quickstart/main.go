@@ -42,16 +42,19 @@ func main() {
 				panic(err)
 			}
 		}
-		node.Start()
-		defer node.Stop()
 		cluster = append(cluster, node)
 	}
 
 	// A learner at node 2 subscribed to both groups: it delivers the
-	// deterministic merge, identical at every subscriber.
+	// deterministic merge, identical at every subscriber. It is built
+	// before the node starts, so it sees every decision.
 	p1, _ := cluster[2].Process(1)
 	p2, _ := cluster[2].Process(2)
 	learner := mrp.NewLearner(1, p1, p2)
+	for _, node := range cluster {
+		node.Start()
+		defer node.Stop()
+	}
 	learner.Start()
 	defer learner.Stop()
 

@@ -112,7 +112,6 @@ func fig3Run(opts Options, mode storage.Mode, size, batchBytes int, transportBat
 			// Generous: the LAN is loss-free, and premature re-proposals
 			// would double the sync-disk load exactly when it is slowest.
 			RetryTimeout: 2 * time.Second,
-			DeliverBuf:   1 << 15,
 		}, ep)
 		if err != nil {
 			panic(err)

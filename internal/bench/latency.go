@@ -152,7 +152,6 @@ func latencyPoint(opts Options, mode LatencyMode, payload, rate int) LatencyRow 
 			// Generous: premature re-proposals would double the sync-disk
 			// load exactly when it is slowest.
 			RetryTimeout: 2 * time.Second,
-			DeliverBuf:   1 << 15,
 		})
 		if err != nil {
 			panic(err)

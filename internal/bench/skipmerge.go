@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"mrp/internal/msg"
@@ -53,38 +54,28 @@ func skipMergeThroughput(opts Options, skips bool) float64 {
 				panic(err)
 			}
 		}
-		node.Start()
 		nodesList = append(nodesList, node)
+	}
+	p1, _ := nodesList[1].Process(1)
+	p2, _ := nodesList[1].Process(2)
+	learner := multiring.NewLearner(1, p1, p2)
+	var delivered atomic.Int64
+	learner.SetDeliver(func(d multiring.Delivery) {
+		if !d.Skip {
+			delivered.Add(1)
+		}
+	})
+	for _, n := range nodesList {
+		n.Start()
 	}
 	defer func() {
 		for _, n := range nodesList {
 			n.Stop()
 		}
 	}()
-
-	p1, _ := nodesList[1].Process(1)
-	p2, _ := nodesList[1].Process(2)
-	learner := multiring.NewLearner(1, p1, p2)
-	learner.Start()
 	defer learner.Stop()
 
 	deadline := time.Now().Add(opts.point())
-	stop := make(chan struct{})
-	delivered := 0
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case d := <-learner.Deliveries():
-				if !d.Skip {
-					delivered++
-				}
-			case <-stop:
-				return
-			}
-		}
-	}()
 	payload := make([]byte, 128)
 	for time.Now().Before(deadline) {
 		// Only ring 1 carries traffic; ring 2 stays idle.
@@ -92,7 +83,5 @@ func skipMergeThroughput(opts Options, skips bool) float64 {
 		time.Sleep(200 * time.Microsecond)
 	}
 	time.Sleep(50 * time.Millisecond)
-	close(stop)
-	<-done
-	return float64(delivered) / opts.PointSeconds
+	return float64(delivered.Load()) / opts.PointSeconds
 }

@@ -93,7 +93,7 @@ type Spec struct {
 	// must not block.
 	Service func(transport.Envelope) bool
 	// OnStop runs first when the member stops, to release anything that
-	// could hold the replica's execution goroutine.
+	// could hold a ring loop inside the replica's apply.
 	OnStop func()
 }
 

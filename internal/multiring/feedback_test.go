@@ -1,7 +1,6 @@
 package multiring
 
 import (
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -9,42 +8,27 @@ import (
 	"mrp/internal/ringpaxos"
 )
 
-// feedbackSource is a DecisionSource that takes learner feedback the way
-// *ringpaxos.Process does, recording every RequestSkip bound.
+// feedbackSource is a DecisionSource that pushes its decisions and takes
+// learner feedback the way *ringpaxos.Process does, recording every
+// RequestSkip bound.
 type feedbackSource struct {
-	ring    msg.RingID
-	ch      chan ringpaxos.Decided
-	decided atomic.Uint64
-	notify  atomic.Pointer[chan<- struct{}]
-	asks    chan msg.Instance
+	ring msg.RingID
+	push func(ringpaxos.Decided)
+	asks chan msg.Instance
 }
 
 func newFeedbackSource(ring msg.RingID) *feedbackSource {
-	return &feedbackSource{ring: ring, ch: make(chan ringpaxos.Decided, 16), asks: make(chan msg.Instance, 16)}
+	return &feedbackSource{ring: ring, asks: make(chan msg.Instance, 16)}
 }
 
 func (f *feedbackSource) Ring() msg.RingID                    { return f.ring }
-func (f *feedbackSource) Decisions() <-chan ringpaxos.Decided { return f.ch }
-func (f *feedbackSource) Decided() msg.Instance               { return msg.Instance(f.decided.Load()) }
+func (f *feedbackSource) Decisions() <-chan ringpaxos.Decided { return nil }
+func (f *feedbackSource) SetSink(fn func(ringpaxos.Decided))  { f.push = fn }
 func (f *feedbackSource) RequestSkip(to msg.Instance)         { f.asks <- to }
-func (f *feedbackSource) NotifyDecided(ch chan<- struct{})    { f.notify.Store(&ch) }
 
-// decide queues one decided instance and signals the learner, as
+// decide pushes one decided instance into the learner, as
 // ringpaxos.Process.advance does.
-func (f *feedbackSource) decide(d ringpaxos.Decided) {
-	f.ch <- d
-	end := d.Instance
-	if d.Value.Skip && d.Value.SkipTo > d.Instance {
-		end = d.Value.SkipTo - 1
-	}
-	f.decided.Store(uint64(end))
-	if n := f.notify.Load(); n != nil {
-		select {
-		case *n <- struct{}{}:
-		default:
-		}
-	}
-}
+func (f *feedbackSource) decide(d ringpaxos.Decided) { f.push(d) }
 
 func value(ring msg.RingID, inst msg.Instance, data string) ringpaxos.Decided {
 	return ringpaxos.Decided{Ring: ring, Instance: inst,

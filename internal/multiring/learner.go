@@ -26,11 +26,25 @@ type Delivery struct {
 }
 
 // DecisionSource is what the learner consumes: an ordered, gap-free
-// stream of decided instances for one ring. *ringpaxos.Process implements
-// it; tests may substitute replayed streams.
+// stream of decided instances for one ring. A source that is also a
+// Pusher (*ringpaxos.Process) calls Learner.Push itself; Start pumps any
+// other source's Decisions channel into Push.
 type DecisionSource interface {
 	Ring() msg.RingID
 	Decisions() <-chan ringpaxos.Decided
+}
+
+// Pusher is a source that calls a sink with every decided instance.
+type Pusher interface {
+	SetSink(fn func(ringpaxos.Decided))
+}
+
+// SkipRequester is implemented by decision sources whose ring takes
+// learner feedback for rate leveling (*ringpaxos.Process).
+type SkipRequester interface {
+	// RequestSkip asks the ring's coordinator to skip the ring forward
+	// to the exclusive instance bound to. It must not block.
+	RequestSkip(to msg.Instance)
 }
 
 // Learner merges the decision streams of the rings a node subscribes to
@@ -41,30 +55,41 @@ type DecisionSource interface {
 // makes Multi-Ring Paxos an atomic multicast rather than a bundle of
 // independent broadcasts.
 //
-// The set of rings is fixed when the learner is built; a deployment grows
-// by starting new replicas on new rings.
+// The merge is a call: a ring loop pushes each decided instance, and the
+// push delivers, on that loop under the learner's mutex, all the merge
+// can now consume; the order depends on the decided streams alone. A
+// blocking deliver function (a transaction awaiting votes) blocks that
+// loop, after it forwarded the decision, and every loop pushing
+// meanwhile: a slow state machine slows the rings that feed it.
 //
-// The merge deliberately blocks on a ring with no decided instances —
+// The merge deliberately waits on a ring with no decided instances —
 // replicas advance at the pace of the slowest subscribed group — which is
-// why coordinators run rate leveling (skip instances) on idle rings.
+// why coordinators run rate leveling (skip instances) on idle rings; the
+// other rings' decisions queue in the learner meanwhile.
 type Learner struct {
-	m     int
-	rings []ringState // ascending ring ID; after Start, owned by run
-	out   chan Delivery
-	// wake is signalled by every SkipRequester source when it queues a
-	// decided instance, so a merge waiting on one ring notices another
-	// ring's progress (see stalled).
-	wake chan struct{}
+	m int
 
+	mu sync.Mutex
+	// rings is in ascending ring ID; cur is the ring whose turn it is and
+	// quota what that turn still owes (0 before the turn begins).
+	rings   []ringState
+	cur     int
+	quota   uint64
+	deliver func(Delivery)
+	stopped bool
+
+	out      chan Delivery
+	pumps    sync.WaitGroup
 	stopOnce sync.Once
 	stop     chan struct{}
-	done     chan struct{}
 }
 
 // ringState is the merge's position in one ring's decision stream.
 type ringState struct {
-	src DecisionSource
-	req SkipRequester // nil when src takes no learner feedback
+	src   DecisionSource
+	req   SkipRequester       // nil when src takes no learner feedback
+	queue []ringpaxos.Decided // queue[head:] is pushed, not merged yet
+	head  int
 	// frontier is the highest instance the merge has consumed (inclusive;
 	// skips advance it to SkipTo-1); 0 until it consumes the first one.
 	frontier msg.Instance
@@ -78,7 +103,8 @@ type ringState struct {
 
 // NewLearner creates a deterministic-merge learner over the given ring
 // decision sources (typically ring processes the node is a learner member
-// of). M is the number of consensus instances consumed per ring per
+// of; NewLearner sets itself as their sink, so call it before they
+// start). M is the number of consensus instances consumed per ring per
 // round-robin turn (the paper's local experiments use M=1).
 func NewLearner(m int, procs ...DecisionSource) *Learner {
 	if m <= 0 {
@@ -88,154 +114,164 @@ func NewLearner(m int, procs ...DecisionSource) *Learner {
 		m:     m,
 		rings: make([]ringState, len(procs)),
 		out:   make(chan Delivery, 8192),
-		wake:  make(chan struct{}, 1),
 		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
 	}
+	l.deliver = l.emit
 	for i, src := range procs {
 		l.rings[i].src = src
-		if req, ok := src.(SkipRequester); ok {
-			l.rings[i].req = req
-			req.NotifyDecided(l.wake)
+		l.rings[i].req, _ = src.(SkipRequester)
+		if p, ok := src.(Pusher); ok {
+			p.SetSink(l.Push)
 		}
 	}
 	sort.Slice(l.rings, func(i, j int) bool { return l.rings[i].src.Ring() < l.rings[j].src.Ring() })
 	return l
 }
 
-// Deliveries returns the merged delivery stream.
+// SetDeliver replaces Deliveries with fn, called under the learner's
+// mutex (so never Push from it). Call it before the sources start.
+func (l *Learner) SetDeliver(fn func(Delivery)) { l.deliver = fn }
+
+// Deliveries returns the merged delivery stream, unless SetDeliver
+// replaced it. A full stream blocks the pushers until read or Stop.
 func (l *Learner) Deliveries() <-chan Delivery { return l.out }
 
-// Start launches the merge goroutine.
+// Start pumps every source that does not push into Push, one goroutine
+// per source. Sources that push need nothing started.
 func (l *Learner) Start() {
-	go l.run()
+	for i := range l.rings {
+		src := l.rings[i].src // fixed at NewLearner: read without l.mu
+		if _, pushes := src.(Pusher); pushes {
+			continue
+		}
+		l.pumps.Add(1)
+		go func(ch <-chan ringpaxos.Decided) {
+			defer l.pumps.Done()
+			for {
+				select {
+				case d := <-ch:
+					l.Push(d)
+				case <-l.stop:
+					return
+				}
+			}
+		}(src.Decisions())
+	}
 }
 
-// Stop terminates the merge.
+// Stop drops later pushes and unblocks a full Deliveries stream.
 func (l *Learner) Stop() {
 	l.stopOnce.Do(func() { close(l.stop) })
-	<-l.done
+	l.mu.Lock()
+	l.stopped = true
+	l.mu.Unlock()
+	l.pumps.Wait()
 }
 
-// run is the deterministic merge (Algorithm 1): every learner subscribed
-// to the same rings with the same M consumes decisions in the same
-// round-robin order, so the delivery sequence — the input to every
-// replica's state machine — is identical across the group. The merge loop
-// runs once per delivered instance; TestLearnerMergeAllocationPin holds it
-// allocation-free.
-//
-//mrp:deterministic
-func (l *Learner) run() {
-	defer close(l.done)
-	if len(l.rings) == 0 {
-		<-l.stop
+// Push hands the learner the next decided instance of ring d.Ring (in
+// order, gap-free) and delivers everything the merge can consume now.
+func (l *Learner) Push(d ringpaxos.Decided) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.stopped {
 		return
 	}
-	// A lone ring has nothing to catch up with (nil wake never fires).
-	wake := l.wake
-	if len(l.rings) < 2 {
-		wake = nil
+	for i := range l.rings {
+		r := &l.rings[i]
+		if r.src.Ring() != d.Ring {
+			continue
+		}
+		if r.head > 0 && len(r.queue) == cap(r.queue) {
+			// Reuse the consumed prefix rather than grow.
+			n := copy(r.queue, r.queue[r.head:])
+			clear(r.queue[n:])
+			r.queue, r.head = r.queue[:n], 0
+		}
+		r.queue = append(r.queue, d)
+		l.merge()
+		return
 	}
+}
+
+// merge is the deterministic merge (Algorithm 1): every learner subscribed
+// to the same rings with the same M consumes decisions in the same
+// round-robin order, so the delivery sequence — the input to every
+// replica's state machine — is identical across the group. It runs until
+// the ring whose turn it is has nothing queued. TestLearnerMergeAllocationPin
+// holds it allocation-free. Caller holds l.mu.
+//
+//mrp:deterministic
+func (l *Learner) merge() {
 	for {
-		for i := range l.rings {
-			r := &l.rings[i]
-			quota := uint64(l.m)
-			if r.carry >= quota {
-				r.carry -= quota
+		r := &l.rings[l.cur]
+		if l.quota == 0 {
+			l.quota = uint64(l.m)
+			if r.carry >= l.quota {
+				r.carry -= l.quota
+				l.endTurn()
 				continue
 			}
-			quota -= r.carry
+			l.quota -= r.carry
 			r.carry = 0
-			for quota > 0 {
-				var d ringpaxos.Decided
-				select {
-				case d = <-r.src.Decisions():
-				default:
-					// The merge is about to block on this ring: ask its
-					// coordinator to catch up with what the other rings
-					// already decided, and ask again whenever one of them
-					// decides more while the wait lasts.
-					for waiting := true; waiting; {
-						l.stalled(i)
-						select {
-						case d = <-r.src.Decisions():
-							waiting = false
-						case <-wake:
-						case <-l.stop:
-							return
-						}
-					}
-				}
-				consumed := uint64(1)
-				if d.Value.Skip && d.Value.SkipTo > d.Instance {
-					consumed = uint64(d.Value.SkipTo - d.Instance)
-					if r.frontier < d.Value.SkipTo-1 {
-						r.frontier = d.Value.SkipTo - 1
-					}
-					if !l.emit(Delivery{
-						Ring:          d.Ring,
-						Instance:      d.Instance,
-						Skip:          true,
-						SkipTo:        d.Value.SkipTo,
-						EndOfInstance: true,
-					}) {
-						return
-					}
-				} else {
-					if r.frontier < d.Instance {
-						r.frontier = d.Instance
-					}
-					for k := range d.Value.Batch {
-						if !l.emit(Delivery{
-							Ring:          d.Ring,
-							Instance:      d.Instance,
-							Entry:         d.Value.Batch[k],
-							EndOfInstance: k == len(d.Value.Batch)-1,
-						}) {
-							return
-						}
-					}
-					if len(d.Value.Batch) == 0 {
-						// An empty decided value (e.g. single-instance skip)
-						// still consumes its instance slot.
-						if !l.emit(Delivery{
-							Ring:          d.Ring,
-							Instance:      d.Instance,
-							Skip:          true,
-							SkipTo:        d.Instance + 1,
-							EndOfInstance: true,
-						}) {
-							return
-						}
-					}
-				}
-				if consumed >= quota {
-					r.carry = consumed - quota
-					quota = 0
-				} else {
-					quota -= consumed
-				}
-			}
+		}
+		if r.head == len(r.queue) {
+			// Wait on this ring, asking it to catch up; every later
+			// push asks again, with the backlog it brings.
+			l.stalled(l.cur)
+			return
+		}
+		d := r.queue[r.head]
+		r.queue[r.head] = ringpaxos.Decided{}
+		if r.head++; r.head == len(r.queue) {
+			r.queue, r.head = r.queue[:0], 0
+		}
+		consumed := l.consume(r, d)
+		if consumed >= l.quota {
+			r.carry = consumed - l.quota
+			l.endTurn()
+		} else {
+			l.quota -= consumed
 		}
 	}
 }
 
-// SkipRequester is implemented by decision sources whose ring takes
-// learner feedback for rate leveling (*ringpaxos.Process).
-type SkipRequester interface {
-	// Decided returns the highest instance queued on Decisions so far.
-	Decided() msg.Instance
-	// RequestSkip asks the ring's coordinator to skip the ring forward
-	// to the exclusive instance bound to.
-	RequestSkip(to msg.Instance)
-	// NotifyDecided registers a channel signalled, without blocking,
-	// every time an instance is queued on Decisions.
-	NotifyDecided(ch chan<- struct{})
+// endTurn passes the turn to the next ring.
+func (l *Learner) endTurn() {
+	l.quota = 0
+	if l.cur++; l.cur == len(l.rings) {
+		l.cur = 0
+	}
+}
+
+// consume delivers one decided instance of ring r and returns how many
+// instances it covers.
+func (l *Learner) consume(r *ringState, d ringpaxos.Decided) uint64 {
+	last := lastOf(d)
+	if r.frontier < last {
+		r.frontier = last
+	}
+	if d.Value.Skip || len(d.Value.Batch) == 0 {
+		// A skip, or an empty decided value, still consumes its range.
+		l.deliver(Delivery{Ring: d.Ring, Instance: d.Instance, Skip: true, SkipTo: last + 1, EndOfInstance: true})
+	} else {
+		for k := range d.Value.Batch {
+			l.deliver(Delivery{Ring: d.Ring, Instance: d.Instance, Entry: d.Value.Batch[k], EndOfInstance: k == len(d.Value.Batch)-1})
+		}
+	}
+	return uint64(last - d.Instance + 1)
+}
+
+// lastOf returns the last instance d covers.
+func lastOf(d ringpaxos.Decided) msg.Instance {
+	if d.Value.Skip && d.Value.SkipTo > d.Instance {
+		return d.Value.SkipTo - 1
+	}
+	return d.Instance
 }
 
 // stalled is learner feedback, called while the merge waits on ring i.
 // The merge consumes the rings in lockstep, so what another ring has
-// decided but the merge has not consumed yet, plus what it over-supplied
+// queued but the merge has not consumed yet, plus what it over-supplied
 // in earlier turns (its carry), cannot be delivered before the stalled
 // ring supplies as many instances of its own. Rate leveling alone supplies
 // them at the ring coordinator's next Δ tick; asking the coordinator for
@@ -252,12 +288,12 @@ func (l *Learner) stalled(i int) {
 	var backlog msg.Instance
 	for j := range l.rings {
 		o := &l.rings[j]
-		if j == i || o.req == nil || o.frontier == 0 {
+		if j == i || o.frontier == 0 {
 			continue
 		}
 		ahead := msg.Instance(o.carry)
-		if d := o.req.Decided(); d > o.frontier {
-			ahead += d - o.frontier
+		if o.head < len(o.queue) && lastOf(o.queue[len(o.queue)-1]) > o.frontier {
+			ahead += lastOf(o.queue[len(o.queue)-1]) - o.frontier
 		}
 		if ahead > backlog {
 			backlog = ahead
@@ -274,11 +310,10 @@ func (l *Learner) stalled(i int) {
 	r.req.RequestSkip(to)
 }
 
-func (l *Learner) emit(d Delivery) bool {
+// emit is the default deliver function: the Deliveries stream.
+func (l *Learner) emit(d Delivery) {
 	select {
 	case l.out <- d:
-		return true
 	case <-l.stop:
-		return false
 	}
 }

@@ -8,53 +8,36 @@ import (
 )
 
 // BenchmarkLearnerMerge measures the deterministic merge's per-delivery
-// cost on the steady-state path: two subscribed rings, one single-entry
-// instance consumed per turn. Run with -benchmem; docs/ARCHITECTURE.md
-// records the allocation sweep's before/after.
-
-// benchSource is a DecisionSource fed by the benchmark.
-type benchSource struct {
-	ring msg.RingID
-	ch   chan ringpaxos.Decided
-}
-
-func (s *benchSource) Ring() msg.RingID                    { return s.ring }
-func (s *benchSource) Decisions() <-chan ringpaxos.Decided { return s.ch }
-
+// cost on the steady-state path: two subscribed rings pushing in turn,
+// one single-entry instance consumed per push. Run with -benchmem;
+// docs/ARCHITECTURE.md records the allocation sweep's before/after.
 func BenchmarkLearnerMerge(b *testing.B) {
-	srcs := []*benchSource{
-		{ring: 1, ch: make(chan ringpaxos.Decided, 1024)},
-		{ring: 2, ch: make(chan ringpaxos.Decided, 1024)},
-	}
+	srcs := []*pushSource{{ring: 1}, {ring: 2}}
 	l := NewLearner(1, srcs[0], srcs[1])
-	l.Start()
-	defer l.Stop()
-
-	stop := make(chan struct{})
-	defer close(stop)
-	for _, s := range srcs {
-		go func(s *benchSource) {
-			entry := []msg.Entry{{Proposer: 1, Seq: 1, Data: []byte("op")}}
-			for inst := msg.Instance(1); ; inst++ {
-				select {
-				case s.ch <- ringpaxos.Decided{Ring: s.ring, Instance: inst, Value: msg.Value{Batch: entry}}:
-				case <-stop:
-					return
-				}
-			}
-		}(s)
+	delivered := 0
+	l.SetDeliver(func(Delivery) { delivered++ })
+	entry := []msg.Entry{{Proposer: 1, Seq: 1, Data: []byte("op")}}
+	var inst [2]msg.Instance
+	push := func(i int) {
+		inst[i]++
+		srcs[i].push(ringpaxos.Decided{Ring: srcs[i].ring, Instance: inst[i], Value: msg.Value{Batch: entry}})
 	}
-
-	out := l.Deliveries()
+	for i := 0; i < 64; i++ {
+		push(i % 2) // grow the ring queues
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		<-out
+		push(i % 2)
+	}
+	b.StopTimer()
+	if want := 64 + b.N; delivered != want {
+		b.Fatalf("delivered %d, want %d", delivered, want)
 	}
 }
 
 // TestLearnerMergeAllocationPin pins the steady-state merge allocation-free:
-// a warm Learner.run turn delivers an entry without a heap allocation, so
+// a warm Push delivers an entry without a heap allocation, so
 // a new per-delivery allocation anywhere in the merge loop fails here.
 func TestLearnerMergeAllocationPin(t *testing.T) {
 	if testing.Short() {

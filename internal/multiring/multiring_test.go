@@ -63,9 +63,6 @@ func newCluster(t *testing.T, nNodes int, rings []msg.RingID, mutate func(ring m
 		}
 		c.nodes = append(c.nodes, node)
 	}
-	for _, n := range c.nodes {
-		n.Start()
-	}
 	t.Cleanup(func() {
 		for _, n := range c.nodes {
 			n.Stop()
@@ -75,8 +72,15 @@ func newCluster(t *testing.T, nNodes int, rings []msg.RingID, mutate func(ring m
 	return c
 }
 
+// start starts every node; build the learners first.
+func (c *cluster) start() {
+	for _, n := range c.nodes {
+		n.Start()
+	}
+}
+
 // learnerFor builds a deterministic-merge learner at node i over the given
-// rings.
+// rings. Call it before start.
 func (c *cluster) learnerFor(i int, m int, rings ...msg.RingID) *Learner {
 	c.t.Helper()
 	var procs []DecisionSource
@@ -114,6 +118,7 @@ func collectPayloads(t *testing.T, l *Learner, n int, timeout time.Duration) []s
 func TestMulticastSingleGroup(t *testing.T) {
 	c := newCluster(t, 3, []msg.RingID{1}, nil)
 	l := c.learnerFor(2, 1, 1)
+	c.start()
 	if err := c.nodes[0].Multicast(1, []byte("m1")); err != nil {
 		t.Fatal(err)
 	}
@@ -140,6 +145,7 @@ func TestDeterministicMergeIdenticalOrder(t *testing.T) {
 	})
 	l1 := c.learnerFor(1, 1, 1, 2)
 	l2 := c.learnerFor(2, 1, 1, 2)
+	c.start()
 	const total = 120
 	for k := 0; k < total; k++ {
 		ring := msg.RingID(k%2 + 1)
@@ -167,6 +173,7 @@ func TestPartialSubscription(t *testing.T) {
 	})
 	l12 := c.learnerFor(0, 1, 1, 2)
 	l2only := c.learnerFor(2, 1, 2)
+	c.start()
 	const perRing = 30
 	for k := 0; k < perRing; k++ {
 		if err := c.nodes[0].Multicast(1, []byte(fmt.Sprintf("r1-%03d", k))); err != nil {
@@ -203,6 +210,7 @@ func TestRateLevelingUnblocksIdleRing(t *testing.T) {
 		cfg.SkipRate = 20
 	})
 	l := c.learnerFor(1, 1, 1, 2)
+	c.start()
 	const total = 40
 	for k := 0; k < total; k++ {
 		if err := c.nodes[0].Multicast(1, []byte(fmt.Sprintf("busy-%03d", k))); err != nil {
@@ -223,6 +231,7 @@ func TestRateLevelingUnblocksIdleRing(t *testing.T) {
 func TestMergeStallsWithoutRateLeveling(t *testing.T) {
 	c := newCluster(t, 3, []msg.RingID{1, 2}, nil) // no SkipInterval
 	l := c.learnerFor(1, 1, 1, 2)
+	c.start()
 	for k := 0; k < 10; k++ {
 		if err := c.nodes[0].Multicast(1, []byte(fmt.Sprintf("stuck-%d", k))); err != nil {
 			t.Fatal(err)
@@ -263,6 +272,7 @@ drain:
 func TestMergeQuotaM(t *testing.T) {
 	c := newCluster(t, 3, []msg.RingID{1, 2}, nil)
 	l := c.learnerFor(1, 2, 1, 2)
+	c.start()
 	const perRing = 8
 	// Pre-load both rings before reading anything.
 	for k := 0; k < perRing; k++ {
@@ -303,6 +313,7 @@ func TestEndOfInstanceMarks(t *testing.T) {
 		cfg.BatchDelay = 20 * time.Millisecond
 	})
 	l := c.learnerFor(1, 1, 1)
+	c.start()
 	for k := 0; k < 5; k++ {
 		if err := c.nodes[0].Multicast(1, []byte{byte(k)}); err != nil {
 			t.Fatal(err)
@@ -377,6 +388,7 @@ func TestConcurrentMulticast(t *testing.T) {
 		cfg.SkipRate = 50
 	})
 	l := c.learnerFor(0, 1, 1, 2, 3)
+	c.start()
 	const perRing = 20
 	var wg sync.WaitGroup
 	for r := msg.RingID(1); r <= 3; r++ {

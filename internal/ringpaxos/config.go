@@ -122,9 +122,6 @@ type Config struct {
 	// before requesting retransmission.
 	RetryTimeout time.Duration
 
-	// DeliverBuf is the capacity of the decisions channel (default 8192).
-	DeliverBuf int
-
 	// StartInstance, when > 0, makes the learner begin delivery at this
 	// instance instead of 1 (used by recovering replicas that restored a
 	// checkpoint covering the prefix).
@@ -196,9 +193,6 @@ func (c *Config) withDefaults() {
 	}
 	if c.RetryTimeout <= 0 {
 		c.RetryTimeout = 200 * time.Millisecond
-	}
-	if c.DeliverBuf <= 0 {
-		c.DeliverBuf = 8192
 	}
 	if c.BatchDelay <= 0 {
 		c.BatchDelay = 2 * time.Millisecond

@@ -13,7 +13,7 @@ import (
 
 // Process is one ring member. All protocol state is owned by a single
 // event-loop goroutine; interaction happens through channels (proposals,
-// decisions) and the control queue.
+// the control queue) and the decision sink, which the loop calls.
 type Process struct {
 	cfg     Config
 	ep      transport.Endpoint
@@ -72,12 +72,9 @@ type Process struct {
 	lastProgress msg.Instance
 	retransAcc   int // round-robin acceptor cursor for LearnReqs
 
-	// Learner feedback (see RequestSkip). skipWant is the highest bound a
-	// local learner asked for; decided mirrors the highest instance queued
-	// on out; notify, when set, is signalled after every queued instance.
-	skipWant atomic.Uint64
-	decided  atomic.Uint64
-	notify   atomic.Pointer[chan<- struct{}]
+	sink     func(Decided) // replaces out when set (see SetSink)
+	started  atomic.Bool
+	skipWant atomic.Uint64 // highest skip bound a learner asked for
 
 	stats Stats
 }
@@ -152,7 +149,7 @@ func New(cfg Config, ep transport.Endpoint) (*Process, error) {
 		proposeCh:   make(chan []byte, 1024),
 		skipReqCh:   make(chan struct{}, 1),
 		ctl:         make(chan func(), 16),
-		out:         make(chan Decided, cfg.DeliverBuf),
+		out:         make(chan Decided, 8192),
 		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
 		reserved:    make(map[msg.Instance]bool),
@@ -175,8 +172,21 @@ func New(cfg Config, ep transport.Endpoint) (*Process, error) {
 func (p *Process) In() chan<- transport.Envelope { return p.in }
 
 // Decisions returns the ordered, gap-free stream of decided instances
-// (including skips) for this ring, starting at StartInstance.
+// (including skips) for this ring, starting at StartInstance; it holds
+// 8192 and carries nothing once a sink is set.
 func (p *Process) Decisions() <-chan Decided { return p.out }
+
+// SetSink makes the event loop call fn with every decided instance, in
+// order and gap-free, instead of queuing it on Decisions. fn runs on the
+// loop after the decision has been forwarded to the successor, so a sink
+// that blocks delays this member's later messages but never another
+// member's learning of this instance. It panics after Start.
+func (p *Process) SetSink(fn func(Decided)) {
+	if p.started.Load() {
+		panic("ringpaxos: SetSink after Start")
+	}
+	p.sink = fn
+}
 
 // Stats returns the process's counters.
 func (p *Process) Stats() *Stats { return &p.stats }
@@ -187,6 +197,7 @@ func (p *Process) Ring() msg.RingID { return p.cfg.Ring }
 // Start launches the event loop. If this process is the configured
 // coordinator it immediately pre-executes Phase 1 for the first window.
 func (p *Process) Start() {
+	p.started.Store(true)
 	go p.run()
 }
 
@@ -229,15 +240,6 @@ func (p *Process) RequestSkip(to msg.Instance) {
 	default:
 	}
 }
-
-// Decided returns the highest instance queued on Decisions so far (the
-// end of the range, for a skip); 0 before the first.
-func (p *Process) Decided() msg.Instance { return msg.Instance(p.decided.Load()) }
-
-// NotifyDecided registers ch to be signalled, without blocking, every time
-// an instance is queued on Decisions. One channel is kept; a later call
-// replaces it.
-func (p *Process) NotifyDecided(ch chan<- struct{}) { p.notify.Store(&ch) }
 
 // BecomeCoordinator makes this process take over coordination with a fresh,
 // higher ballot, pre-executing Phase 1. Called by the ring manager when the
@@ -710,6 +712,7 @@ func (p *Process) decide(inst msg.Instance, v msg.Value) {
 
 // --- Decisions and learning ---
 
+// handleDecision forwards a decision before delivering it (see SetSink).
 func (p *Process) handleDecision(d *msg.Decision, local bool) {
 	fresh := p.learn(d.Instance, d.Value)
 	if !local && !fresh {
@@ -718,11 +721,12 @@ func (p *Process) handleDecision(d *msg.Decision, local bool) {
 	if p.succID() != d.Origin && p.n > 1 {
 		p.forward(d)
 	}
+	p.advance()
 }
 
-// learn records a decided instance, updates acceptor retransmission state,
-// tracks inflight bookkeeping, and advances in-order delivery. It reports
-// whether the decision was new to this process.
+// learn records a decided instance, updates acceptor retransmission state
+// and tracks inflight bookkeeping; advance delivers it. It reports whether
+// the decision was new to this process.
 func (p *Process) learn(inst msg.Instance, v msg.Value) bool {
 	if inst < p.nextDeliver {
 		return false
@@ -745,7 +749,6 @@ func (p *Process) learn(inst msg.Instance, v msg.Value) bool {
 		}
 	}
 	p.decidedBuf[inst] = v
-	p.advance()
 	return true
 }
 
@@ -760,7 +763,8 @@ func (p *Process) noteSeen(inst msg.Instance, v msg.Value) {
 	}
 }
 
-// advance delivers contiguous decided instances to the learner stream.
+// advance delivers contiguous decided instances to the sink, or to the
+// Decisions stream when there is none.
 func (p *Process) advance() {
 	for {
 		v, ok := p.decidedBuf[p.nextDeliver]
@@ -775,20 +779,19 @@ func (p *Process) advance() {
 		} else {
 			p.nextDeliver++
 		}
-		if p.self().Roles.Has(RoleLearner) {
-			p.stats.Delivered.Add(1)
-			select {
-			case p.out <- Decided{Ring: p.cfg.Ring, Instance: inst, Value: v}:
-			case <-p.stop:
-				return
-			}
-			p.decided.Store(uint64(p.nextDeliver - 1))
-			if n := p.notify.Load(); n != nil {
-				select {
-				case *n <- struct{}{}:
-				default:
-				}
-			}
+		if !p.self().Roles.Has(RoleLearner) {
+			continue
+		}
+		p.stats.Delivered.Add(1)
+		d := Decided{Ring: p.cfg.Ring, Instance: inst, Value: v}
+		if p.sink != nil {
+			p.sink(d)
+			continue
+		}
+		select {
+		case p.out <- d:
+		case <-p.stop:
+			return
 		}
 	}
 }
@@ -821,6 +824,7 @@ func (p *Process) handleLearnResp(m *msg.LearnResp) {
 	for _, it := range m.Items {
 		p.learn(it.Instance, it.Value)
 	}
+	p.advance()
 }
 
 // requestRetransmission asks an acceptor for the missing delivery gap.

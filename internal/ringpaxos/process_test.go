@@ -24,7 +24,8 @@ type testRing struct {
 	logs    []*storage.Log
 
 	mu        sync.Mutex
-	delivered [][]string // per node, non-skip payloads in delivery order
+	delivered [][]string     // per node, non-skip payloads in delivery order
+	decided   []msg.Instance // per node, highest instance delivered
 	collectWG sync.WaitGroup
 }
 
@@ -42,6 +43,7 @@ func newWrappedTestRing(t *testing.T, n int, mutate func(i int, c *Config), wrap
 		t:         t,
 		net:       net,
 		delivered: make([][]string, n),
+		decided:   make([]msg.Instance, n),
 	}
 	peers := make([]Peer, n)
 	for i := 0; i < n; i++ {
@@ -94,10 +96,11 @@ func (tr *testRing) collect(i int, proc *Process) {
 	go func() {
 		defer tr.collectWG.Done()
 		for d := range proc.Decisions() {
-			if d.Value.Skip {
-				continue
-			}
 			tr.mu.Lock()
+			tr.decided[i] = d.Instance
+			if d.Value.Skip && d.Value.SkipTo > d.Instance {
+				tr.decided[i] = d.Value.SkipTo - 1
+			}
 			for _, e := range d.Value.Batch {
 				tr.delivered[i] = append(tr.delivered[i], string(e.Data))
 			}
@@ -627,14 +630,21 @@ func TestPhase1WindowExtensionWithSkips(t *testing.T) {
 	tr.assertPrefixAgreement([]int{0, 1, 2})
 }
 
-// waitDecided waits until process i has queued instance want on its
-// Decisions stream.
+// decidedAt returns the highest instance node i has delivered (the end
+// of the range, for a skip).
+func (tr *testRing) decidedAt(i int) msg.Instance {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	return tr.decided[i]
+}
+
+// waitDecided waits until process i has delivered instance want.
 func (tr *testRing) waitDecided(i int, want msg.Instance, timeout time.Duration) {
 	tr.t.Helper()
 	deadline := time.Now().Add(timeout)
-	for tr.procs[i].Decided() < want {
+	for tr.decidedAt(i) < want {
 		if time.Now().After(deadline) {
-			tr.t.Fatalf("node %d decided up to %d, want %d", i, tr.procs[i].Decided(), want)
+			tr.t.Fatalf("node %d decided up to %d, want %d", i, tr.decidedAt(i), want)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -659,12 +669,12 @@ func TestRequestSkipReachesCoordinator(t *testing.T) {
 		tr.waitDecided(i, 39, 5*time.Second)
 	}
 	// A value proposed afterwards takes the first instance past the skip.
-	skipped := tr.procs[1].Decided()
+	skipped := tr.decidedAt(1)
 	if err := tr.procs[1].Propose([]byte("after-skip")); err != nil {
 		t.Fatal(err)
 	}
 	tr.waitDelivered([]int{0, 1, 2}, 2, 5*time.Second)
-	if got := tr.procs[2].Decided(); got != skipped+1 {
+	if got := tr.decidedAt(2); got != skipped+1 {
 		t.Fatalf("value decided at %d, want %d", got, skipped+1)
 	}
 }
@@ -695,7 +705,7 @@ func TestRequestSkipBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 		tr.waitDelivered([]int{0}, 2, 5*time.Second)
-		if got := tr.procs[0].Decided(); got != wantSecond {
+		if got := tr.decidedAt(0); got != wantSecond {
 			t.Fatalf("second value decided at %d, want %d", got, wantSecond)
 		}
 	}
@@ -707,4 +717,97 @@ func TestRequestSkipBounded(t *testing.T) {
 	t.Run("fills-interval", func(t *testing.T) { run(t, leveled, 5, 11) })
 	t.Run("capped", func(t *testing.T) { run(t, leveled, 1000, 12) })
 	t.Run("leveling-off", func(t *testing.T) { run(t, nil, 1000, 2) })
+}
+
+// TestDecisionForwardedBeforeDelivery: a member whose sink blocks has
+// already forwarded the decision, so the next member learns the instance
+// meanwhile. A replica executing a multi-partition transaction blocks its
+// ring loop inside the sink until the other participants vote, and they
+// vote only once they have learned the instance. Retransmission is slowed
+// to ten seconds, so only the forwarded decision can reach member 2 in
+// time.
+func TestDecisionForwardedBeforeDelivery(t *testing.T) {
+	net := netsim.New(netsim.WithUniformLatency(20 * time.Microsecond))
+	peers := make([]Peer, 3)
+	for i := range peers {
+		peers[i] = Peer{
+			ID:    msg.NodeID(i + 1),
+			Addr:  transport.Addr(fmt.Sprintf("fwd-%d", i)),
+			Roles: RoleProposer | RoleAcceptor | RoleLearner,
+		}
+	}
+	release := make(chan struct{})
+	blocked := make(chan msg.Instance, 1)
+	learned := make(chan msg.Instance, 1)
+	var procs []*Process
+	var routers []*transport.Router
+	for i, peer := range peers {
+		ep := net.Endpoint(peer.Addr)
+		proc, err := New(Config{
+			Ring:         1,
+			Self:         peer.ID,
+			Peers:        peers,
+			Coordinator:  peers[0].ID,
+			Log:          storage.NewLog(storage.InMemory),
+			BatchDelay:   time.Millisecond,
+			RetryTimeout: 10 * time.Second,
+		}, ep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch i {
+		case 0:
+			// The decision reaches member 1 (the coordinator) from the
+			// last acceptor, member 3, and member 1 forwards it to 2.
+			proc.SetSink(func(d Decided) {
+				select {
+				case blocked <- d.Instance:
+				default:
+				}
+				<-release
+			})
+		case 1:
+			proc.SetSink(func(d Decided) {
+				select {
+				case learned <- d.Instance:
+				default:
+				}
+			})
+		}
+		router := transport.NewRouter(ep)
+		router.Ring(1, proc.In())
+		router.Start()
+		procs = append(procs, proc)
+		routers = append(routers, router)
+	}
+	for _, p := range procs {
+		p.Start()
+	}
+	defer func() {
+		close(release)
+		for _, p := range procs {
+			p.Stop()
+		}
+		for _, r := range routers {
+			r.Stop()
+		}
+		net.Close()
+	}()
+
+	if err := procs[0].Propose([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-blocked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("member 1 never delivered the instance")
+	}
+	select {
+	case inst := <-learned:
+		if inst != 1 {
+			t.Fatalf("member 2 learned instance %d, want 1", inst)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("member 2 did not learn the instance while member 1's sink blocked")
+	}
 }

@@ -55,8 +55,8 @@ func TestCheckpointDeterminism(t *testing.T) {
 		r1.apply(d)
 		r2.apply(d)
 	}
-	r1.checkpoint()
-	r2.checkpoint()
+	r1.Checkpoint()
+	r2.Checkpoint()
 
 	c1, ok := ck1.Load()
 	if !ok {
@@ -77,7 +77,7 @@ func TestCheckpointDeterminism(t *testing.T) {
 	// re-randomizes map iteration on every range statement, so even a
 	// single replica checkpointing twice diverges from itself if the
 	// encoding walks a map unsorted.
-	r1.checkpoint()
+	r1.Checkpoint()
 	c1b, ok := ck1.Load()
 	if !ok {
 		t.Fatal("replica 1 lost its checkpoint")
@@ -181,7 +181,7 @@ func TestBatchCutDeterminism(t *testing.T) {
 		for _, d := range deliveries {
 			r.apply(d)
 		}
-		r.checkpoint()
+		r.Checkpoint()
 		c, ok := ck.Load()
 		if !ok {
 			t.Fatalf("%s: no checkpoint", name)

@@ -134,8 +134,8 @@ type leaseTable struct {
 // read-only operations against their current applied state. ExecuteLocal
 // must be side-effect free: it returns the same bytes Execute would have
 // for op, or ok=false when op is not locally servable (a write, or an op
-// kind the machine refuses to answer without ordering). It runs on the
-// replica's execution goroutine between deliveries, so it never observes a
+// kind the machine refuses to answer without ordering). It runs under the
+// replica's execution lock, between deliveries, so it never observes a
 // half-applied command or a partial batch.
 type LocalReader interface {
 	ExecuteLocal(op []byte) ([]byte, bool)
@@ -147,18 +147,6 @@ type LocalReader interface {
 type claimKey struct {
 	clientID uint64
 	seq      uint64
-}
-
-// leaseReadQueueLen bounds buffered local reads between the service
-// handler (on a receiving goroutine, must not block) and the executor. A
-// full queue declines immediately — the client falls back to the ordered
-// path.
-const leaseReadQueueLen = 256
-
-// leaseRead is one queued local read.
-type leaseRead struct {
-	from transport.Addr
-	m    *msg.LeaseRead
 }
 
 // RegisterLeaseClaim arms this replica to serve local reads once the
@@ -318,8 +306,8 @@ func (r *Replica) holdReplyLocked(to transport.Addr, resp *msg.Response) {
 // still closed it only expires entries older than one lease duration:
 // staying suppressed that long requires fresh ordered claims, which
 // requires a live holder, which answered those commands itself. Called
-// from the execution goroutine (after applies and on its idle tick), so
-// sends never race the normal reply path.
+// after every apply and on the replica's timer; the queue is taken out
+// under r.mu, so concurrent flushes never send a reply twice.
 func (r *Replica) flushHeld() {
 	r.mu.Lock()
 	if r.held.n == 0 {
@@ -366,8 +354,7 @@ func (r *Replica) replySuppressed() bool {
 
 // ServingLease reports whether this replica currently serves local reads:
 // the replicated lease names it and its self-proposed serve window is
-// still open. Tests use it; the authoritative gate runs on the executor
-// in serveLeaseRead.
+// still open. Tests use it; the authoritative gate is serveLeaseRead's.
 func (r *Replica) ServingLease() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -384,29 +371,26 @@ func (r *Replica) LeaseState() LeaseAck {
 	return LeaseAck{Holder: r.lease.holder, Seq: r.lease.seq, Active: r.lease.active}
 }
 
-// serveLeaseRead answers one queued local read on the execution
-// goroutine, between deliveries — a local read therefore observes exactly
-// the state some ordered prefix produced, never a half-applied batch. It
-// declines (OK=false) unless every gate passes: the replicated lease
-// names this replica, the self-proposed serve window is open, the applied
-// frontier covers the grant position, and the state machine can serve the
-// op locally.
-func (r *Replica) serveLeaseRead(lr leaseRead) {
-	reply := &msg.LeaseReply{ClientID: lr.m.ClientID, Seq: lr.m.Seq}
+// serveLeaseRead answers one local read under the execution lock, so it
+// observes the state of an ordered prefix, never half a batch. It
+// declines (OK=false, the client falls back to ordering) unless the
+// replica runs, the replicated lease names it, its serve window is open,
+// the applied frontier covers the grant, and the SM serves the op.
+func (r *Replica) serveLeaseRead(m *msg.LeaseRead) *msg.LeaseReply {
+	reply := &msg.LeaseReply{ClientID: m.ClientID, Seq: m.Seq}
+	r.exec.Lock()
+	defer r.exec.Unlock()
 	r.mu.Lock()
-	ok := r.lease.active && r.lease.holder == r.cfg.Node.ID() &&
+	ok := !r.stopped && r.lease.active && r.lease.holder == r.cfg.Node.ID() &&
 		leaseClockNow().Before(r.readDeadline) &&
 		frontierCovers(r.applied, r.lease.grant)
 	r.mu.Unlock()
-	if ok {
-		if sm, can := r.cfg.SM.(LocalReader); can {
-			if result, served := sm.ExecuteLocal(lr.m.Op); served {
-				reply.OK = true
-				reply.Result = result
-			}
+	if sm, can := r.cfg.SM.(LocalReader); ok && can {
+		if result, served := sm.ExecuteLocal(m.Op); served {
+			reply.OK, reply.Result = true, result
 		}
 	}
-	_ = r.cfg.Node.Endpoint().Send(lr.from, reply)
+	return reply
 }
 
 // frontierCovers reports whether the applied watermark has reached the

@@ -13,8 +13,8 @@ import (
 	"mrp/internal/storage"
 )
 
-// slowSM wraps a StateMachine with a fixed per-command delay, making the
-// executor the bottleneck so deliveries queue up in front of it.
+// slowSM wraps a StateMachine with a fixed per-command delay, making
+// execution the bottleneck, so the ring loops that deliver wait on it.
 type slowSM struct {
 	inner StateMachine
 	delay time.Duration
@@ -27,9 +27,9 @@ func (s *slowSM) Execute(op []byte) []byte {
 func (s *slowSM) Snapshot() []byte { return s.inner.Snapshot() }
 func (s *slowSM) Restore(b []byte) { s.inner.Restore(b) }
 
-// TestPipelineBackpressure runs a cluster whose executors are slow, so
-// deliveries back up in the learner's buffer: no delivery may be dropped,
-// and every command must still complete and converge.
+// TestPipelineBackpressure runs a cluster whose state machines are slow,
+// so execution holds back the ring loops that deliver: no delivery may be
+// dropped, and every command must still complete and converge.
 func TestPipelineBackpressure(t *testing.T) {
 	c := newSMRClusterOpt(t, func(i int, rc *ReplicaConfig) {
 		rc.SM = &slowSM{inner: rc.SM, delay: 300 * time.Microsecond}
@@ -101,7 +101,7 @@ func pace(d time.Duration) func(int) error {
 }
 
 // TestPipelineCheckpointBatchAligned hammers Checkpoint while the
-// executor chews through a stream of four-command batches. One
+// replica applies a stream of four-command batches. One
 // delivered entry is one atomic unit of execution, so NO checkpoint may
 // ever observe a partially applied batch: client 42's dedup head must sit
 // on a batch boundary (seq ≡ 0 mod 4) in every checkpoint taken, and the
@@ -209,12 +209,11 @@ func mustDecodeState(t *testing.T, state []byte) ([]byte, map[uint64]clientEntry
 	return smState, dedup
 }
 
-// TestPipelineStopMidBatchStream stops a replica while its executor is
-// mid-stream. Stop must return promptly (the executor unblocks on the
-// stop channel however many deliveries are buffered), the
-// in-flight entry must have been applied atomically — the dedup head
-// still sits on a batch boundary — and checkpoint/snapshot on the stopped
-// replica must keep working via the direct path.
+// TestPipelineStopMidBatchStream stops a replica while it applies a
+// stream. Stop must return promptly (it waits only for the delivery in
+// progress), the in-flight entry must have been applied atomically — the
+// dedup head still sits on a batch boundary — and checkpoint/snapshot on
+// the stopped replica must keep working.
 func TestPipelineStopMidBatchStream(t *testing.T) {
 	c := newSMRClusterOpt(t, func(i int, rc *ReplicaConfig) {
 		if i == 0 {
@@ -242,9 +241,9 @@ func TestPipelineStopMidBatchStream(t *testing.T) {
 		t.Fatal("Stop hung on a mid-stream replica")
 	}
 	<-done
-	// The executor finished its in-flight entry before exiting: whatever
-	// prefix was applied ends on a batch boundary.
-	rep.Checkpoint() // direct path: executor has exited
+	// Stop let the in-flight entry finish: whatever prefix was applied
+	// ends on a batch boundary.
+	rep.Checkpoint()
 	ck, ok := storageLoad(rep)
 	if !ok {
 		t.Fatal("stopped replica cannot checkpoint")
@@ -312,7 +311,7 @@ func TestRecoverAcrossBatchBoundary(t *testing.T) {
 	refCk := storage.NewCheckpointStore(storage.NewDisk(storage.NullDisk))
 	ref := NewReplica(ReplicaConfig{SM: newRegSM(), Ckpt: refCk})
 	run(ref, stream)
-	ref.checkpoint()
+	ref.Checkpoint()
 	want, ok := refCk.Load()
 	if !ok {
 		t.Fatal("reference saved no checkpoint")
@@ -323,7 +322,7 @@ func TestRecoverAcrossBatchBoundary(t *testing.T) {
 	crashCk := storage.NewCheckpointStore(storage.NewDisk(storage.NullDisk))
 	crash := NewReplica(ReplicaConfig{SM: newRegSM(), Ckpt: crashCk})
 	run(crash, stream[:7])
-	crash.checkpoint()
+	crash.Checkpoint()
 	ck, ok := crashCk.Load()
 	if !ok {
 		t.Fatal("crashing replica saved no checkpoint")
@@ -342,7 +341,7 @@ func TestRecoverAcrossBatchBoundary(t *testing.T) {
 	run(rec, stream)
 	// And a straggling re-delivery of a mid-prefix batch for good measure.
 	run(rec, stream[2:4])
-	rec.checkpoint()
+	rec.Checkpoint()
 	got, ok := recCk.Load()
 	if !ok {
 		t.Fatal("recovered replica saved no checkpoint")

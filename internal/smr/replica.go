@@ -47,8 +47,18 @@ type ReplicaConfig struct {
 // to clients, deduplicates retried commands, maintains the checkpoint
 // tuple k_p, and serves the recovery protocol (trim replies, checkpoint
 // queries, state transfer).
+//
+// Execution has no goroutine of its own: the learner calls apply on the
+// ring loop that completed the merge, lease reads run on the goroutine
+// that received them, Checkpoint and StateSnapshot on their caller. All
+// hold exec, so each sees the state between two deliveries; replies are
+// sent after it is released. A slow SM.Execute slows the ring loops.
 type Replica struct {
 	cfg ReplicaConfig
+
+	// exec serializes all state-machine access and is taken before mu.
+	exec    sync.Mutex
+	stopped bool // set by Stop under exec: apply does nothing
 
 	mu sync.Mutex
 	// applied is the live tuple k_p: per subscribed ring, the highest
@@ -87,7 +97,8 @@ type Replica struct {
 	ckpts     uint64
 	onExecute func(Command, []byte)
 
-	// Apply-path scratch, owned by the execution goroutine: decoded
+	// Apply-path scratch, owned by apply (the learner calls it one
+	// delivery at a time, under its own mutex): decoded
 	// commands and outgoing replies are built into reused slices, reply
 	// addresses are interned (clients keep one address for their whole
 	// session), and response structs come out of a chunked arena, so a
@@ -97,10 +108,6 @@ type Replica struct {
 	respArena    []msg.Response
 	addrCache    map[string]transport.Addr
 	intern       func([]byte) transport.Addr
-
-	snaps      chan chan []byte
-	ckptReq    chan chan struct{}
-	leaseReads chan leaseRead
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -161,22 +168,23 @@ func (e clientEntry) record(seq uint64, result []byte) clientEntry {
 	return e
 }
 
-// NewReplica creates a replica. Call Start to begin executing.
+// NewReplica creates a replica and makes apply cfg.Learner's deliver
+// function. Start runs its timers.
 func NewReplica(cfg ReplicaConfig) *Replica {
 	r := &Replica{
-		cfg:        cfg,
-		applied:    make(map[msg.RingID]msg.Instance),
-		safe:       make(map[msg.RingID]msg.Instance),
-		dedup:      make(map[uint64]clientEntry),
-		addrCache:  make(map[string]transport.Addr),
-		snaps:      make(chan chan []byte),
-		ckptReq:    make(chan chan struct{}),
-		leaseReads: make(chan leaseRead, leaseReadQueueLen),
-		stop:       make(chan struct{}),
-		done:       make(chan struct{}),
+		cfg:       cfg,
+		applied:   make(map[msg.RingID]msg.Instance),
+		safe:      make(map[msg.RingID]msg.Instance),
+		dedup:     make(map[uint64]clientEntry),
+		addrCache: make(map[string]transport.Addr),
+		stop:      make(chan struct{}),
+		done:      make(chan struct{}),
 	}
 	// Bound once: a per-delivery method value would itself allocate.
 	r.intern = r.internAddr
+	if cfg.Learner != nil {
+		cfg.Learner.SetDeliver(r.apply)
+	}
 	return r
 }
 
@@ -234,24 +242,13 @@ func (r *Replica) newResponse(clientID, seq uint64, result []byte) *msg.Response
 func (r *Replica) OnExecute(fn func(Command, []byte)) { r.onExecute = fn }
 
 // HandleService processes non-ring messages addressed to this replica's
-// node: checkpoint discovery and state transfer for recovering peers. Wire
-// it with Node.Service. It must stay non-blocking.
+// node: lease reads, and checkpoint discovery and state transfer for
+// recovering peers. Wire it with Node.Service. A lease read waits for the
+// delivery in progress, if any; nothing else blocks.
 func (r *Replica) HandleService(env transport.Envelope) {
 	switch m := env.Msg.(type) {
 	case *msg.LeaseRead:
-		// Local reads execute on the executor goroutine between
-		// deliveries; here we only enqueue. A full queue (or a stopped
-		// executor) declines immediately so the client falls back to the
-		// ordered read path instead of waiting out its timeout.
-		select {
-		case <-r.stop:
-		case r.leaseReads <- leaseRead{from: env.From, m: m}:
-			return
-		default:
-		}
-		_ = r.cfg.Node.Endpoint().Send(env.From, &msg.LeaseReply{
-			ClientID: m.ClientID, Seq: m.Seq,
-		})
+		_ = r.cfg.Node.Endpoint().Send(env.From, r.serveLeaseRead(m))
 	case *msg.CkptQuery:
 		r.mu.Lock()
 		tuple := tupleOf(r.safe)
@@ -296,13 +293,17 @@ func (r *Replica) HandleTrimQuery(env transport.Envelope) {
 	})
 }
 
-// Start launches the execution loop.
+// Start launches the checkpoint and held-reply timers.
 func (r *Replica) Start() {
 	go r.run()
 }
 
-// Stop terminates the execution loop.
+// Stop ends execution: it waits for the delivery in progress, drops every
+// later one, and stops the timers.
 func (r *Replica) Stop() {
+	r.exec.Lock()
+	r.stopped = true
+	r.exec.Unlock()
 	r.stopOnce.Do(func() { close(r.stop) })
 	<-r.done
 }
@@ -388,32 +389,18 @@ func (r *Replica) InstallCheckpoint(ck storage.Checkpoint) error {
 // synchronously so acceptors may trim afterwards). The checkpoint also
 // carries the client-deduplication table, so a recovered replica keeps
 // exactly-once semantics for commands older than the checkpoint. The
-// snapshot is taken on the replica's execution goroutine, so callers on
-// any goroutine never observe a half-applied command.
-func (r *Replica) Checkpoint() {
-	done := make(chan struct{})
-	select {
-	case r.ckptReq <- done:
-		select {
-		case <-done:
-		case <-r.done:
-		}
-	case <-r.done:
-		// The executor has stopped; snapshotting directly is safe.
-		r.checkpoint()
-	}
-}
-
-// checkpoint does the work of Checkpoint; it must run on the execution
-// goroutine (or after it has exited). Checkpoint bytes feed collision-free
-// recovery: every replica of the partition must encode the same state for
-// the same applied tuple.
+// snapshot is taken under the execution lock, so it never observes a
+// half-applied command. Checkpoint bytes feed collision-free recovery:
+// every replica of the partition must encode the same state for the same
+// applied tuple.
 //
 //mrp:deterministic
-func (r *Replica) checkpoint() {
+func (r *Replica) Checkpoint() {
 	if r.cfg.Ckpt == nil {
 		return
 	}
+	r.exec.Lock()
+	defer r.exec.Unlock()
 	r.mu.Lock()
 	tuple := tupleOf(r.applied)
 	dedup := encodeDedup(r.dedup)
@@ -429,78 +416,75 @@ func (r *Replica) checkpoint() {
 	r.mu.Unlock()
 }
 
+// run fires the periodic checkpoint, and the held-reply flush, which
+// must drain even when the rings go idle.
 func (r *Replica) run() {
 	defer close(r.done)
-	// The learner's own goroutine fills its buffered Deliveries channel,
-	// so the merge runs ahead of execution and no second queue is needed.
-	deliveries := r.cfg.Learner.Deliveries()
 	var ckptC <-chan time.Time
 	if r.cfg.CheckpointEvery > 0 {
 		t := time.NewTicker(r.cfg.CheckpointEvery)
 		defer t.Stop()
 		ckptC = t.C
 	}
-	// The held-reply buffer must drain even when the ring goes idle (no
-	// delivery to piggyback the flush on), so the executor ticks for it.
 	heldT := time.NewTicker(50 * time.Millisecond)
 	defer heldT.Stop()
 	for {
 		select {
-		case d := <-deliveries:
-			r.apply(d)
-			r.flushHeld()
-		case lr := <-r.leaseReads:
-			r.serveLeaseRead(lr)
 		case <-heldT.C:
 			r.flushHeld()
 		case <-ckptC:
-			r.checkpoint()
-		case done := <-r.ckptReq:
-			r.checkpoint()
-			close(done)
-		case resp := <-r.snaps:
-			resp <- r.cfg.SM.Snapshot()
+			r.Checkpoint()
 		case <-r.stop:
 			return
 		}
 	}
 }
 
-// StateSnapshot returns SM.Snapshot() taken on the replica's execution
-// goroutine, so it never observes a half-applied command (calling
-// SM.Snapshot directly while the replica runs is a data race). On a
-// stopped replica the snapshot is taken directly — no executor is
-// running anymore.
+// StateSnapshot returns SM.Snapshot() taken under the execution lock, so
+// it never observes a half-applied command (calling SM.Snapshot directly
+// while the replica runs is a data race).
 func (r *Replica) StateSnapshot() []byte {
-	resp := make(chan []byte, 1)
-	select {
-	case r.snaps <- resp:
-		select {
-		case s := <-resp:
-			return s
-		case <-r.done:
-		}
-	case <-r.done:
-	}
+	r.exec.Lock()
+	defer r.exec.Unlock()
 	return r.cfg.SM.Snapshot()
 }
 
-// apply executes one delivery and advances the applied tuple. Every
-// replica of the partition applies the same delivery stream; anything
-// this reaches must be a pure function of that stream. It is also the
-// executor's steady-state loop body: allocations here are per-delivery
-// garbage, so TestApplyAllocationPin holds it to the scratch/arena
-// discipline.
+// apply is the learner's deliver function, run on the ring loop that
+// delivered d: execute under the lock, then send the replies. Its
+// allocations are per-delivery garbage, pinned by TestApplyAllocationPin.
+func (r *Replica) apply(d multiring.Delivery) {
+	r.exec.Lock()
+	if r.stopped {
+		r.exec.Unlock()
+		return
+	}
+	replies := r.execute(d)
+	r.exec.Unlock()
+	for _, rep := range replies {
+		_ = r.cfg.Node.Endpoint().Send(rep.to, rep.resp)
+	}
+	// Drop the sent responses before parking the scratch (the transport
+	// owns them now); the next apply reuses the capacity.
+	clear(replies)
+	r.replyScratch = replies[:0]
+	r.flushHeld()
+}
+
+// execute applies one delivery to the state and advances the applied
+// tuple, returning the replies owed (in the reply scratch). Every replica
+// of the partition applies the same delivery stream; anything this
+// reaches must be a pure function of that stream. The caller holds
+// r.exec.
 //
 //mrp:deterministic
-func (r *Replica) apply(d multiring.Delivery) {
+func (r *Replica) execute(d multiring.Delivery) []routedReply {
 	if d.Skip {
 		r.mu.Lock()
 		if d.SkipTo-1 > r.applied[d.Ring] {
 			r.applied[d.Ring] = d.SkipTo - 1
 		}
 		r.mu.Unlock()
-		return
+		return r.replyScratch[:0]
 	}
 	// A recovering replica's rings may retransmit instances at or below the
 	// restored checkpoint; they are already reflected in the state.
@@ -508,22 +492,22 @@ func (r *Replica) apply(d multiring.Delivery) {
 	already := d.Instance <= r.applied[d.Ring]
 	r.mu.Unlock()
 	if already {
-		return
+		return r.replyScratch[:0]
 	}
 	// One entry is one atomic unit of execution: a batch's inner commands
-	// all apply before the executor handles anything else, so a checkpoint
-	// (taken between executor steps) can never observe half a batch —
-	// batch cut points are invisible in state (DETERMINISM invariant 8).
+	// all apply under one hold of r.exec, so a checkpoint (taken under it
+	// too) can never observe half a batch — batch cut points are
+	// invisible in state (DETERMINISM invariant 8).
 	cmds := r.cmdScratch[:0]
 	if IsBatch(d.Entry.Data) {
 		var err error
 		if cmds, err = decodeBatchInto(cmds, d.Entry.Data, r.intern); err != nil {
-			return // malformed batch: ignore like any foreign payload
+			return r.replyScratch[:0] // malformed batch: ignore like any foreign payload
 		}
 	} else {
 		cmd, err := decodeCommandWith(d.Entry.Data, r.intern)
 		if err != nil {
-			return // foreign payload on a shared ring: ignore
+			return r.replyScratch[:0] // foreign payload on a shared ring: ignore
 		}
 		cmds = append(cmds, cmd)
 	}
@@ -543,21 +527,13 @@ func (r *Replica) apply(d multiring.Delivery) {
 		}
 		r.mu.Unlock()
 	}
-	for _, rep := range replies {
-		_ = r.cfg.Node.Endpoint().Send(rep.to, rep.resp)
-	}
-	// Drop the sent responses before parking the scratch (the transport
-	// owns them now); the next apply reuses the capacity.
-	for i := range replies {
-		replies[i] = routedReply{}
-	}
-	r.replyScratch = replies[:0]
+	return replies
 }
 
 // applyCommand executes one command through the per-client dedup window
 // and returns the response owed to the client (nil when none: the command
 // carried no reply address, or it is a stale re-delivery whose result is
-// no longer cached). Inside the deterministic scope via apply; the reply
+// no longer cached). Inside the deterministic scope via execute; the reply
 // is routed by the caller after the watermark has advanced.
 func (r *Replica) applyCommand(cmd Command) (transport.Addr, *msg.Response) {
 	leaseOp := isLeaseOp(cmd.Op)

@@ -129,12 +129,17 @@ func (l *Log) Put(inst msg.Instance, rec Record) error {
 // stages its vote in event-loop order, so a later promise reports it, and
 // holds back every message that depends on the vote until Commit returns.
 // Records at or below the low watermark are rejected (the instance was
-// already trimmed).
+// already trimmed). A decided record stays decided, with its value: a vote
+// that reaches the acceptor after the decision (a coordinator's retry)
+// must not hide the instance from retransmission.
 func (l *Log) Stage(inst msg.Instance, rec Record) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if inst <= l.low {
 		return 0, fmt.Errorf("storage: instance %d already trimmed (low=%d)", inst, l.low)
+	}
+	if old := l.records[inst]; old.Decided {
+		rec.Value, rec.Decided = old.Value, true
 	}
 	l.records[inst] = rec
 	if inst > l.high {

@@ -85,6 +85,33 @@ func TestLogRange(t *testing.T) {
 	}
 }
 
+// TestStageKeepsDecided: a vote staged after the instance was marked
+// decided (a coordinator's retry reaching an acceptor behind the decision)
+// leaves the record decided, with the decided value, so retransmission
+// still serves it to a learner catching up.
+func TestStageKeepsDecided(t *testing.T) {
+	l := NewLog(InMemory)
+	if _, err := l.Stage(7, rec(1, "v")); err != nil {
+		t.Fatal(err)
+	}
+	l.MarkDecided(7, rec(1, "v").Value)
+	if _, err := l.Stage(7, rec(2, "v")); err != nil {
+		t.Fatal(err)
+	}
+	var served []string
+	l.Range(7, 8, func(_ msg.Instance, r Record) {
+		if r.Decided {
+			served = append(served, string(r.Value.Batch[0].Data))
+		}
+	})
+	if len(served) != 1 || served[0] != "v" {
+		t.Fatalf("decided records served after a late vote = %v, want [v]", served)
+	}
+	if r, _ := l.Get(7); r.VRnd != 2 {
+		t.Fatalf("late vote's round = %d, want 2", r.VRnd)
+	}
+}
+
 func TestLogConcurrent(t *testing.T) {
 	l := NewLog(InMemory)
 	var wg sync.WaitGroup

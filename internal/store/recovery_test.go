@@ -108,10 +108,22 @@ func waitConverged(t *testing.T, d *Deployment, p, ra, rb int, wantEpoch uint64)
 			}
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("replicas %d and %d of partition %d did not converge at epoch %d", ra, rb, p, wantEpoch)
+			t.Fatalf("replicas %d and %d of partition %d did not converge at epoch %d:\n%s\n%s",
+				ra, rb, p, wantEpoch, replicaProgress(d, p, ra, sa), replicaProgress(d, p, rb, sb))
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// replicaProgress describes how far one replica got, so a replica that
+// stalled names the ring it stalled on: its applied tuple, its executed
+// count, and the schema epoch and warm-up state of its snapshot.
+func replicaProgress(d *Deployment, p, r int, snap []byte) string {
+	rep := d.ReplicaAt(p, r).Replica
+	sm := NewSM(p, NewHashPartitioner(1))
+	sm.Restore(snap)
+	return fmt.Sprintf("  replica %d: applied %v, executed %d, epoch %d, warming %t",
+		r, rep.AppliedTuple(), rep.Executed(), sm.Epoch(), sm.Warming())
 }
 
 // TestRecoverSplitPartitionReplica crashes and recovers a replica of a

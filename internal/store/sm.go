@@ -65,7 +65,7 @@ type SM struct {
 	// statOps counts client data operations this replica executed (reads,
 	// writes, scans, and batch sub-ops — not admin or migration commands).
 	// It is atomic because the auto-sharding controller samples it from
-	// outside the execution goroutine; it is process-local (not part of
+	// outside the replica's execution lock; it is process-local (not part of
 	// the snapshot), so a recovered replica restarts it at zero — the
 	// controller consumes rate deltas, which self-heal after one tick.
 	statOps atomic.Uint64
@@ -113,8 +113,9 @@ func (s *SM) Warming() bool { return s.warming }
 // (0 when none is in flight; test/inspection helper).
 func (s *SM) Pending() uint64 { return s.pendingEpoch }
 
-// Execute implements smr.StateMachine. It runs once per ordered command
-// on the executor goroutine; TestExecuteAllocationPin pins its cost.
+// Execute implements smr.StateMachine. It runs once per ordered command,
+// on the ring loop that delivered it and under the replica's execution
+// lock; TestExecuteAllocationPin pins its cost.
 //
 //mrp:deterministic
 func (s *SM) Execute(raw []byte) []byte {
@@ -132,8 +133,8 @@ func (s *SM) Execute(raw []byte) []byte {
 // apply gates as an ordered execution (warming, frozen, ownership, scan
 // epoch), so a local read of a key this partition cannot currently serve
 // returns the same typed statusWrongEpoch redirect an ordered read would,
-// and the client's refresh-and-retry machinery works unchanged. Runs on
-// the replica's execution goroutine between deliveries (see
+// and the client's refresh-and-retry machinery works unchanged. Runs
+// under the replica's execution lock between deliveries (see
 // smr.LocalReader), never concurrently with Execute.
 func (s *SM) ExecuteLocal(raw []byte) ([]byte, bool) {
 	o, err := decodeOp(raw)

@@ -158,16 +158,18 @@ func TestRingPaxosOverTCP(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		node.Start()
 		nodes = append(nodes, node)
+	}
+	proc2, _ := nodes[2].Process(1)
+	learner := multiring.NewLearner(1, proc2)
+	for _, n := range nodes {
+		n.Start()
 	}
 	defer func() {
 		for _, n := range nodes {
 			n.Stop()
 		}
 	}()
-	proc2, _ := nodes[2].Process(1)
-	learner := multiring.NewLearner(1, proc2)
 	learner.Start()
 	defer learner.Stop()
 

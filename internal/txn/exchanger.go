@@ -130,7 +130,9 @@ func (ex *Exchanger) Handle(env transport.Envelope) {
 // Exchange swaps votes for transaction (client, seq) among parts and
 // returns the combined verdict: the maximum vote code over all
 // participants (VoteWrongEpoch > VoteMismatch > VoteOK). It blocks the
-// execution goroutine until the verdict is decided.
+// ring loop that delivered the transaction until the verdict is
+// decided; that loop forwarded the decision before delivering it, so the
+// other participants learn the transaction and vote meanwhile.
 //
 // Determinism: the only early exit is a VoteWrongEpoch vote (own or
 // received) — the maximum is already decided, so replicas that exit

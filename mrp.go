@@ -23,7 +23,8 @@
 //
 //	net := mrp.NewSimNetwork()
 //	node := mrp.NewNode(1, net.Endpoint("n1"))
-//	node.Join(mrp.RingConfig{Ring: 1, Peers: peers, Coordinator: 1, Log: mrp.NewMemLog()})
+//	proc, _ := node.Join(mrp.RingConfig{Ring: 1, Peers: peers, Coordinator: 1, Log: mrp.NewMemLog()})
+//	learner := mrp.NewLearner(1, proc)
 //	node.Start()
 //	node.Multicast(1, []byte("hello, group 1"))
 package mrp
@@ -122,7 +123,8 @@ const (
 var (
 	// NewNode creates a Multi-Ring Paxos node over an endpoint.
 	NewNode = multiring.NewNode
-	// NewLearner creates a deterministic-merge learner (M, rings...).
+	// NewLearner creates a deterministic-merge learner (M, rings...);
+	// build it before the node whose rings it merges starts.
 	NewLearner = multiring.NewLearner
 )
 

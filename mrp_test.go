@@ -41,14 +41,17 @@ func TestPublicAPIAtomicMulticast(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		node.Start()
-		defer node.Stop()
 		nodes = append(nodes, node)
 	}
 
+	// A learner is built before its node starts.
 	p1, _ := nodes[2].Process(1)
 	p2, _ := nodes[2].Process(2)
 	learner := mrp.NewLearner(1, p1, p2)
+	for _, node := range nodes {
+		node.Start()
+		defer node.Stop()
+	}
 	learner.Start()
 	defer learner.Stop()
 
